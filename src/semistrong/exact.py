@@ -193,33 +193,51 @@ class _RelaxedState:
 
 def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int) -> list[int] | None:
     """Complete DFS; returns a color list or None when refuted. Raises
-    _BudgetExceeded when out of budget."""
+    _BudgetExceeded when out of budget.
+
+    The search state lives in per-position arrays instead of the call
+    stack, so long graphs do not hit the interpreter's recursion limit.
+    Position pos tries colors from next_color[pos] up to one past the largest
+    color used before it, ticking the clock once per try.
+    """
     order = bfs_edge_order(g)
     m = g.edge_count
     colors = [0] * m
+    if m == 0:
+        return colors
     if mode == "semistrong":
         state = _SemistrongState(g, k)
     else:
         state = _RelaxedState(g, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
-
-    def backtrack(pos: int, max_used: int) -> bool:
-        if pos == m:
-            return True
+    tick, try_assign, undo = clock.tick, state.try_assign, state.undo
+    next_color = [1] * m
+    max_used = [0] * (m + 1)  # largest color among the edges before each position
+    tokens: list = [None] * m
+    pos = 0
+    while True:
         e = order[pos]
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
-            clock.tick()
-            token = state.try_assign(e, c)
-            if token is None:
-                continue
-            colors[e] = c
-            if backtrack(pos + 1, max(max_used, c)):
-                return True
-            colors[e] = 0
-            state.undo(token)
-        return False
-
-    return colors if backtrack(0, 0) else None
+        limit = min(k, max_used[pos] + 1)
+        c = next_color[pos]
+        token = None
+        while c <= limit and token is None:
+            tick()
+            token = try_assign(e, c)
+            c += 1
+        if token is not None:
+            colors[e] = c - 1
+            if pos + 1 == m:
+                return colors
+            next_color[pos] = c
+            tokens[pos] = token
+            max_used[pos + 1] = max_used[pos] if c <= max_used[pos] else c - 1
+            pos += 1
+            next_color[pos] = 1
+            continue
+        if pos == 0:
+            return None
+        pos -= 1
+        colors[order[pos]] = 0
+        undo(tokens[pos])
 
 
 def _verify_certificate(g: Graph, mode: str, coloring: Coloring, s: int, t: int) -> bool:

@@ -98,41 +98,59 @@ class ComponentView:
     edge_map: tuple[int, ...]  # component edge -> parent edge
 
 
-def connected_components(g: Graph) -> list[ComponentView]:
-    """Components ordered by smallest parent vertex; maps are index-sorted."""
-    seen = [False] * g.vertex_count
-    views: list[ComponentView] = []
+def _component_labels(g: Graph) -> tuple[list[int], int]:
+    """Component index of every vertex, numbered by smallest vertex, and the
+    number of components."""
+    label = [-1] * g.vertex_count
+    count = 0
     for start in range(g.vertex_count):
-        if seen[start]:
+        if label[start] != -1:
             continue
+        label[start] = count
         queue = deque([start])
-        seen[start] = True
-        verts = [start]
         while queue:
             v = queue.popleft()
             for w, _ in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
+                if label[w] == -1:
+                    label[w] = count
                     queue.append(w)
-        verts.sort()
-        local = {pv: i for i, pv in enumerate(verts)}
-        vert_set = set(verts)
-        edge_map = tuple(i for i, (u, v) in enumerate(g.edges) if u in vert_set)
-        comp_edges = [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in edge_map]
+        count += 1
+    return label, count
+
+
+def connected_components(g: Graph) -> list[ComponentView]:
+    """Components ordered by smallest parent vertex; maps are index-sorted.
+
+    A connected graph is returned as its own only component (identity maps),
+    so everything cached per graph, such as its neighborhoods, is shared."""
+    label, count = _component_labels(g)
+    if count == 1:
+        return [ComponentView(g, g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
+    verts: list[list[int]] = [[] for _ in range(count)]
+    local = [0] * g.vertex_count
+    for v in range(g.vertex_count):
+        part = verts[label[v]]
+        local[v] = len(part)
+        part.append(v)
+    edge_ids: list[list[int]] = [[] for _ in range(count)]
+    for i, (u, _) in enumerate(g.edges):
+        edge_ids[label[u]].append(i)
+    views: list[ComponentView] = []
+    for part, ids in zip(verts, edge_ids):
+        comp_edges = [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in ids]
         views.append(
             ComponentView(
                 parent=g,
-                graph=build_graph(len(verts), comp_edges),
-                vertex_map=tuple(verts),
-                edge_map=edge_map,
+                graph=build_graph(len(part), comp_edges),
+                vertex_map=tuple(part),
+                edge_map=tuple(ids),
             )
         )
     return views
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return _component_labels(g)[1] <= 1
 
 
 def is_complete_bipartite_dd(g: Graph, d: int) -> bool:

@@ -13,6 +13,10 @@ are present. The six possible patterns classify f relative to e:
 
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
+
+Neighborhoods are cached per Graph object. A connected graph is its own only
+component (see graph.connected_components), so one solve builds them once and
+greedy, repair, the certificate checks and the badness audit all share them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ class PairType(IntEnum):
     T4 = 4
     T5 = 5
     T6 = 6
+
+
+_T1, _T2, _T3, _T4, _T5, _T6 = PairType
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,54 +105,47 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
 
 
 def _compute(g: Graph, e: int) -> EdgeNeighborhood:
+    adjacency = g.adjacency
     u, v = g.edges[e]
-    n1_u = frozenset(idx for _, idx in g.adjacency[u] if idx != e)
-    n1_v = frozenset(idx for _, idx in g.adjacency[v] if idx != e)
+    n1_u = frozenset(idx for _, idx in adjacency[u] if idx != e)
+    n1_v = frozenset(idx for _, idx in adjacency[v] if idx != e)
     n1 = n1_u | n1_v
 
-    c_delta = set()
-    for w, idx in g.adjacency[u]:
-        if idx != e and g.has_edge(w, v):
-            c_delta.add(idx)
-    for w, idx in g.adjacency[v]:
-        if idx != e and g.has_edge(w, u):
-            c_delta.add(idx)
+    nu = {w for w, _ in adjacency[u]}
+    nv = {w for w, _ in adjacency[v]}
+    c_delta = {idx for w, idx in adjacency[u] if w in nv}
+    c_delta.update(idx for w, idx in adjacency[v] if w in nu)
 
     # side-2 sets: edges disjoint from e with an endpoint in N(u) (resp. N(v))
-    n2_u: set[int] = set()
-    n2_v: set[int] = set()
-    for ring, w0, other in ((n2_u, u, v), (n2_v, v, u)):
-        for w, _ in g.adjacency[w0]:
-            if w == other:
-                continue
-            for z, fidx in g.adjacency[w]:
-                if z != u and z != v:
-                    ring.add(fidx)
+    n2_u = {f for w in nu if w != v for z, f in adjacency[w] if z != u and z != v}
+    n2_v = {f for w in nv if w != u for z, f in adjacency[w] if z != u and z != v}
     n2 = n2_u | n2_v
 
     type_of: dict[int, PairType] = {}
+    close: list[int] = []  # every class but T6
     for f in n2:
         x, y = g.edges[f]
-        ux = g.has_edge(u, x)
-        uy = g.has_edge(u, y)
-        vx = g.has_edge(v, x)
-        vy = g.has_edge(v, y)
+        ux = x in nu
+        uy = y in nu
+        vx = x in nv
+        vy = y in nv
         count = ux + uy + vx + vy
+        if count == 1:
+            type_of[f] = _T6
+            continue
         if count == 4:
-            t = PairType.T1
+            t = _T1
         elif count == 3:
-            t = PairType.T2
-        elif count == 1:
-            t = PairType.T6
+            t = _T2
         elif (ux and vx) or (uy and vy):
-            t = PairType.T3
+            t = _T3
         elif (ux and uy) or (vx and vy):
-            t = PairType.T5
+            t = _T5
         else:
-            t = PairType.T4
+            t = _T4
         type_of[f] = t
+        close.append(f)
 
-    f_set = n1 | frozenset(f for f, t in type_of.items() if t is not PairType.T6)
     return EdgeNeighborhood(
         edge=e,
         u=u,
@@ -158,7 +158,7 @@ def _compute(g: Graph, e: int) -> EdgeNeighborhood:
         n2_u=frozenset(n2_u),
         n2_v=frozenset(n2_v),
         c_delta=frozenset(c_delta),
-        f_set=f_set,
+        f_set=n1 | frozenset(close),
     )
 
 

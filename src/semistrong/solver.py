@@ -22,6 +22,12 @@ schema contexts degrade into skipped candidates, never into bad moves.
 When no schema and no fallback applies, repair defers to the exact
 feasibility search (F3) and records the event; on the qualifying inputs this
 is never expected to happen.
+
+The potential is kept incrementally. For every edge f the engine holds a
+table counting how many edges of N2(f) carry each color, and it holds the set
+of bad edges. A candidate is scored from the tables of the edges it touches,
+a move updates only the tables of N2 of the edges it recolors, and the search
+walks the bad set instead of rescanning all edges.
 """
 
 from __future__ import annotations
@@ -113,21 +119,32 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
 
 
 class _Engine:
-    """Mutable coloring state with incremental (kappa1, kappa2) accounting."""
+    """Mutable coloring state with incremental (kappa1, kappa2) accounting.
+
+    ``table[f]`` maps each color to the number of edges of N2(f) carrying it,
+    so f's same-colored 2-neighbor count is ``table[f][colors[f]]``; ``bad``
+    is the set of edges where that count is at least two. ``apply`` keeps both
+    up to date by touching only N2 of the recolored edges, and ``evaluate``
+    derives each affected edge's new count from its table and the move's own
+    edges, so scoring a move costs O(sum of |N2| over its edges).
+    """
 
     def __init__(self, g: Graph, coloring: Coloring, debug: bool = False, enforce_invariants: bool | None = None):
         self.g = g
         self.k = coloring.k
         self.debug = debug
-        self.colors = list(coloring.colors)
+        self.colors = colors = list(coloring.colors)
         m = g.edge_count
         self.nbs = [compute_neighborhood(g, e) for e in range(m)]
-        self.n2 = [tuple(sorted(nb.n2)) for nb in self.nbs]
-        self.cnt2 = [
-            sum(1 for f in self.n2[e] if self.colors[f] == self.colors[e]) for e in range(m)
-        ]
-        self.kappa1 = sum(1 for c in self.cnt2 if c >= 2)
-        self.sum_pairs = sum(self.cnt2)  # == 2 * kappa2
+        self.table: list[dict[int, int]] = []
+        for e in range(m):
+            t: dict[int, int] = {}
+            for f in self.nbs[e].n2:
+                t[colors[f]] = t.get(colors[f], 0) + 1
+            self.table.append(t)
+        counts = [self._count(e) for e in range(m)]
+        self.bad = {e for e in range(m) if counts[e] >= 2}
+        self.sum_pairs = sum(counts)  # == 2 * kappa2
         self.delta = max_degree(g)
         if enforce_invariants is None:
             enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
@@ -135,14 +152,22 @@ class _Engine:
 
     # -- potential bookkeeping -------------------------------------------
 
+    @property
+    def kappa1(self) -> int:
+        return len(self.bad)
+
+    def _count(self, e: int) -> int:
+        """Edges of N2(e) sharing e's color."""
+        return self.table[e].get(self.colors[e], 0)
+
     def potential(self) -> tuple[int, int]:
-        return (self.kappa1, self.sum_pairs // 2)
+        return (len(self.bad), self.sum_pairs // 2)
 
     def to_coloring(self) -> Coloring:
         return from_list(self.colors, self.k)
 
     def bad_edges(self) -> list[int]:
-        return [e for e in range(self.g.edge_count) if self.cnt2[e] >= 2]
+        return sorted(self.bad)
 
     def _new_color(self, h: int, x: dict[int, int]) -> int:
         c = x.get(h)
@@ -151,7 +176,8 @@ class _Engine:
     def evaluate(self, assignments: dict[int, int]):
         """(kappa1', kappa2') after the move, or None if it breaks goodness
         or is a no-op. Does not mutate."""
-        x = {e: c for e, c in assignments.items() if self.colors[e] != c}
+        colors = self.colors
+        x = {e: c for e, c in assignments.items() if colors[e] != c}
         if not x:
             return None
         for e, ce in x.items():
@@ -160,44 +186,83 @@ class _Engine:
             for h in self.nbs[e].f_set:
                 if self._new_color(h, x) == ce:
                     return None
-        affected = set(x)
-        for e in x:
-            affected.update(self.n2[e])
-        k1 = self.kappa1
+        # An edge f outside the move keeps its color, so its count moves by
+        # one for each move edge in N2(f) that takes f's color or leaves it.
+        shift: dict[int, int] = {}
+        for e, ce in x.items():
+            old = colors[e]
+            for f in self.nbs[e].n2:
+                fc = colors[f]
+                if fc == ce:
+                    shift[f] = shift.get(f, 0) + 1
+                elif fc == old:
+                    shift[f] = shift.get(f, 0) - 1
+        k1 = len(self.bad)
         s2 = self.sum_pairs
-        for f in affected:
-            fc = self._new_color(f, x)
-            new_cnt = sum(1 for h in self.n2[f] if self._new_color(h, x) == fc)
-            old_cnt = self.cnt2[f]
+        for f, d in shift.items():
+            if d and f not in x:
+                old_cnt = self._count(f)
+                k1 += (old_cnt + d >= 2) - (old_cnt >= 2)
+                s2 += d
+        # A move edge takes a new color: read its count off the table, then
+        # correct for the move edges in its own N2, whose colors change too.
+        for f, fc in x.items():
+            new_cnt = self.table[f].get(fc, 0)
+            n2f = self.nbs[f].n2
+            for e, ce in x.items():
+                if e in n2f:
+                    new_cnt += (ce == fc) - (colors[e] == fc)
+            old_cnt = self._count(f)
             k1 += (new_cnt >= 2) - (old_cnt >= 2)
             s2 += new_cnt - old_cnt
         return (k1, s2 // 2)
 
     def apply(self, move: MoveProposal):
-        x = dict(move.assignments)
-        affected = set(x)
-        for e in x:
-            affected.update(self.n2[e])
-        for e, c in x.items():
-            self.colors[e] = c
-        for f in affected:
-            fc = self.colors[f]
-            new_cnt = sum(1 for h in self.n2[f] if self.colors[h] == fc)
-            self.kappa1 += (new_cnt >= 2) - (self.cnt2[f] >= 2)
-            self.sum_pairs += new_cnt - self.cnt2[f]
-            self.cnt2[f] = new_cnt
+        for e, c in move.assignments:
+            if self.colors[e] != c:
+                self._recolor(e, c)
         if self.debug:
             self._debug_check(move)
+
+    def _recolor(self, e: int, c: int):
+        """Give e color c, updating the tables of N2(e), the bad set and the
+        pair sum. Only edges of N2(e) colored old or c change their count."""
+        colors = self.colors
+        bad = self.bad
+        old = colors[e]
+        te = self.table[e]
+        new_cnt = te.get(c, 0)
+        # every pair e loses or gains is also counted once at the other end
+        self.sum_pairs += 2 * (new_cnt - te.get(old, 0))
+        colors[e] = c
+        if new_cnt >= 2:
+            bad.add(e)
+        else:
+            bad.discard(e)
+        for f in self.nbs[e].n2:
+            t = self.table[f]
+            left = t[old] - 1
+            if left:
+                t[old] = left
+            else:
+                del t[old]
+            joined = t.get(c, 0) + 1
+            t[c] = joined
+            fc = colors[f]
+            if fc == old and left == 1:
+                bad.discard(f)
+            elif fc == c and joined == 2:
+                bad.add(f)
 
     def _debug_check(self, move: MoveProposal):
         coloring = self.to_coloring()
         if not is_good_coloring(self.g, coloring):
             raise EngineInvariantError(f"move {move.schema} {move.assignments} broke goodness")
         rep = badness(self.g, coloring)
-        if rep.potential != self.potential():
+        if rep.potential != self.potential() or rep.bad_edges != tuple(sorted(self.bad)):
             raise EngineInvariantError(
-                f"incremental potential {self.potential()} disagrees with full recomputation "
-                f"{rep.potential} after {move.schema} {move.assignments}"
+                f"incremental potential {self.potential()} or bad set disagrees with full "
+                f"recomputation {rep.potential} after {move.schema} {move.assignments}"
             )
         if rep.potential != move.predicted_potential:
             raise EngineInvariantError(
@@ -212,26 +277,24 @@ class _Engine:
 
     # -- schema candidate generators --------------------------------------
 
+    # A color outside f_set(e) meets N2(e) only on T6 contacts, so for such a
+    # color table[e] is exactly its T6 count.
+
     def _s1_candidates(self, e: int):
-        nb = self.nbs[e]
-        f_colors = {self.colors[f] for f in nb.f_set}
-        t6_count: dict[int, int] = {}
-        for f in nb.t6:
-            t6_count[self.colors[f]] = t6_count.get(self.colors[f], 0) + 1
+        f_colors = {self.colors[f] for f in self.nbs[e].f_set}
+        counts = self.table[e]
         for alpha in range(1, self.k + 1):
-            if alpha not in f_colors and t6_count.get(alpha, 0) <= 1:
+            if alpha not in f_colors and counts.get(alpha, 0) <= 1:
                 yield {e: alpha}
 
     def _s2_candidates(self, e: int):
         for f in sorted(self.nbs[e].n1):
-            nbf = self.nbs[f]
-            forb = {self.colors[h] for h in nbf.f_set} | {self.colors[f]}
-            t6_count: dict[int, int] = {}
-            for h in nbf.t6:
-                t6_count[self.colors[h]] = t6_count.get(self.colors[h], 0) + 1
             alpha1 = self.colors[f]
+            forb = {self.colors[h] for h in self.nbs[f].f_set}
+            forb.add(alpha1)
+            counts = self.table[f]
             for alpha in range(1, self.k + 1):
-                if alpha not in forb and t6_count.get(alpha, 0) <= 1:
+                if alpha not in forb and counts.get(alpha, 0) <= 1:
                     yield {f: alpha, e: alpha1}
 
     def _s4_candidates(self, e: int):

@@ -94,7 +94,6 @@ def test_criterion_02_prism5_sharpness():
     _report("criterion 2 (5-prism sharpness)", failures, detail)
 
 
-@pytest.mark.long
 def test_criterion_02_prism5_refutation_unbudgeted():
     res = feasibility(families.prism(5), "semistrong", 7)
     assert res.status == "unsat"

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
+
+import pytest
 
 from semistrong import families
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, max_degree
 from semistrong.neighborhood import compute_neighborhood
-from semistrong.solver import _Engine, _repair_engine
+from semistrong.solver import _Engine, _repair_engine, greedy_good_coloring
 from semistrong.verify import badness, is_good_coloring
 
 
@@ -64,35 +68,9 @@ def test_schema_generators_yield_wellformed_candidates():
                     assert 1 <= color <= eng.k
 
 
-def test_evaluate_matches_full_recount():
-    rng = random.Random(2)
-    for g in [families.prism(5), families.c7_blowup()]:
-        c = bad_state(g, rng)
-        eng = _Engine(g, c)
-        for e in eng.bad_edges():
-            for cand in list(eng._s1_candidates(e))[:5] + list(eng._s4_candidates(e))[:5]:
-                predicted = eng.evaluate(cand)
-                new_colors = list(c.colors)
-                for edge, color in cand.items():
-                    new_colors[edge] = color
-                c2 = from_list(new_colors, c.k)
-                if predicted is None:
-                    assert not is_good_coloring(g, c2)
-                else:
-                    assert is_good_coloring(g, c2)
-                    assert badness(g, c2).potential == predicted
-
-
-def test_evaluate_rejects_noop():
-    g = families.prism(5)
-    c = random_good_coloring(g, 8, random.Random(3))
-    eng = _Engine(g, c)
-    assert eng.evaluate({0: c.colors[0]}) is None
-
-
-def test_repair_on_cut_gadget():
-    # two dense sides joined by a 2-edge cut, the shape behind the deeper
-    # schemas; repair must clean it regardless of which schema fires
+def cut_gadget():
+    """Two dense sides joined by a 2-edge cut, the shape behind the deeper
+    schemas, with a good coloring whose middle edge 0 is bad."""
     g = build_graph(
         9,
         [
@@ -103,8 +81,98 @@ def test_repair_on_cut_gadget():
             (6, 7), (6, 8), (7, 8),
         ],
     )
-    colors = [1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 5, 4, 6]
-    c = from_list(colors, 8)
+    return g, from_list([1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 5, 4, 6], 8)
+
+
+def _schema_candidates(eng, e):
+    """Every schema's candidates at bad edge e; F2 restricted to pairs whose
+    two edges lie in each other's N2."""
+    return [
+        ("S1", eng._s1_candidates(e)),
+        ("S2", eng._s2_candidates(e)),
+        ("S3", eng._s3_candidates(e)),
+        ("S4", eng._s4_candidates(e)),
+        ("S5", eng._s5_candidates(e)),
+        ("S6", eng._s6_candidates(e)),
+        ("S7", eng._s7_candidates(e)),
+        ("F2", (c for c in eng._f2_candidates([e]) if min(c) in eng.nbs[max(c)].n2)),
+    ]
+
+
+def _moved_at_distance_two(eng, cand):
+    moved = [edge for edge, color in cand.items() if eng.colors[edge] != color]
+    return any(a in eng.nbs[b].n2 for a in moved for b in moved)
+
+
+def test_evaluate_matches_full_recount():
+    rng = random.Random(77)
+    states = [cut_gadget()]
+    for g in [families.prism(5), families.c7_blowup()]:
+        k = max_degree(g) ** 2 - 1
+        for _ in range(60):
+            c = random_good_coloring(g, k, rng)
+            if badness(g, c).kappa1 > 0:
+                states.append((g, c))
+    scored = Counter()
+    close = Counter()
+    for g, c in states:
+        eng = _Engine(g, c)
+        for e in eng.bad_edges():
+            for name, gen in _schema_candidates(eng, e):
+                for cand in itertools.islice(gen, 5):
+                    predicted = eng.evaluate(cand)
+                    new_colors = list(c.colors)
+                    for edge, color in cand.items():
+                        new_colors[edge] = color
+                    c2 = from_list(new_colors, c.k)
+                    if predicted is None:
+                        assert not is_good_coloring(g, c2) or new_colors == list(c.colors)
+                        continue
+                    assert is_good_coloring(g, c2)
+                    assert badness(g, c2).potential == predicted
+                    scored[name] += 1
+                    close[name] += _moved_at_distance_two(eng, cand)
+    assert set(scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "F2"}
+    # the table correction only acts when move edges lie in each other's N2
+    assert all(close[name] > 0 for name in ("S3", "S5", "S6", "S7", "F2"))
+
+
+def _assert_matches_recount(eng):
+    g = eng.g
+    for f in range(g.edge_count):
+        assert eng.table[f] == Counter(eng.colors[h] for h in eng.nbs[f].n2)
+    rep = badness(g, eng.to_coloring())
+    assert eng.bad_edges() == list(rep.bad_edges)
+    assert eng.potential() == rep.potential
+
+
+@pytest.mark.parametrize("n,d,seed", [(110, 4, 1), (120, 5, 2), (130, 6, 3)])
+def test_incremental_state_matches_recount_after_every_move(n, d, seed):
+    g = families.random_max_degree(n, d, seed)
+    assert max_degree(g) == d and 200 <= g.edge_count <= 400
+    eng = _Engine(g, greedy_good_coloring(g, d * d - 1))
+    _assert_matches_recount(eng)
+    moves = 0
+    while eng.kappa1 > 0:
+        move = eng.find_move()
+        assert move is not None
+        eng.apply(move)
+        assert eng.potential() == move.predicted_potential
+        _assert_matches_recount(eng)
+        moves += 1
+    assert moves > 0
+
+
+def test_evaluate_rejects_noop():
+    g = families.prism(5)
+    c = random_good_coloring(g, 8, random.Random(3))
+    eng = _Engine(g, c)
+    assert eng.evaluate({0: c.colors[0]}) is None
+
+
+def test_repair_on_cut_gadget():
+    # repair must clean it regardless of which schema fires
+    g, c = cut_gadget()
     assert is_good_coloring(g, c)
     assert badness(g, c).kappa1 >= 1
     out, stats = _repair_engine(g, c, debug=True, mode="semistrong")

@@ -126,3 +126,13 @@ def test_bad_parameters():
 def test_h_graph_value():
     res = exact_index(families.h_graph(3), "semistrong", 8)
     assert (res.value, res.proof) == (7, "exhausted")
+
+
+def test_long_path_search_is_iterative():
+    # one search position per edge: a recursive search would exceed the
+    # interpreter's recursion limit long before 1,499 edges
+    g = families.path(1500)
+    res = feasibility(g, "semistrong", 3)
+    assert res.status == "sat"
+    assert res.nodes == 2697
+    assert verify_semistrong(g, res.coloring).ok

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from semistrong import families
@@ -65,10 +67,40 @@ def test_max_degree_values():
 
 
 def test_components_single():
-    views = connected_components(families.cycle(4))
+    g = families.cycle(4)
+    views = connected_components(g)
     assert len(views) == 1
+    # a connected graph is its own component, so caches keyed on it are shared
+    assert views[0].graph is g
+    assert views[0].parent is g
     assert views[0].vertex_map == (0, 1, 2, 3)
     assert views[0].edge_map == (0, 1, 2, 3)
+
+
+def test_components_shuffled_union_maps_back():
+    rng = random.Random(5)
+    parts = [families.prism(4), families.cycle(7), families.path(2), families.complete_bipartite(3, 3), families.path(5)]
+    n = sum(p.vertex_count for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs, offset = [], 0
+    for p in parts:
+        pairs += [(label[u + offset], label[v + offset]) for u, v in p.edges]
+        offset += p.vertex_count
+    rng.shuffle(pairs)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    g = build_graph(n + 2, pairs)  # plus two isolated vertices
+    views = connected_components(g)
+    assert len(views) == len(parts) + 2
+    assert [v.vertex_map[0] for v in views] == sorted(v.vertex_map[0] for v in views)
+    assert sorted(pe for v in views for pe in v.edge_map) == list(range(g.edge_count))
+    assert sorted(pv for v in views for pv in v.vertex_map) == list(range(g.vertex_count))
+    for view in views:
+        assert list(view.vertex_map) == sorted(view.vertex_map)
+        assert list(view.edge_map) == sorted(view.edge_map)
+        for le, pe in enumerate(view.edge_map):
+            lu, lv = view.graph.edges[le]
+            assert (view.vertex_map[lu], view.vertex_map[lv]) == g.edges[pe]
 
 
 def test_components_disjoint_union():
