@@ -1,7 +1,8 @@
 """Command-line surface: color, verify, exact, gen, batch.
 
 Exit codes: 0 success (and valid for `verify`), 1 invalid coloring,
-2 usage or input error, 3 internal invariant failure.
+2 usage or input error, 3 internal invariant failure or any other
+unexpected exception (reported on one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .formats import (
     parse_graph6,
 )
 from .graph import Graph, GraphError, max_degree
-from .solver import EngineInvariantError, solve
+from .solver import solve
 from .verify import badness, verify_relaxed, verify_semistrong, verify_strong
 
 EXIT_OK = 0
@@ -259,8 +260,9 @@ def cli(argv: list[str]) -> int:
     except (FormatError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EngineInvariantError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an invariant failure or any other bug: one line, no traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring
 from .graph import Graph, bfs_edge_order
-from .neighborhood import compute_neighborhood
+from .neighborhood import neighborhoods
 from .verify import verify_relaxed, verify_semistrong, verify_strong
 
 MODES = ("semistrong", "strong", "relaxed")
@@ -149,8 +149,9 @@ class _RelaxedState:
         self.colors = [0] * m
         self.same1 = [0] * m
         self.same2 = [0] * m
-        self.n1 = [sorted(compute_neighborhood(g, e).n1) for e in range(m)]
-        self.n2 = [sorted(compute_neighborhood(g, e).n2) for e in range(m)]
+        nbs = neighborhoods(g)
+        self.n1 = [sorted(nb.n1) for nb in nbs]
+        self.n2 = [sorted(nb.n2) for nb in nbs]
 
     def try_assign(self, e: int, c: int):
         colors = self.colors

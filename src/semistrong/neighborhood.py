@@ -14,17 +14,29 @@ are present. The six possible patterns classify f relative to e:
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
-Neighborhoods are cached per Graph object. A connected graph is its own only
-component (see graph.connected_components), so one solve builds them once and
-greedy, repair, the certificate checks and the badness audit all share them.
+Only greedy, the repair engine and the exact oracle's relaxed search use
+these neighborhoods. The certificates and the badness audit count
+same-colored contacts straight from the adjacency (see verify.py).
+
+An EdgeNeighborhood builds n1, n2 and f_set eagerly, from one walk over the
+adjacency that meets every 2-neighbor once per cross edge; that is all
+greedy and S1 read. The per-endpoint splits (n1_u, n1_v, n2_u, n2_v), the
+triangle 1-neighbors c_delta, the pair types type_of and t6 are derived on
+first use, for the deeper schemas, the stage asserts, m_set and
+observation_bound.
+
+Neighborhoods are cached per Graph object, one slot per edge. A connected
+graph is its own only component (see graph.connected_components), so one
+solve builds them once and greedy and repair share them.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 from .graph import Graph
@@ -44,34 +56,89 @@ _T1, _T2, _T3, _T4, _T5, _T6 = PairType
 
 @dataclass(frozen=True, eq=False)
 class EdgeNeighborhood:
-    """Color-independent neighborhood data for one edge; cached per graph."""
+    """Color-independent neighborhood data for one edge; cached per graph.
+
+    The derived fields read the graph's edge and adjacency tuples, never the
+    Graph itself, so a cached neighborhood does not keep its graph alive."""
 
     edge: int
     u: int
     v: int
     n1: frozenset[int]
-    n1_u: frozenset[int]
-    n1_v: frozenset[int]
     n2: frozenset[int]
-    type_of: dict[int, PairType]
-    n2_u: frozenset[int]
-    n2_v: frozenset[int]
-    c_delta: frozenset[int]
     f_set: frozenset[int]
+    _edges: tuple[tuple[int, int], ...] = field(repr=False)
+    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     def type_class(self, t: PairType) -> frozenset[int]:
         return frozenset(f for f, tf in self.type_of.items() if tf is t)
 
-    @property
+    @cached_property
     def t6(self) -> frozenset[int]:
         return self.n2 - self.f_set
 
-    def side_n1(self, vertex: int) -> frozenset[int]:
-        if vertex == self.u:
-            return self.n1_u
-        if vertex == self.v:
-            return self.n1_v
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.edge}")
+    @cached_property
+    def n1_u(self) -> frozenset[int]:
+        return frozenset(idx for _, idx in self._adjacency[self.u] if idx != self.edge)
+
+    @cached_property
+    def n1_v(self) -> frozenset[int]:
+        return frozenset(idx for _, idx in self._adjacency[self.v] if idx != self.edge)
+
+    def _near(self, vertex: int) -> set[int]:
+        return {w for w, _ in self._adjacency[vertex]}
+
+    def _side(self, vertex: int) -> frozenset[int]:
+        near = self._near(vertex)
+        edges = self._edges
+        return frozenset(f for f in self.n2 if edges[f][0] in near or edges[f][1] in near)
+
+    @cached_property
+    def n2_u(self) -> frozenset[int]:
+        """2-neighbors with an endpoint adjacent to u."""
+        return self._side(self.u)
+
+    @cached_property
+    def n2_v(self) -> frozenset[int]:
+        """2-neighbors with an endpoint adjacent to v."""
+        return self._side(self.v)
+
+    @cached_property
+    def c_delta(self) -> frozenset[int]:
+        """1-neighbors that close a triangle with the edge."""
+        nu = self._near(self.u)
+        nv = self._near(self.v)
+        found = [idx for w, idx in self._adjacency[self.u] if w in nv]
+        found += [idx for w, idx in self._adjacency[self.v] if w in nu]
+        return frozenset(found)
+
+    @cached_property
+    def type_of(self) -> dict[int, PairType]:
+        nu = self._near(self.u)
+        nv = self._near(self.v)
+        edges = self._edges
+        type_of: dict[int, PairType] = {}
+        for f in self.n2:
+            x, y = edges[f]
+            ux = x in nu
+            uy = y in nu
+            vx = x in nv
+            vy = y in nv
+            count = ux + uy + vx + vy
+            if count == 1:
+                t = _T6
+            elif count == 4:
+                t = _T1
+            elif count == 3:
+                t = _T2
+            elif (ux and vx) or (uy and vy):
+                t = _T3
+            elif (ux and uy) or (vx and vy):
+                t = _T5
+            else:
+                t = _T4
+            type_of[f] = t
+        return type_of
 
     def side_n2(self, vertex: int) -> frozenset[int]:
         if vertex == self.u:
@@ -85,9 +152,7 @@ _cache: WeakKeyDictionary[Graph, list[EdgeNeighborhood | None]] = WeakKeyDiction
 _cache_lock = threading.Lock()
 
 
-def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
-    """Neighborhood of edge e; lazily computed and cached (idempotent fill,
-    so concurrent first access is safe)."""
+def _slots(g: Graph) -> list[EdgeNeighborhood | None]:
     slots = _cache.get(g)
     if slots is None:
         with _cache_lock:
@@ -95,70 +160,61 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
             if slots is None:
                 slots = [None] * len(g.edges)
                 _cache[g] = slots
+    return slots
+
+
+def neighborhoods(g: Graph) -> list[EdgeNeighborhood]:
+    """Every edge's neighborhood, indexed by edge; built on the first call
+    for a graph and cached (idempotent fill, so concurrent first access is
+    safe). Fetch it once and index it instead of calling
+    compute_neighborhood per edge."""
+    slots = _slots(g)
+    if None in slots:
+        edges, adjacency = g.edges, g.adjacency
+        for e, nb in enumerate(slots):
+            if nb is None:
+                slots[e] = _compute(edges, adjacency, e)
+    return slots  # type: ignore[return-value]
+
+
+def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
+    """Neighborhood of edge e alone; lazily computed and cached."""
+    slots = _slots(g)
     if not 0 <= e < len(g.edges):
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
     nb = slots[e]
     if nb is None:
-        nb = _compute(g, e)
+        nb = _compute(g.edges, g.adjacency, e)
         slots[e] = nb
     return nb
 
 
-def _compute(g: Graph, e: int) -> EdgeNeighborhood:
-    adjacency = g.adjacency
-    u, v = g.edges[e]
-    n1_u = frozenset(idx for _, idx in adjacency[u] if idx != e)
-    n1_v = frozenset(idx for _, idx in adjacency[v] if idx != e)
-    n1 = n1_u | n1_v
-
-    nu = {w for w, _ in adjacency[u]}
-    nv = {w for w, _ in adjacency[v]}
-    c_delta = {idx for w, idx in adjacency[u] if w in nv}
-    c_delta.update(idx for w, idx in adjacency[v] if w in nu)
-
-    # side-2 sets: edges disjoint from e with an endpoint in N(u) (resp. N(v))
-    n2_u = {f for w in nu if w != v for z, f in adjacency[w] if z != u and z != v}
-    n2_v = {f for w in nv if w != u for z, f in adjacency[w] if z != u and z != v}
-    n2 = n2_u | n2_v
-
-    type_of: dict[int, PairType] = {}
-    close: list[int] = []  # every class but T6
-    for f in n2:
-        x, y = g.edges[f]
-        ux = x in nu
-        uy = y in nu
-        vx = x in nv
-        vy = y in nv
-        count = ux + uy + vx + vy
-        if count == 1:
-            type_of[f] = _T6
-            continue
-        if count == 4:
-            t = _T1
-        elif count == 3:
-            t = _T2
-        elif (ux and vx) or (uy and vy):
-            t = _T3
-        elif (ux and uy) or (vx and vy):
-            t = _T5
-        else:
-            t = _T4
-        type_of[f] = t
-        close.append(f)
-
+def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeighborhood:
+    u, v = edges[e]
+    n1 = frozenset([idx for _, idx in adjacency[u] if idx != e] + [idx for _, idx in adjacency[v] if idx != e])
+    # One entry per cross edge a-w (a an endpoint of e) for each edge f = wz
+    # disjoint from e, so f occurs once per edge joining it to e: once for
+    # T6, two to four times for T1..T5.
+    reach = [
+        f
+        for a, b in ((u, v), (v, u))
+        for w, _ in adjacency[a]
+        if w != b
+        for z, f in adjacency[w]
+        if z != a and z != b
+    ]
+    n2 = frozenset(reach)
+    f_set = n1
+    if len(reach) > len(n2):
+        seen: set[int] = set()
+        close: set[int] = set()
+        for f in reach:
+            if f in seen:
+                close.add(f)
+            seen.add(f)
+        f_set = n1 | close
     return EdgeNeighborhood(
-        edge=e,
-        u=u,
-        v=v,
-        n1=n1,
-        n1_u=n1_u,
-        n1_v=n1_v,
-        n2=frozenset(n2),
-        type_of=type_of,
-        n2_u=frozenset(n2_u),
-        n2_v=frozenset(n2_v),
-        c_delta=frozenset(c_delta),
-        f_set=n1 | frozenset(close),
+        edge=e, u=u, v=v, n1=n1, n2=n2, f_set=f_set, _edges=edges, _adjacency=adjacency
     )
 
 
@@ -204,11 +260,14 @@ def m_set(g: Graph, path: list[int]) -> frozenset[int]:
         for j in range(i + 2, len(path)):
             if g.has_edge(path[i], path[j]):
                 raise ValueError(f"path has chord {path[i]}-{path[j]}; not induced")
-    k = len(edge_ids)
     last = edge_ids[-1]
-    nb = compute_neighborhood(g, last)
-    tip = path[-1]
-    if k == 1:
-        return frozenset(nb.n1 | nb.side_n2(tip))
-    prev = edge_ids[-2]
-    return frozenset((nb.n1 | {last}) - {prev}) | nb.side_n2(tip)
+    # for k = 1, dropping e1 itself from N[e1] leaves N(e1)
+    prev = edge_ids[-2] if len(edge_ids) >= 2 else last
+    return shift_forbidden(compute_neighborhood(g, last), prev, path[-1])
+
+
+def shift_forbidden(nb: EdgeNeighborhood, prev: int, tip: int) -> frozenset[int]:
+    """(N[last] minus prev) ∪ side-2 neighbors at tip, where nb is the
+    neighborhood of the path's last edge and tip its far endpoint; m_set
+    without the path checks."""
+    return ((nb.n1 | {nb.edge}) - {prev}) | nb.side_n2(tip)

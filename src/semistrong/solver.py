@@ -46,7 +46,7 @@ from .graph import (
     is_complete_bipartite_dd,
     max_degree,
 )
-from .neighborhood import PairType, compute_neighborhood
+from .neighborhood import PairType, neighborhoods, shift_forbidden
 from .verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
@@ -109,8 +109,9 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     colors = [0] * g.edge_count
+    nbs = neighborhoods(g)
     for e in bfs_edge_order(g):
-        used = {colors[f] for f in compute_neighborhood(g, e).f_set if colors[f]}
+        used = {colors[f] for f in nbs[e].f_set if colors[f]}
         chosen = next((c for c in range(1, palette_size + 1) if c not in used), None)
         if chosen is None:
             raise PaletteExhaustedError(e, palette_size)
@@ -135,7 +136,7 @@ class _Engine:
         self.debug = debug
         self.colors = colors = list(coloring.colors)
         m = g.edge_count
-        self.nbs = [compute_neighborhood(g, e) for e in range(m)]
+        self.nbs = neighborhoods(g)
         self.table: list[dict[int, int]] = []
         for e in range(m):
             t: dict[int, int] = {}
@@ -310,9 +311,7 @@ class _Engine:
     def _s3_grow(self, path: list[int], edges: list[int]):
         g = self.g
         if len(edges) >= 2:
-            last = edges[-1]
-            nb = self.nbs[last]
-            m_edges = ((nb.n1 | {last}) - {edges[-2]}) | nb.side_n2(path[-1])
+            m_edges = shift_forbidden(self.nbs[edges[-1]], edges[-2], path[-1])
             used = {self.colors[h] for h in m_edges}
             free = [a for a in range(1, self.k + 1) if a not in used]
             if free:

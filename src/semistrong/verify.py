@@ -3,16 +3,20 @@ bad-edge / bad-pair accounting that drives the repair engine.
 
 All functions are pure; witnesses always report the lexicographically
 smallest failure so tests are reproducible.
+
+The per-edge checks (verify_relaxed, is_good_coloring, badness) count
+same-colored contacts straight from the adjacency, in O(m·Δ), and share no
+data with the neighborhoods that greedy and the repair engine build, so
+they are an independent check of the engine's own tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .coloring import Coloring
 from .graph import Graph
-from .neighborhood import compute_neighborhood
 
 
 class VerifyResult(NamedTuple):
@@ -122,36 +126,60 @@ def verify_strong(g: Graph, c: Coloring) -> VerifyResult:
     return _check_classes(g, c, is_induced_matching, _induced_offender)
 
 
+def _same_colored_contacts(g: Graph, c: Coloring) -> Iterator[tuple[int, int, int, dict[int, int]]]:
+    """(e, color of e, same-colored 1-neighbor count, {same-colored
+    2-neighbor f: cross edges between e and f}) for every edge in order.
+
+    Edges are indexed per vertex by color; for e = uv of color c the walk
+    reads the color-c edges at each neighbor w of u (resp. v), reaching every
+    same-colored 2-neighbor once per cross edge. A count of 1 is a T6 contact,
+    anything higher puts f in e's forbidden set.
+    """
+    if len(c.colors) != len(g.edges):
+        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
+    colors = c.colors
+    edges = g.edges
+    adjacency = g.adjacency
+    at: list[dict[int, list[int]]] = [{} for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(edges):
+        ce = colors[e]
+        at[u].setdefault(ce, []).append(e)
+        at[v].setdefault(ce, []).append(e)
+    for e, (u, v) in enumerate(edges):
+        ce = colors[e]
+        d1 = len(at[u][ce]) + len(at[v][ce]) - 2
+        same: dict[int, int] = {}
+        for a, b in ((u, v), (v, u)):
+            for w, _ in adjacency[a]:
+                if w == b:
+                    continue
+                for f in at[w].get(ce, ()):
+                    x, y = edges[f]
+                    if x != a and x != b and y != a and y != b:
+                        same[f] = same.get(f, 0) + 1
+        yield e, ce, d1, same
+
+
 def verify_relaxed(g: Graph, c: Coloring, s: int, t: int) -> VerifyResult:
     """Per edge: at most s same-colored 1-neighbors and at most t same-colored
     2-neighbors. (0,0) coincides with verify_strong."""
     if s < 0 or t < 0:
         raise ValueError(f"s,t must be >= 0, got ({s},{t})")
-    if len(c.colors) != len(g.edges):
-        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
     best: tuple[int, int] | None = None
-    for e in range(len(g.edges)):
-        nb = compute_neighborhood(g, e)
-        ce = c.colors[e]
-        d1 = sum(1 for f in nb.n1 if c.colors[f] == ce)
-        d2 = sum(1 for f in nb.n2 if c.colors[f] == ce)
-        if d1 > s or d2 > t:
-            cand = (ce, e)
-            if best is None or cand < best:
-                best = cand
+    for e, ce, d1, same in _same_colored_contacts(g, c):
+        if (d1 > s or len(same) > t) and (best is None or (ce, e) < best):
+            best = (ce, e)
     return VerifyResult(best is None, best)
 
 
 def is_good_coloring(g: Graph, c: Coloring) -> bool:
-    """True iff no edge shares its color with any edge of its forbidden set."""
-    if len(c.colors) != len(g.edges):
-        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
-    for e in range(len(g.edges)):
-        nb = compute_neighborhood(g, e)
-        ce = c.colors[e]
-        if any(c.colors[f] == ce for f in nb.f_set):
-            return False
-    return True
+    """True iff no edge shares its color with any edge of its forbidden set:
+    no same-colored 1-neighbor, and every same-colored 2-neighbor joined to
+    the edge by a single cross edge (T6)."""
+    return all(
+        d1 == 0 and all(count == 1 for count in same.values())
+        for _, _, d1, same in _same_colored_contacts(g, c)
+    )
 
 
 @dataclass(frozen=True)
@@ -172,16 +200,11 @@ class BadnessReport:
 
 
 def badness(g: Graph, c: Coloring) -> BadnessReport:
-    if len(c.colors) != len(g.edges):
-        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
     bad_edges: list[int] = []
     bad_pairs: list[tuple[int, int]] = []
     per1: dict[int, int] = {}
     per2: dict[int, int] = {}
-    for e in range(len(g.edges)):
-        nb = compute_neighborhood(g, e)
-        ce = c.colors[e]
-        same = [f for f in nb.n2 if c.colors[f] == ce]
+    for e, ce, _, same in _same_colored_contacts(g, c):
         if len(same) >= 2:
             bad_edges.append(e)
             per1[ce] = per1.get(ce, 0) + 1

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
+
+import pytest
 
 from semistrong import families
 from semistrong.cli import cli
@@ -193,3 +196,32 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["color", "--mode", "semistrong", "--input", str(gpath)])
     assert code == 3
     assert "internal error" in err
+
+
+def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
+    import semistrong.cli as cli_mod
+
+    def boom(*a, **kw):
+        raise RuntimeError("synthetic\nfailure")
+
+    monkeypatch.setattr(cli_mod, "solve", boom)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(emit_edge_list(families.cycle(7)))
+    code, out, err = run(capsys, ["color", "--mode", "semistrong", "--input", str(gpath)])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: synthetic failure\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("graph", ["mixed", "random_d4"])
+@pytest.mark.parametrize("mode", ["semistrong", "relaxed01"])
+def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
+    # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
+    # an edge and an isolated vertex; random_d4: random_max_degree(40, 4, 11)
+    out_path = tmp_path / "out.json"
+    argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
+    assert run(capsys, argv)[0] == 0
+    assert out_path.read_bytes() == (DATA / f"{graph}.{mode}.json").read_bytes()

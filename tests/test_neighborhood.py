@@ -13,7 +13,7 @@ from _oracles import (
 )
 from semistrong import families
 from semistrong.graph import build_graph, max_degree
-from semistrong.neighborhood import PairType, compute_neighborhood, m_set, observation_bound
+from semistrong.neighborhood import PairType, compute_neighborhood, m_set, neighborhoods, observation_bound
 
 CORPUS = [
     families.cycle(4),
@@ -39,6 +39,7 @@ def test_rings_match_pairwise_enumeration():
             assert not nb.n1 & nb.n2
             assert nb.n1 == nb.n1_u | nb.n1_v
             assert not nb.n1_u & nb.n1_v
+            assert nb.n2 == nb.n2_u | nb.n2_v
 
 
 def test_type_partition_and_f_set():
@@ -212,3 +213,66 @@ def test_concurrent_cache_fill():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+_PATTERN = {4: PairType.T1, 3: PairType.T2}
+
+
+def _oracle_type(g, e, f) -> PairType:
+    """Pair type of 2-neighbor f from the raw cross edges."""
+    u, v = g.edges[e]
+    cross = cross_edges(g, e, f)
+    if len(cross) in _PATTERN:
+        return _PATTERN[len(cross)]
+    if len(cross) == 1:
+        return PairType.T6
+    ends_e = {a for a, _ in cross}
+    ends_f = {b for _, b in cross}
+    if len(ends_f) == 1:
+        return PairType.T3  # both endpoints of e meet one endpoint of f
+    if len(ends_e) == 1:
+        return PairType.T5  # one endpoint of e meets both endpoints of f
+    return PairType.T4
+
+
+def test_derived_fields_match_eager_recomputation():
+    k4 = build_graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
+    for g in [families.prism(5), families.c7_blowup(), families.hypercube(3), families.prism(3), k4]:
+        for e in range(g.edge_count):
+            nb = compute_neighborhood(g, e)
+            u, v = g.edges[e]
+            near_u = set(g.neighbors(u))
+            near_v = set(g.neighbors(v))
+            n2 = two_neighbors(g, e)
+            assert nb.type_of == {f: _oracle_type(g, e, f) for f in n2}
+            assert nb.t6 == {f for f in n2 if len(cross_edges(g, e, f)) == 1}
+            assert nb.n2_u == {f for f in n2 if set(g.edges[f]) & near_u}
+            assert nb.n2_v == {f for f in n2 if set(g.edges[f]) & near_v}
+            assert nb.n1_u == {f for f in one_neighbors(g, e) if u in g.edges[f]}
+            assert nb.n1_v == {f for f in one_neighbors(g, e) if v in g.edges[f]}
+            assert nb.c_delta == {
+                f for f in one_neighbors(g, e) if (set(g.edges[f]) - {u, v}) <= near_u & near_v
+            }
+
+
+def test_neighborhoods_share_the_per_edge_cache():
+    g = families.prism(5)
+    first = compute_neighborhood(g, 3)
+    nbs = neighborhoods(g)
+    assert len(nbs) == g.edge_count
+    assert nbs[3] is first
+    assert all(nbs[e] is compute_neighborhood(g, e) for e in range(g.edge_count))
+    assert neighborhoods(g) is nbs
+
+
+def test_cached_neighborhoods_do_not_keep_their_graph_alive():
+    import gc
+    import weakref
+
+    g = families.c7_blowup()
+    for nb in neighborhoods(g):
+        nb.type_of, nb.t6, nb.n2_u, nb.n2_v, nb.c_delta, nb.n1_u, nb.n1_v
+    ref = weakref.ref(g)
+    del g, nb
+    gc.collect()
+    assert ref() is None

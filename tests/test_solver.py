@@ -226,3 +226,29 @@ def test_solve_path_component():
     assert res.colors_used == 3
     assert res.certificates["semistrong"] and res.certificates["relaxed01"]
     assert res.trace[0].strategy == "delta2"
+
+
+def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods():
+    import random
+
+    from semistrong import neighborhood
+    from semistrong.formats import emit_result
+
+    rng = random.Random(12)
+    parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
+    n = sum(p.vertex_count for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs, offset = [], 0
+    for p in parts:
+        pairs += [(label[u + offset], label[v + offset]) for u, v in p.edges]
+        offset += p.vertex_count
+    rng.shuffle(pairs)
+    g = build_graph(n, pairs)
+    for mode in ("semistrong", "relaxed01"):
+        res = solve(g, mode, debug=True)
+        assert res.certificates[mode]
+        assert '"valid": true' in emit_result(g, res)
+        # the certificates and the badness audit count contacts from the
+        # adjacency; only the per-component solves build neighborhoods
+        assert neighborhood._cache.get(g) is None

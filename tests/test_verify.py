@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from _oracles import naive_badness, naive_is_induced, naive_is_semistrong, naive_verify
+from _oracles import (
+    cross_edges,
+    edge_distance_class,
+    has_triangle,
+    naive_badness,
+    naive_is_induced,
+    naive_is_semistrong,
+    naive_verify,
+)
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
 from semistrong.graph import build_graph
@@ -199,3 +207,84 @@ def test_is_good_detects_forbidden_class_sharing():
     c = from_list([1, 2, 3, 1])
     assert not is_good_coloring(g, c)
     assert is_good_coloring(g, rainbow(g))
+
+
+def _with_k4(g, rng):
+    """g plus a K4 on four random vertices (at least four vertices needed)."""
+    quad = rng.sample(range(g.vertex_count), 4)
+    pairs = {tuple(sorted(p)) for p in g.edges}
+    pairs |= {tuple(sorted((a, b))) for a, b in itertools.combinations(quad, 2)}
+    return build_graph(g.vertex_count, sorted(pairs))
+
+
+def _dense_random_graphs(rng, count):
+    """Small random graphs dense enough for triangles, half with a planted K4."""
+    out = []
+    while len(out) < count:
+        g = families.random_max_degree(rng.randint(5, 9), rng.randint(3, 5), rng.randint(0, 10**6))
+        if len(out) % 2:
+            g = _with_k4(g, rng)
+        if g.edge_count:
+            out.append(g)
+    return out
+
+
+def _oracle_good(g, colors) -> bool:
+    """No same-colored 1-neighbor, and every same-colored 2-neighbor joined
+    to the edge by exactly one cross edge."""
+    m = g.edge_count
+    for e in range(m):
+        for f in range(m):
+            if f == e or colors[f] != colors[e]:
+                continue
+            dist = edge_distance_class(g, e, f)
+            if dist == 1 or (dist == 2 and len(cross_edges(g, e, f)) != 1):
+                return False
+    return True
+
+
+def test_is_good_coloring_matches_cross_edge_oracle():
+    from semistrong.solver import greedy_good_coloring
+
+    rng = random.Random(31)
+    outcomes = []
+    triangles = 0
+    for g in _dense_random_graphs(rng, 160):
+        triangles += has_triangle(g)
+        start = greedy_good_coloring(g, g.edge_count).colors
+        colors = list(start)
+        for _ in range(rng.randint(0, 2)):  # 0 keeps the good start, else perturb it
+            colors[rng.randrange(g.edge_count)] = rng.randint(1, max(colors))
+        c = from_list(colors)
+        got = is_good_coloring(g, c)
+        assert got == _oracle_good(g, colors), (g.edges, colors)
+        outcomes.append(got)
+    assert triangles >= 100
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
+
+
+def _oracle_relaxed_witness(g, colors, s, t):
+    """Smallest (color, edge) with more than s same-colored 1-neighbors or
+    more than t same-colored 2-neighbors, by pairwise enumeration."""
+    m = g.edge_count
+    worst = []
+    for e in range(m):
+        dist = [edge_distance_class(g, e, f) for f in range(m) if f != e and colors[f] == colors[e]]
+        if dist.count(1) > s or dist.count(2) > t:
+            worst.append((colors[e], e))
+    return min(worst, default=None)
+
+
+def test_verify_relaxed_matches_oracle_for_every_cap():
+    rng = random.Random(47)
+    failing = 0
+    for g in _dense_random_graphs(rng, 60):
+        k = rng.randint(2, g.edge_count)
+        colors = [rng.randint(1, k) for _ in range(g.edge_count)]
+        c = from_list(colors, k)
+        for s, t in itertools.product(range(3), repeat=2):
+            res = verify_relaxed(g, c, s, t)
+            assert res.ok == naive_verify(g, colors, "relaxed", s, t)
+            assert res.witness == _oracle_relaxed_witness(g, colors, s, t)
+            failing += not res.ok
+    assert failing >= 100
