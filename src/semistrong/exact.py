@@ -1,8 +1,10 @@
 """Exact minimum color counts for small graphs via backtracking.
 
-Search runs over edges in a fixed breadth-first order with the standard
-symmetry break (an edge may open at most one fresh color). Partial classes
-are pruned incrementally:
+The search is fail-first. At each step it colors, among the uncolored edges
+in N1 ∪ N2 of the colored ones, the edge with the fewest colors that still
+fit, and it ends a branch as soon as one of them has none left. Colors obey the
+standard symmetry break (an edge may open at most one fresh color). Partial
+classes are checked incrementally:
 
 * semistrong: a class is abandoned as soon as some class edge has both
   endpoints with a second neighbor among the class vertices (monotone, so
@@ -10,8 +12,12 @@ are pruned incrementally:
 * strong / relaxed(s,t): per-edge counters of same-colored 1- and
   2-neighbors against the s/t caps.
 
-Budgets are wall-clock and/or node counts; node budgets make timeouts
-reproducible.
+Both checks only get stricter as edges are added, and a fresh color always
+fits an empty class, so an edge with no fitting color stays stuck in every
+extension: ending the branch there loses no coloring.
+
+Budgets are wall-clock and/or node counts; a node is one probed edge or one
+placed color, so node budgets make timeouts reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 
 from .coloring import Coloring
 from .graph import Graph, bfs_edge_order
-from .neighborhood import neighborhoods
 from .verify import verify_relaxed, verify_semistrong, verify_strong
 
 MODES = ("semistrong", "strong", "relaxed")
@@ -81,14 +86,40 @@ class _SemistrongState:
     """Incremental per-class matching + free-endpoint bookkeeping."""
 
     def __init__(self, g: Graph, k: int):
-        self.g = g
+        self.edges = g.edges
+        self.adjacency = g.adjacency
         n = g.vertex_count
         self.partner = [[-1] * n for _ in range(k + 1)]  # class vertex -> matched partner
         self.cnt = [[0] * n for _ in range(k + 1)]  # class vertex -> neighbors inside class
 
+    def fits(self, e: int, c: int) -> bool:
+        """try_assign's verdict, without changing the state.
+
+        If both endpoints see class vertices, the new edge has no endpoint
+        of degree 1. Otherwise each class vertex w seen from the one side
+        gets its second class neighbor, so w's class edge fails exactly when
+        w's partner already has two, or has one and is seen from that side
+        too (a triangle).
+        """
+        u, v = self.edges[e]
+        partner = self.partner[c]
+        if partner[u] != -1 or partner[v] != -1:
+            return False
+        adjacency = self.adjacency
+        seen = [w for w, _ in adjacency[u] if partner[w] != -1]
+        if not seen:
+            seen = [w for w, _ in adjacency[v] if partner[w] != -1]
+        elif any(partner[w] != -1 for w, _ in adjacency[v]):
+            return False
+        cnt = self.cnt[c]
+        for w in seen:
+            p = partner[w]
+            if cnt[p] >= 2 or p in seen:
+                return False
+        return True
+
     def try_assign(self, e: int, c: int):
-        g = self.g
-        u, v = g.edges[e]
+        u, v = self.edges[e]
         partner = self.partner[c]
         cnt = self.cnt[c]
         if partner[u] != -1 or partner[v] != -1:
@@ -97,18 +128,18 @@ class _SemistrongState:
         ok = True
         cu = 1
         cv = 1
-        for w, _ in g.adjacency[u]:
+        for w, _ in self.adjacency[u]:
             if partner[w] != -1:
-                cu += 1 if w != v else 0
+                cu += 1
                 cnt[w] += 1
                 bumped.append(w)
                 if cnt[w] >= 2 and cnt[partner[w]] >= 2:
                     ok = False
                     break
         if ok:
-            for w, _ in g.adjacency[v]:
+            for w, _ in self.adjacency[v]:
                 if partner[w] != -1:
-                    cv += 1 if w != u else 0
+                    cv += 1
                     cnt[w] += 1
                     bumped.append(w)
                     if cnt[w] >= 2 and cnt[partner[w]] >= 2:
@@ -128,7 +159,7 @@ class _SemistrongState:
 
     def undo(self, token):
         e, c, bumped = token
-        u, v = self.g.edges[e]
+        u, v = self.edges[e]
         partner = self.partner[c]
         cnt = self.cnt[c]
         for w in bumped:
@@ -142,40 +173,50 @@ class _SemistrongState:
 class _RelaxedState:
     """Per-edge same-colored 1-/2-neighbor counters against the (s,t) caps."""
 
-    def __init__(self, g: Graph, s: int, t: int):
+    def __init__(self, n1: list[list[int]], n2: list[list[int]], s: int, t: int):
         self.s = s
         self.t = t
-        m = g.edge_count
+        self.n1 = n1
+        self.n2 = n2
+        m = len(n1)
         self.colors = [0] * m
         self.same1 = [0] * m
         self.same2 = [0] * m
-        nbs = neighborhoods(g)
-        self.n1 = [sorted(nb.n1) for nb in nbs]
-        self.n2 = [sorted(nb.n2) for nb in nbs]
 
-    def try_assign(self, e: int, c: int):
+    def fits(self, e: int, c: int) -> bool:
+        """try_assign's verdict, without changing the state."""
         colors = self.colors
         c1 = 0
         for f in self.n1[e]:
             if colors[f] == c:
                 c1 += 1
                 if c1 > self.s or self.same1[f] + 1 > self.s:
-                    return None
+                    return False
         c2 = 0
         for f in self.n2[e]:
             if colors[f] == c:
                 c2 += 1
                 if c2 > self.t or self.same2[f] + 1 > self.t:
-                    return None
+                    return False
+        return True
+
+    def try_assign(self, e: int, c: int):
+        if not self.fits(e, c):
+            return None
+        colors = self.colors
+        c1 = 0
+        for f in self.n1[e]:
+            if colors[f] == c:
+                c1 += 1
+                self.same1[f] += 1
+        c2 = 0
+        for f in self.n2[e]:
+            if colors[f] == c:
+                c2 += 1
+                self.same2[f] += 1
         colors[e] = c
         self.same1[e] = c1
         self.same2[e] = c2
-        for f in self.n1[e]:
-            if colors[f] == c and f != e:
-                self.same1[f] += 1
-        for f in self.n2[e]:
-            if colors[f] == c:
-                self.same2[f] += 1
         return (e, c)
 
     def undo(self, token):
@@ -192,53 +233,129 @@ class _RelaxedState:
                 self.same2[f] -= 1
 
 
-def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int) -> list[int] | None:
-    """Complete DFS; returns a color list or None when refuted. Raises
-    _BudgetExceeded when out of budget.
+def _rings(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Per edge uv, its 1-neighbors (the other edges at u and v) and its
+    2-neighbors (the edges wz with w adjacent to u or v and w, z outside
+    {u, v}), read off the adjacency."""
+    adj = g.adjacency
+    n1: list[list[int]] = []
+    n2: list[list[int]] = []
+    for e, (u, v) in enumerate(g.edges):
+        n1.append([f for _, f in adj[u] if f != e] + [f for _, f in adj[v] if f != e])
+        far = {f for a in (u, v) for w, _ in adj[a] if w != u and w != v for z, f in adj[w] if z != u and z != v}
+        n2.append(sorted(far))
+    return n1, n2
 
-    The search state lives in per-position arrays instead of the call
-    stack, so long graphs do not hit the interpreter's recursion limit.
-    Position pos tries colors from next_color[pos] up to one past the largest
-    color used before it, ticking the clock once per try.
+
+def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int) -> list[int] | None:
+    """Complete fail-first DFS; returns a color list or None when refuted.
+    Raises _BudgetExceeded when out of budget.
+
+    Each position first probes its candidates: the unassigned edges with an
+    assigned edge in N1 ∪ N2, in breadth-first rank order, or the first
+    unassigned edge in that order when there are none (the start of a
+    connected component). A probe asks the state's read-only ``fits`` about
+    the colors that fitted the edge at its previous probe plus the colors
+    opened since, up to min(k, max_used + 1). The position colors the
+    candidate with the fewest fitting colors (ties go to the lower rank),
+    stops probing at a candidate with one color, and ends the branch at a
+    candidate with none; then it tries the chosen edge's colors in
+    increasing order. The clock ticks once per probed edge and once per
+    placed color, and ``nodes`` counts those ticks.
+
+    Probed lists go back to their earlier values through a trail when the
+    search backs out of a position. The state lives in per-position arrays
+    instead of the call stack, so long graphs do not hit the interpreter's
+    recursion limit.
     """
-    order = bfs_edge_order(g)
     m = g.edge_count
     colors = [0] * m
     if m == 0:
         return colors
+    rings = _rings(g)
     if mode == "semistrong":
         state = _SemistrongState(g, k)
     else:
-        state = _RelaxedState(g, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
-    tick, try_assign, undo = clock.tick, state.try_assign, state.undo
-    next_color = [1] * m
-    max_used = [0] * (m + 1)  # largest color among the edges before each position
+        state = _RelaxedState(*rings, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
+    order = bfs_edge_order(g)
+    rank = [0] * m
+    for r, e in enumerate(order):
+        rank[e] = r
+    # edge sets are bit masks over the ranks, so candidates come out in rank order
+    near = [sum(1 << rank[f] for f in a + b) for a, b in zip(*rings)]
+    del rings  # only the relaxed state keeps them
+    tick, fits, try_assign, undo = clock.tick, state.fits, state.try_assign, state.undo
+    done = 0  # the colored edges
+    front = [0] * m  # the uncolored edges with a colored edge in N1 ∪ N2, at each position
+    fit: list = [()] * m  # the colors that fitted each edge at its last probe,
+    probed_to = [0] * m  # among 1..probed_to[e]
+    trail: list = []  # edge, fit, probed_to as they were before each probe, flat
+    mark = [0] * m  # trail length when each position started probing
+    chosen = [0] * m
+    choices: list = [()] * m
+    tried = [0] * m
     tokens: list = [None] * m
+    max_used = [0] * (m + 1)  # largest color among the edges before each position
     pos = 0
+    probing = True
     while True:
-        e = order[pos]
-        limit = min(k, max_used[pos] + 1)
-        c = next_color[pos]
-        token = None
-        while c <= limit and token is None:
+        if probing:
+            mark[pos] = len(trail)
+            limit = min(k, max_used[pos] + 1)
+            best = None
+            # with no candidates the colored edges are whole components, which
+            # come first in breadth-first order, so rank pos is the next edge
+            todo = front[pos] or 1 << pos
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                e = order[low.bit_length() - 1]
+                tick()
+                ok = [c for c in fit[e] if fits(e, c)]
+                if probed_to[e] < limit:
+                    ok += [c for c in range(probed_to[e] + 1, limit + 1) if fits(e, c)]
+                trail += (e, fit[e], probed_to[e])
+                fit[e] = ok
+                probed_to[e] = limit
+                if best is None or len(ok) < len(best):
+                    best = ok
+                    chosen[pos] = e
+                    if len(ok) <= 1:
+                        break
+            choices[pos] = best
+            tried[pos] = 0
+        i = tried[pos]
+        if i < len(choices[pos]):
+            e = chosen[pos]
+            c = choices[pos][i]
+            tried[pos] = i + 1
             tick()
             token = try_assign(e, c)
-            c += 1
-        if token is not None:
-            colors[e] = c - 1
+            if token is None:
+                raise AssertionError("fits and try_assign disagree; this is a bug")
+            tokens[pos] = token
+            colors[e] = c
             if pos + 1 == m:
                 return colors
-            next_color[pos] = c
-            tokens[pos] = token
-            max_used[pos + 1] = max_used[pos] if c <= max_used[pos] else c - 1
+            max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
+            done |= 1 << rank[e]
+            front[pos + 1] = (front[pos] | near[e]) & ~done
             pos += 1
-            next_color[pos] = 1
+            probing = True
             continue
+        for i in range(mark[pos], len(trail), 3):
+            f = trail[i]
+            fit[f] = trail[i + 1]
+            probed_to[f] = trail[i + 2]
+        del trail[mark[pos] :]
         if pos == 0:
             return None
         pos -= 1
-        colors[order[pos]] = 0
+        e = chosen[pos]
+        colors[e] = 0
         undo(tokens[pos])
+        done ^= 1 << rank[e]
+        probing = False
 
 
 def _verify_certificate(g: Graph, mode: str, coloring: Coloring, s: int, t: int) -> bool:

@@ -54,7 +54,7 @@ class PairType(IntEnum):
 _T1, _T2, _T3, _T4, _T5, _T6 = PairType
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EdgeNeighborhood:
     """Color-independent neighborhood data for one edge; cached per graph.
 

@@ -21,7 +21,8 @@ goodness and strictly lowers (kappa1, kappa2) lexicographically, so imperfect
 schema contexts degrade into skipped candidates, never into bad moves.
 When no schema and no fallback applies, repair defers to the exact
 feasibility search (F3) and records the event; on the qualifying inputs this
-is never expected to happen.
+is never expected to happen. F3 has a fixed node budget, and running out of
+it raises EngineInvariantError naming the bad edges no schema could fix.
 
 The potential is kept incrementally. For every edge f the engine holds a
 table counting how many edges of N2(f) carry each color, and it holds the set
@@ -51,6 +52,9 @@ from .verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
 MAX_SHIFT_PATH_EDGES = 8
+# node budget of the F3 exact search; past it repair fails loudly instead of
+# hanging on a large component
+F3_MAX_NODES = 1_000_000
 
 
 class PaletteExhaustedError(ValueError):
@@ -530,7 +534,7 @@ class _Engine:
             same = [f for f in nb.n2 if self.colors[f] == self.colors[e]]
             if sum(1 for f in same if f in nb.n2_u) != 1 or sum(1 for f in same if f in nb.n2_v) != 1:
                 self._fail(e, "one same-colored contact on each side")
-            if nb.type_class(PairType.T5):
+            if any(tf is PairType.T5 for tf in nb.type_of.values()):
                 self._fail(e, "no two-cross contacts through the edge's own endpoints")
 
     def _assert_stage3(self, bad: list[int]):
@@ -613,7 +617,7 @@ def _repair_engine(g: Graph, c: Coloring, debug: bool, mode: str) -> tuple[Color
         move = engine.find_move()
         if move is None:
             stats.fallback_f3 += 1
-            result = _f3_fallback(g, mode, engine.k)
+            result = _f3_fallback(g, mode, engine.k, engine.bad_edges())
             return result, stats
         before = engine.potential()
         engine.apply(move)
@@ -625,11 +629,17 @@ def _repair_engine(g: Graph, c: Coloring, debug: bool, mode: str) -> tuple[Color
     return engine.to_coloring(), stats
 
 
-def _f3_fallback(g: Graph, mode: str, k: int) -> Coloring:
+def _f3_fallback(g: Graph, mode: str, k: int, bad: list[int]) -> Coloring:
+    budget = exact.Budget(max_nodes=F3_MAX_NODES)
     if mode == "relaxed01":
-        res = exact.feasibility(g, "relaxed", k, s=0, t=1)
+        res = exact.feasibility(g, "relaxed", k, budget, s=0, t=1)
     else:
-        res = exact.feasibility(g, "semistrong", k)
+        res = exact.feasibility(g, "semistrong", k, budget)
+    if res.status == "timeout":
+        raise EngineInvariantError(
+            f"exact fallback ran out of its {F3_MAX_NODES}-node budget at {k} colors in {mode} mode; "
+            f"no move was found for bad edges {bad}"
+        )
     if res.status != "sat" or res.coloring is None:
         raise EngineInvariantError(
             f"exact fallback could not certify {k} colors in {mode} mode; "

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from semistrong import families
+from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, max_degree
 from semistrong.neighborhood import compute_neighborhood
-from semistrong.solver import _Engine, _repair_engine, greedy_good_coloring
+from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring
 from semistrong.verify import badness, is_good_coloring
 
 
@@ -213,6 +214,17 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     from semistrong.verify import verify_relaxed
 
     assert verify_relaxed(g, out, 0, 1).ok
+
+
+def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
+    monkeypatch.setattr(_Engine, "find_move", lambda self: None)
+    monkeypatch.setattr(solver, "F3_MAX_NODES", 5)
+    g = families.prism(5)
+    c = bad_state(g, random.Random(9))
+    bad = sorted(badness(g, c).bad_edges)
+    for mode in ("semistrong", "relaxed01"):
+        with pytest.raises(EngineInvariantError, match=re.escape(f"bad edges {bad}")):
+            _repair_engine(g, c, debug=False, mode=mode)
 
 
 def test_deep_schemas_produce_accepted_moves():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from _oracles import naive_verify, one_neighbors, two_neighbors
 
 from semistrong import families
-from semistrong.exact import Budget, exact_index, feasibility
+from semistrong.exact import Budget, _RelaxedState, _rings, _SemistrongState, exact_index, feasibility
 from semistrong.graph import build_graph
 from semistrong.verify import verify_relaxed, verify_semistrong, verify_strong
 
@@ -134,5 +137,104 @@ def test_long_path_search_is_iterative():
     g = families.path(1500)
     res = feasibility(g, "semistrong", 3)
     assert res.status == "sat"
-    assert res.nodes == 2697
+    assert res.nodes == 3896
     assert verify_semistrong(g, res.coloring).ok
+
+
+def test_search_does_not_thrash_on_the_c7_blowup():
+    # a fixed-order search needed about 1.13 million nodes here
+    g = families.c7_blowup()
+    res = feasibility(g, "semistrong", 14, budget=Budget(max_nodes=100_000))
+    assert res.status == "sat"
+    assert verify_semistrong(g, res.coloring).ok
+
+
+def _random_graph(n, density, rng):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def _snapshot(state):
+    if isinstance(state, _SemistrongState):
+        return [row[:] for row in state.partner], [row[:] for row in state.cnt]
+    return state.colors[:], state.same1[:], state.same2[:]
+
+
+@pytest.mark.parametrize("caps", [None, (0, 0), (0, 1), (1, 1)])
+def test_fits_matches_try_assign_then_undo(caps):
+    # caps None is the semistrong state, else the relaxed (s, t) state; the
+    # graphs include triangles (K4, the 3-prism, random graphs of density 1/2).
+    # In the first 25 rounds both must also match the definitions.
+    rng = random.Random(31 if caps is None else 37 + 2 * caps[0] + caps[1])
+    graphs = [families.complete_bipartite(2, 2), build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
+    graphs += [families.prism(3)] + [_random_graph(rng.randint(5, 9), 0.5, rng) for _ in range(6)]
+    for g in graphs:
+        m = g.edge_count
+        k = 5
+        n1, n2 = _rings(g)
+        assert [set(f) for f in n1] == [one_neighbors(g, e) for e in range(m)]
+        assert [set(f) for f in n2] == [two_neighbors(g, e) for e in range(m)]
+        mode = ("semistrong",) if caps is None else ("relaxed", *caps)
+        for trial_round in range(100):
+            state = _SemistrongState(g, k) if caps is None else _RelaxedState(n1, n2, *caps)
+            colors = [0] * m
+            for e in rng.sample(range(m), rng.randint(0, m)):
+                c = rng.randint(1, k)
+                if state.try_assign(e, c) is not None:
+                    colors[e] = c
+            for e in range(m):
+                if colors[e]:
+                    continue
+                for c in range(1, k + 1):
+                    before = _snapshot(state)
+                    verdict = state.fits(e, c)
+                    assert _snapshot(state) == before
+                    token = state.try_assign(e, c)
+                    assert verdict == (token is not None)
+                    if token is not None:
+                        state.undo(token)
+                    assert _snapshot(state) == before
+                    if trial_round < 25:
+                        # the uncolored edges get colors of their own
+                        trial = [colors[f] or -1 - f for f in range(m)]
+                        trial[e] = c
+                        assert verdict == naive_verify(g, trial, *mode)
+
+
+def _brute_force_index(g, mode, s, t):
+    # a class is valid in every mode iff the coloring that gives it one color
+    # and every other edge a color of its own is valid; then the fewest valid
+    # classes covering the edges, by dynamic programming over edge subsets
+    m = g.edge_count
+    full = (1 << m) - 1
+    valid = [naive_verify(g, [0 if T >> e & 1 else e + 1 for e in range(m)], mode, s, t) for T in range(full + 1)]
+    best = [0] + [m + 1] * full
+    for S in range(1, full + 1):
+        low = S & -S
+        T = S
+        while T:
+            if T & low and valid[T]:
+                best[S] = min(best[S], best[S ^ T] + 1)
+            T = (T - 1) & S
+    return best[full]
+
+
+def test_exact_index_matches_brute_force():
+    rng = random.Random(5)
+    graphs = []
+    while len(graphs) < 24:
+        g = _random_graph(rng.randint(4, 8), 0.3, rng)
+        if 1 <= g.edge_count <= 7:
+            graphs.append(g)
+    for g in graphs:
+        for mode, s, t in (("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1)):
+            res = exact_index(g, mode, g.edge_count, s=s, t=t)
+            assert (res.value, res.proof) == (_brute_force_index(g, mode, s, t), "exhausted")
+            assert naive_verify(g, res.certificate.colors, mode, s, t)
+
+
+def test_disconnected_union_value():
+    c4, c7 = families.cycle(4), families.cycle(7)
+    g = build_graph(11, list(c4.edges) + [(u + 4, v + 4) for u, v in c7.edges])
+    for mode, s, t in (("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1)):
+        res = exact_index(g, mode, 6, s=s, t=t)
+        assert (res.value, res.proof) == (4, "exhausted")
