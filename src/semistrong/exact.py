@@ -1,8 +1,8 @@
 """Exact minimum color counts for small graphs via backtracking.
 
 The search is fail-first. At each step it colors, among the uncolored edges
-in N1 ∪ N2 of the colored ones, the edge with the fewest colors that still
-fit, and it ends a branch as soon as one of them has none left. Colors obey the
+in N1 ∪ N2 of the colored ones, the edge with the most colors known not to
+fit, and it ends a branch as soon as an edge has none left. Colors obey the
 standard symmetry break (an edge may open at most one fresh color). Partial
 classes are checked incrementally:
 
@@ -16,17 +16,21 @@ Both checks only get stricter as edges are added, and a fresh color always
 fits an empty class, so an edge with no fitting color stays stuck in every
 extension: ending the branch there loses no coloring.
 
-Budgets are wall-clock and/or node counts; a node is one probed edge or one
-placed color, so node budgets make timeouts reproducible.
+Budgets are wall-clock and/or node counts; a node is one probe of a color
+on an edge near the last placed one, or one color tried on the chosen edge,
+so node budgets make timeouts reproducible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .coloring import Coloring
 from .graph import Graph, bfs_edge_order
+from .neighborhood import rings
 from .verify import verify_relaxed, verify_semistrong, verify_strong
 
 MODES = ("semistrong", "strong", "relaxed")
@@ -233,129 +237,158 @@ class _RelaxedState:
                 self.same2[f] -= 1
 
 
-def _rings(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """Per edge uv, its 1-neighbors (the other edges at u and v) and its
-    2-neighbors (the edges wz with w adjacent to u or v and w, z outside
-    {u, v}), read off the adjacency."""
-    adj = g.adjacency
+class _Layout(NamedTuple):
+    """What every search on one graph shares: the breadth-first edge order,
+    each edge's rank in it and each edge's N1 ∪ N2 list; the strong and
+    relaxed modes also keep N1 and N2 apart for their state."""
+
+    order: list[int]
+    rank: list[int]
+    near: list[list[int]]
+    n1: list[list[int]] | None
+    n2: list[list[int]] | None
+
+
+def _layout(g: Graph, mode: str) -> _Layout:
+    order = bfs_edge_order(g)
+    rank = [0] * len(order)
+    for r, e in enumerate(order):
+        rank[e] = r
+    rows = (rings(g.edges, g.adjacency, e) for e in range(g.edge_count))
+    if mode == "semistrong":
+        return _Layout(order, rank, [n1 + list(dict.fromkeys(reach)) for n1, reach in rows], None, None)
     n1: list[list[int]] = []
     n2: list[list[int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        n1.append([f for _, f in adj[u] if f != e] + [f for _, f in adj[v] if f != e])
-        far = {f for a in (u, v) for w, _ in adj[a] if w != u and w != v for z, f in adj[w] if z != u and z != v}
-        n2.append(sorted(far))
-    return n1, n2
+    for a, reach in rows:
+        n1.append(a)
+        n2.append(list(dict.fromkeys(reach)))
+    return _Layout(order, rank, [a + b for a, b in zip(n1, n2)], n1, n2)
 
 
-def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int) -> list[int] | None:
+def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: _Layout) -> list[int] | None:
     """Complete fail-first DFS; returns a color list or None when refuted.
     Raises _BudgetExceeded when out of budget.
 
-    Each position first probes its candidates: the unassigned edges with an
-    assigned edge in N1 ∪ N2, in breadth-first rank order, or the first
-    unassigned edge in that order when there are none (the start of a
-    connected component). A probe asks the state's read-only ``fits`` about
-    the colors that fitted the edge at its previous probe plus the colors
-    opened since, up to min(k, max_used + 1). The position colors the
-    candidate with the fewest fitting colors (ties go to the lower rank),
-    stops probing at a candidate with one color, and ends the branch at a
-    candidate with none; then it tries the chosen edge's colors in
-    increasing order. The clock ticks once per probed edge and once per
-    placed color, and ``nodes`` counts those ticks.
+    The candidates are the uncolored edges with a colored edge in N1 ∪ N2,
+    and each edge keeps the set of colors known not to fit it. Placing edge
+    e in color c changes class c only, so the search then probes c, with the
+    state's read-only ``fits``, on e's uncolored N1 ∪ N2 and nowhere else.
+    (In semistrong mode, and in relaxed mode with a cap above zero, a
+    placement can also block c a little further out. There the known set
+    is part of the blocked one, which costs pruning but not soundness.)
 
-    Probed lists go back to their earlier values through a trail when the
-    search backs out of a position. The state lives in per-position arrays
-    instead of the call stack, so long graphs do not hit the interpreter's
-    recursion limit.
+    Each position colors the candidate with the most known blocked colors,
+    ties going to the lower breadth-first rank; with no candidates (the
+    start of a connected component) it colors the first uncolored edge in
+    that order. It tries the colors 1..min(k, max_used + 1) that are not
+    known blocked, in increasing order, so an edge with every color blocked
+    ends the branch at once (forward checking). The candidates wait in a
+    heap keyed by (blocked count, rank); a stale entry is skipped when it
+    comes out, and the heap is rebuilt from the candidates when it holds
+    more than 2m entries. A position so costs one probe per uncolored edge
+    near the placed one and one heap step per changed key, never a pass
+    over all candidates.
+
+    The clock ticks once per probe and once per color tried, and ``nodes``
+    counts those ticks. The state lives in per-position arrays instead of
+    the call stack, so long graphs do not hit the interpreter's recursion
+    limit.
     """
     m = g.edge_count
     colors = [0] * m
     if m == 0:
         return colors
-    rings = _rings(g)
     if mode == "semistrong":
         state = _SemistrongState(g, k)
     else:
-        state = _RelaxedState(*rings, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
-    order = bfs_edge_order(g)
-    rank = [0] * m
-    for r, e in enumerate(order):
-        rank[e] = r
-    # edge sets are bit masks over the ranks, so candidates come out in rank order
-    near = [sum(1 << rank[f] for f in a + b) for a, b in zip(*rings)]
-    del rings  # only the relaxed state keeps them
+        state = _RelaxedState(layout.n1, layout.n2, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
+    order, rank, near = layout.order, layout.rank, layout.near
     tick, fits, try_assign, undo = clock.tick, state.fits, state.try_assign, state.undo
-    done = 0  # the colored edges
-    front = [0] * m  # the uncolored edges with a colored edge in N1 ∪ N2, at each position
-    fit: list = [()] * m  # the colors that fitted each edge at its last probe,
-    probed_to = [0] * m  # among 1..probed_to[e]
-    trail: list = []  # edge, fit, probed_to as they were before each probe, flat
-    mark = [0] * m  # trail length when each position started probing
+    blocked = [0] * m  # bit c set: color c is known not to fit the edge
+    nblocked = [0] * m
+    touched = [0] * m  # colored edges in each edge's N1 ∪ N2
+    heap: list[int] = []  # (k - nblocked) * m + rank of the candidates, stale entries too
     chosen = [0] * m
-    choices: list = [()] * m
-    tried = [0] * m
+    tried = [0] * m  # the last color tried at each position
     tokens: list = [None] * m
+    flips: list = [()] * m  # the edges whose placement at each position blocked its color
     max_used = [0] * (m + 1)  # largest color among the edges before each position
     pos = 0
-    probing = True
+    choosing = True
     while True:
-        if probing:
-            mark[pos] = len(trail)
-            limit = min(k, max_used[pos] + 1)
-            best = None
-            # with no candidates the colored edges are whole components, which
-            # come first in breadth-first order, so rank pos is the next edge
-            todo = front[pos] or 1 << pos
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                e = order[low.bit_length() - 1]
-                tick()
-                ok = [c for c in fit[e] if fits(e, c)]
-                if probed_to[e] < limit:
-                    ok += [c for c in range(probed_to[e] + 1, limit + 1) if fits(e, c)]
-                trail += (e, fit[e], probed_to[e])
-                fit[e] = ok
-                probed_to[e] = limit
-                if best is None or len(ok) < len(best):
-                    best = ok
-                    chosen[pos] = e
-                    if len(ok) <= 1:
-                        break
-            choices[pos] = best
+        if choosing:
+            if len(heap) > 2 * m:
+                heap = [(k - nblocked[f]) * m + rank[f] for f in range(m) if touched[f] and not colors[f]]
+                heapify(heap)
+            e = -1
+            while heap:
+                key = heappop(heap)
+                f = order[key % m]
+                if touched[f] and not colors[f] and k - key // m == nblocked[f]:
+                    e = f
+                    break
+            if e < 0:
+                # with no candidates the colored edges are whole components, which
+                # come first in breadth-first order, so rank pos is the next edge
+                e = order[pos]
+            chosen[pos] = e
             tried[pos] = 0
-        i = tried[pos]
-        if i < len(choices[pos]):
-            e = chosen[pos]
-            c = choices[pos][i]
-            tried[pos] = i + 1
-            tick()
-            token = try_assign(e, c)
-            if token is None:
-                raise AssertionError("fits and try_assign disagree; this is a bug")
+            choosing = False
+        e = chosen[pos]
+        known = blocked[e]
+        limit = min(k, max_used[pos] + 1)
+        c = tried[pos]
+        token = None
+        while token is None and c < limit:
+            c += 1
+            if not known >> c & 1:
+                tick()
+                token = try_assign(e, c)
+        tried[pos] = c
+        if token is not None:
             tokens[pos] = token
             colors[e] = c
             if pos + 1 == m:
                 return colors
             max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
-            done |= 1 << rank[e]
-            front[pos + 1] = (front[pos] | near[e]) & ~done
+            bit = 1 << c
+            flipped = []
+            for f in near[e]:
+                if colors[f]:
+                    continue
+                touched[f] += 1
+                if not blocked[f] & bit:
+                    tick()
+                    if not fits(f, c):
+                        blocked[f] |= bit
+                        nblocked[f] += 1
+                        flipped.append(f)
+                        heappush(heap, (k - nblocked[f]) * m + rank[f])
+                        continue
+                if touched[f] == 1:
+                    heappush(heap, (k - nblocked[f]) * m + rank[f])
+            flips[pos] = flipped or ()
             pos += 1
-            probing = True
+            choosing = True
             continue
-        for i in range(mark[pos], len(trail), 3):
-            f = trail[i]
-            fit[f] = trail[i + 1]
-            probed_to[f] = trail[i + 2]
-        del trail[mark[pos] :]
+        # no color left at pos: put its edge back among the candidates
+        if touched[e]:
+            heappush(heap, (k - nblocked[e]) * m + rank[e])
         if pos == 0:
             return None
         pos -= 1
         e = chosen[pos]
+        bit = 1 << colors[e]
+        for f in near[e]:
+            if not colors[f]:
+                touched[f] -= 1
+        for f in flips[pos]:
+            blocked[f] ^= bit
+            nblocked[f] -= 1
+            if touched[f]:
+                heappush(heap, (k - nblocked[f]) * m + rank[f])
         colors[e] = 0
         undo(tokens[pos])
-        done ^= 1 << rank[e]
-        probing = False
 
 
 def _verify_certificate(g: Graph, mode: str, coloring: Coloring, s: int, t: int) -> bool:
@@ -375,13 +408,13 @@ def feasibility(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     clock = _Clock(budget)
-    return _feasibility(g, mode, k, clock, s, t)
+    return _feasibility(g, mode, k, clock, s, t, _layout(g, mode))
 
 
-def _feasibility(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int) -> FeasibilityResult:
+def _feasibility(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: _Layout) -> FeasibilityResult:
     start_nodes = clock.nodes
     try:
-        colors = _search(g, mode, k, clock, s, t)
+        colors = _search(g, mode, k, clock, s, t, layout)
     except _BudgetExceeded:
         return FeasibilityResult("timeout", None, clock.nodes - start_nodes)
     if colors is None:
@@ -413,9 +446,10 @@ def exact_index(
     if g.edge_count == 0:
         return ExactResult(0, Coloring((), 0), "exhausted", 0)
     clock = _Clock(budget)
+    layout = _layout(g, mode)
     timed_out = False
     for k in range(1, max_colors + 1):
-        res = _feasibility(g, mode, k, clock, s, t)
+        res = _feasibility(g, mode, k, clock, s, t, layout)
         if res.status == "sat":
             return ExactResult(k, res.coloring, "timeout" if timed_out else "exhausted", clock.nodes)
         if res.status == "timeout":

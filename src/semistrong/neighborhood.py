@@ -14,8 +14,8 @@ are present. The six possible patterns classify f relative to e:
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
-Only greedy, the repair engine and the exact oracle's relaxed search use
-these neighborhoods. The certificates and the badness audit count
+Only greedy and the repair engine use these neighborhoods; the exact oracle
+reads its N1 and N2 lists straight from ``rings``. The certificates and the badness audit count
 same-colored contacts straight from the adjacency (see verify.py).
 
 An EdgeNeighborhood builds n1, n2 and f_set eagerly, from one walk over the
@@ -189,12 +189,16 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     return nb
 
 
-def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeighborhood:
+def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[int], list[int]]:
+    """Edge e's 1-neighbors, and its 2-neighbors with repeats, read off the
+    adjacency.
+
+    The second list has one entry per cross edge a-w (a an endpoint of e) for
+    each edge f = wz disjoint from e, so f occurs once per edge joining it to
+    e: once for T6, two to four times for T1..T5.
+    """
     u, v = edges[e]
-    n1 = frozenset([idx for _, idx in adjacency[u] if idx != e] + [idx for _, idx in adjacency[v] if idx != e])
-    # One entry per cross edge a-w (a an endpoint of e) for each edge f = wz
-    # disjoint from e, so f occurs once per edge joining it to e: once for
-    # T6, two to four times for T1..T5.
+    n1 = [idx for _, idx in adjacency[u] if idx != e] + [idx for _, idx in adjacency[v] if idx != e]
     reach = [
         f
         for a, b in ((u, v), (v, u))
@@ -203,6 +207,13 @@ def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeigh
         for z, f in adjacency[w]
         if z != a and z != b
     ]
+    return n1, reach
+
+
+def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeighborhood:
+    u, v = edges[e]
+    ring1, reach = rings(edges, adjacency, e)
+    n1 = frozenset(ring1)
     n2 = frozenset(reach)
     f_set = n1
     if len(reach) > len(n2):

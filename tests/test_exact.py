@@ -6,7 +6,7 @@ import pytest
 from _oracles import naive_verify, one_neighbors, two_neighbors
 
 from semistrong import families
-from semistrong.exact import Budget, _RelaxedState, _rings, _SemistrongState, exact_index, feasibility
+from semistrong.exact import Budget, _layout, _RelaxedState, _SemistrongState, exact_index, feasibility
 from semistrong.graph import build_graph
 from semistrong.verify import verify_relaxed, verify_semistrong, verify_strong
 
@@ -137,7 +137,7 @@ def test_long_path_search_is_iterative():
     g = families.path(1500)
     res = feasibility(g, "semistrong", 3)
     assert res.status == "sat"
-    assert res.nodes == 3896
+    assert res.nodes == 4494
     assert verify_semistrong(g, res.coloring).ok
 
 
@@ -145,6 +145,22 @@ def test_search_does_not_thrash_on_the_c7_blowup():
     # a fixed-order search needed about 1.13 million nodes here
     g = families.c7_blowup()
     res = feasibility(g, "semistrong", 14, budget=Budget(max_nodes=100_000))
+    assert res.status == "sat"
+    assert verify_semistrong(g, res.coloring).ok
+
+
+def test_prism5_refutation_follows_the_candidate_order():
+    # the count follows the candidate order exactly: a candidate lost from
+    # the heap on backtracking, or a tie broken another way, changes it
+    res = feasibility(families.prism(5), "semistrong", 7)
+    assert (res.status, res.nodes) == ("unsat", 61467)
+
+
+def test_search_stays_linear_on_a_large_easy_instance():
+    # at Delta^2 - 1 colors this graph colors greedily; a search that probed
+    # every candidate at every position needed over a million nodes here
+    g = families.random_max_degree(1000, 4, 1)
+    res = feasibility(g, "semistrong", 15, budget=Budget(max_nodes=20 * g.edge_count))
     assert res.status == "sat"
     assert verify_semistrong(g, res.coloring).ok
 
@@ -170,9 +186,13 @@ def test_fits_matches_try_assign_then_undo(caps):
     for g in graphs:
         m = g.edge_count
         k = 5
-        n1, n2 = _rings(g)
+        layout = _layout(g, "strong")
+        n1, n2 = layout.n1, layout.n2
         assert [set(f) for f in n1] == [one_neighbors(g, e) for e in range(m)]
         assert [set(f) for f in n2] == [two_neighbors(g, e) for e in range(m)]
+        assert [sorted(a + b) for a, b in zip(n1, n2)] == [sorted(f) for f in layout.near]
+        assert sorted(layout.order) == list(range(m))
+        assert [layout.order[r] for r in layout.rank] == list(range(m))
         mode = ("semistrong",) if caps is None else ("relaxed", *caps)
         for trial_round in range(100):
             state = _SemistrongState(g, k) if caps is None else _RelaxedState(n1, n2, *caps)
