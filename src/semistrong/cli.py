@@ -11,9 +11,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import families
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--dir", required=True)
     p_batch.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
     p_batch.add_argument("--report", required=True)
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU (default 1)")
     return parser
 
 
@@ -178,22 +179,45 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_row(name: str, g: Graph, mode: str) -> dict:
-    start = time.monotonic()
-    result = solve(g, mode)
-    elapsed = time.monotonic() - start
-    return {
-        "graph": name,
-        "n": g.vertex_count,
-        "m": g.edge_count,
-        "delta": max_degree(g),
-        "strategy": "+".join(sorted({t.strategy for t in result.trace})),
-        "colors_used": result.colors_used,
-        "valid": result.certificates["semistrong" if mode == "semistrong" else "relaxed01"],
-        "kappa1_trajectory_len": sum(len(t.kappa_trajectory) for t in result.trace),
-        "fallbacks": sum(t.fallback_f3 for t in result.trace),
-        "wall_time_s": f"{elapsed:.4f}",
-    }
+BATCH_FIELDS = [
+    "graph", "n", "m", "delta", "strategy", "colors_used", "valid",
+    "kappa1_trajectory_len", "fallbacks", "wall_time_s", "cpu_time_s", "error",
+]
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
+
+
+def _batch_work(item: tuple[str, tuple[str, str]], mode: str) -> dict:
+    """One report row: parse and color one graph, or record why that failed.
+
+    A module-level function, so a worker process can unpickle it under any
+    start method; --jobs 1 calls it in-process."""
+    name, (fmt, text) = item
+    try:
+        g = parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
+        start, cpu_start = time.monotonic(), time.process_time()
+        result = solve(g, mode)
+        elapsed, cpu = time.monotonic() - start, time.process_time() - cpu_start
+        return {
+            "graph": name,
+            "n": g.vertex_count,
+            "m": g.edge_count,
+            "delta": max_degree(g),
+            "strategy": "+".join(sorted({t.strategy for t in result.trace})),
+            "colors_used": result.colors_used,
+            "valid": result.certificates["semistrong" if mode == "semistrong" else "relaxed01"],
+            "kappa1_trajectory_len": sum(len(t.kappa_trajectory) for t in result.trace),
+            "fallbacks": sum(t.fallback_f3 for t in result.trace),
+            "wall_time_s": f"{elapsed:.4f}",
+            "cpu_time_s": f"{cpu:.4f}",
+            "error": "",
+        }
+    except Exception as exc:  # per-graph failures land in the report
+        row = dict.fromkeys(BATCH_FIELDS, "")
+        row.update(graph=name, strategy=f"error:{type(exc).__name__}", valid=False, error=_one_line(exc))
+        return row
 
 
 def _batch_inputs(root: Path):
@@ -206,39 +230,38 @@ def _batch_inputs(root: Path):
                 yield f"{path.name}:{i + 1}", ("graph6", line)
 
 
+def _process_pool(workers: int):
+    # imported here: multiprocessing adds ~15 ms to every command's start
+    # (Python 3.11, -X importtime), and only a batch with workers uses it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the platform's default start method (fork on Linux before Python 3.14,
+    # forkserver after); the command starts no threads that a fork could copy
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _cmd_batch(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise FormatError("usage", f"--dir {args.dir} is not a directory")
-    fields = [
-        "graph", "n", "m", "delta", "strategy", "colors_used",
-        "valid", "kappa1_trajectory_len", "fallbacks", "wall_time_s",
-    ]
+    if args.jobs < 1:
+        raise FormatError("usage", f"--jobs must be at least 1, got {args.jobs}")
     inputs = list(_batch_inputs(root))
-
-    def work(item):
-        name, (fmt, text) = item
-        try:
-            g = parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
-            return _batch_row(name, g, args.mode)
-        except Exception as exc:  # per-graph failures land in the report
-            return {
-                "graph": name, "n": "", "m": "", "delta": "",
-                "strategy": f"error:{type(exc).__name__}", "colors_used": "",
-                "valid": False, "kappa1_trajectory_len": "", "fallbacks": "",
-                "wall_time_s": "",
-            }
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for row in pool.map(work, inputs):
-                writer.writerow(row)
+    work = partial(_batch_work, mode=args.mode)
+    # never more workers than CPUs or graphs: each one is a process
+    workers = min(args.jobs, os.cpu_count() or 1, len(inputs))
+    if workers > 1:
+        # a few chunks per worker: one round trip per chunk, not per graph,
+        # and still some balance when one chunk holds the slow graphs
+        chunksize = max(1, len(inputs) // (8 * workers))
+        with _process_pool(workers) as pool:
+            rows = list(pool.map(work, inputs, chunksize=chunksize))
     else:
-        for item in inputs:
-            writer.writerow(work(item))
+        rows = [work(item) for item in inputs]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BATCH_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
     Path(args.report).write_text(buf.getvalue(), encoding="utf-8")
     return EXIT_OK
 
@@ -261,7 +284,7 @@ def cli(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # an invariant failure or any other bug: one line, no traceback
-        detail = " ".join(str(exc).split())
+        detail = _one_line(exc)
         print(f"internal error: {type(exc).__name__}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return EXIT_INTERNAL
 

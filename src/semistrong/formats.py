@@ -104,20 +104,31 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError("truncated_graph6", f"need {need} payload characters for n={n}, got {len(payload)}")
     if len(payload) > need:
         raise FormatError("invalid_graph6", f"{len(payload) - need} trailing characters after the payload")
-    bits: list[int] = []
-    for ch in payload:
+    pairs = []
+    # bit k of the payload is the pair (i, j) with k = j(j-1)/2 + i, i < j;
+    # walking the set bits in order only ever moves (i, j) forward
+    i, j, k = 0, 1, 0
+    for pos, ch in enumerate(payload):
         val = ord(ch) - 63
         if val < 0 or val > 63:
             raise FormatError("invalid_graph6", f"payload character {ch!r} outside [63,126]")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    pairs = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                pairs.append((i, j))
-            idx += 1
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            bit = 6 * pos + 5 - top
+            if bit >= nbits:  # padding in the last character
+                break
+            i += bit - k
+            k = bit
+            while i >= j:
+                i -= j
+                j += 1
+            pairs.append((i, j))
     return build_graph(n, pairs)
+
+
+# maps a six-bit value v to the graph6 character chr(v + 63)
+_GRAPH6_CHAR = bytes(range(63, 127)).ljust(256, b"\0")
 
 
 def emit_graph6(g: Graph) -> str:
@@ -128,17 +139,12 @@ def emit_graph6(g: Graph) -> str:
         prefix = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     else:
         raise FormatError("too_large", f"graph6 encoding beyond 258047 vertices not supported (n={n})")
-    present = {(min(u, v), max(u, v)) for u, v in g.edges}
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    payload = "".join(
-        chr(sum(bit << shift for bit, shift in zip(bits[k : k + 6], range(5, -1, -1))) + 63)
-        for k in range(0, len(bits), 6)
-    )
+    sextets = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        i, j = (u, v) if u < v else (v, u)
+        bit = j * (j - 1) // 2 + i
+        sextets[bit // 6] |= 32 >> (bit % 6)
+    payload = sextets.translate(_GRAPH6_CHAR).decode("ascii")
     return prefix + payload
 
 

@@ -32,7 +32,6 @@ solve builds them once and greedy and repair share them.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -149,17 +148,14 @@ class EdgeNeighborhood:
 
 
 _cache: WeakKeyDictionary[Graph, list[EdgeNeighborhood | None]] = WeakKeyDictionary()
-_cache_lock = threading.Lock()
 
 
 def _slots(g: Graph) -> list[EdgeNeighborhood | None]:
+    # no lock: the fill is idempotent, so two threads racing here at worst
+    # each build a slot list and fill it
     slots = _cache.get(g)
     if slots is None:
-        with _cache_lock:
-            slots = _cache.get(g)
-            if slots is None:
-                slots = [None] * len(g.edges)
-                _cache[g] = slots
+        slots = _cache[g] = [None] * len(g.edges)
     return slots
 
 

@@ -130,3 +130,18 @@ def has_triangle(g: Graph) -> bool:
         if set(g.neighbors(u)) & set(g.neighbors(v)):
             return True
     return False
+
+
+def naive_graph6_payload(g: Graph) -> str:
+    """graph6 payload from the full upper-triangle bit string, column by
+    column, six bits per character, zero-padded."""
+    present = {frozenset(e) for e in g.edges}
+    bits = [
+        1 if frozenset((i, j)) in present else 0
+        for j in range(1, g.vertex_count)
+        for i in range(j)
+    ]
+    bits += [0] * (-len(bits) % 6)
+    return "".join(
+        chr(63 + int("".join(map(str, bits[k : k + 6])), 2)) for k in range(0, len(bits), 6)
+    )

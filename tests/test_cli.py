@@ -135,7 +135,7 @@ def test_byte_stable_output(capsys, monkeypatch):
     assert out1 == out2
 
 
-def test_batch(tmp_path, capsys):
+def _batch_dir(tmp_path) -> Path:
     d = tmp_path / "graphs"
     d.mkdir()
     (d / "c7.txt").write_text(emit_edge_list(families.cycle(7)))
@@ -144,38 +144,100 @@ def test_batch(tmp_path, capsys):
         emit_graph6(families.hypercube(3)) + "\n" + emit_graph6(families.complete_bipartite(3, 3)) + "\n"
     )
     (d / "broken.txt").write_text("not a graph\n")
+    return d
+
+
+def _report_rows(path: Path) -> list[dict]:
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
+def test_batch(tmp_path, capsys):
+    d = _batch_dir(tmp_path)
     report = tmp_path / "report.csv"
     code, _, _ = run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report)])
     assert code == 0
-    rows = list(csv.DictReader(report.read_text().splitlines()))
+    rows = _report_rows(report)
     assert len(rows) == 5
     by_name = {r["graph"]: r for r in rows}
     assert by_name["c7.txt"]["colors_used"] == "4"
     assert by_name["c7.txt"]["valid"] == "True"
     assert by_name["prism5.txt"]["strategy"] == "greedy_repair"
     assert by_name["two.g6:2"]["colors_used"] == "9"  # K33 rainbow
-    assert by_name["broken.txt"]["strategy"].startswith("error:")
+    assert by_name["broken.txt"]["strategy"] == "error:FormatError"
+    assert by_name["broken.txt"]["error"] == "header must be 'n m', got 'not a graph'"
     assert by_name["broken.txt"]["valid"] == "False"
+    assert by_name["broken.txt"]["cpu_time_s"] == ""
     assert all(r["fallbacks"] in ("0", "") for r in rows)
+    for r in rows:
+        if r["graph"] != "broken.txt":
+            assert r["error"] == ""
+            assert float(r["cpu_time_s"]) >= 0 and float(r["wall_time_s"]) >= 0
 
 
 def test_batch_jobs_matches_serial(tmp_path, capsys):
-    d = tmp_path / "graphs"
-    d.mkdir()
-    for i, g in enumerate([families.cycle(6), families.prism(4), families.hypercube(3)]):
-        (d / f"g{i}.txt").write_text(emit_edge_list(g))
+    d = _batch_dir(tmp_path)
+    (d / "more.g6").write_text("".join(emit_graph6(g) + "\n" for g in (families.cycle(6), families.prism(4))))
     r1 = tmp_path / "serial.csv"
     r2 = tmp_path / "jobs.csv"
     assert run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(r1)])[0] == 0
-    assert run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(r2), "--jobs", "3"])[0] == 0
+    assert run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(r2), "--jobs", "2"])[0] == 0
 
     def strip_time(path):
-        rows = list(csv.DictReader(path.read_text().splitlines()))
+        rows = _report_rows(path)
         for row in rows:
             row.pop("wall_time_s")
+            row.pop("cpu_time_s")
         return rows
 
-    assert strip_time(r1) == strip_time(r2)
+    serial = strip_time(r1)
+    assert [r["graph"] for r in serial] == [
+        "broken.txt", "c7.txt", "more.g6:1", "more.g6:2", "prism5.txt", "two.g6:1", "two.g6:2"
+    ]
+    assert serial[0]["error"] == "header must be 'n m', got 'not a graph'"
+    assert strip_time(r2) == serial
+
+
+def test_batch_pool_is_capped(tmp_path, capsys, monkeypatch):
+    """Workers are min(--jobs, CPUs, graphs); one or fewer runs in-process.
+    The pool is a stub that maps serially, so no process is started."""
+    import semistrong.cli as cli_mod
+
+    pools = []
+
+    class StubPool:
+        def __init__(self, workers):
+            pools.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "_process_pool", StubPool)
+    d = _batch_dir(tmp_path)  # five graphs
+    report = tmp_path / "report.csv"
+    argv = ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report), "--jobs"]
+    for cpus, jobs, want in [(4, "5000", [4]), (8, "5000", [5]), (8, "3", [3]), (None, "5000", []), (4, "1", [])]:
+        pools.clear()
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        assert run(capsys, argv + [jobs])[0] == 0
+        assert pools == want
+        assert len(_report_rows(report)) == 5
+
+
+def test_batch_rejects_jobs_below_one(tmp_path, capsys):
+    d = _batch_dir(tmp_path)
+    for jobs in ("0", "-2"):
+        code, _, err = run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong",
+                                    "--report", str(tmp_path / "r.csv"), "--jobs", jobs])
+        assert code == 2
+        assert "--jobs must be at least 1" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_help_exits_zero(capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
+from _oracles import naive_graph6_payload
 
 from semistrong import families
 from semistrong.coloring import from_list
@@ -17,7 +19,7 @@ from semistrong.formats import (
     parse_edge_list,
     parse_graph6,
 )
-from semistrong.graph import GraphError
+from semistrong.graph import GraphError, build_graph
 from semistrong.solver import solve
 from semistrong.verify import badness
 
@@ -68,13 +70,26 @@ def test_parse_graph6_header_allowed():
 
 def test_graph6_round_trip_strings():
     rng = random.Random(11)
-    for _ in range(100):
-        g = families.random_max_degree(rng.randint(1, 16), rng.randint(0, 5), rng.randint(0, 10**6))
+    for trial in range(100):
+        n = rng.randint(1, 16) if trial < 80 else rng.randint(60, 90)  # both size prefixes
+        g = families.random_max_degree(n, rng.randint(0, 5), rng.randint(0, 10**6))
         line = emit_graph6(g)
+        assert line.endswith(naive_graph6_payload(g))
         back = parse_graph6(line)
         assert back.vertex_count == g.vertex_count
         assert {tuple(sorted(e)) for e in back.edges} == {tuple(sorted(e)) for e in g.edges}
         assert emit_graph6(back) == line
+
+
+def test_graph6_long_path():
+    g = families.path(3000)
+    line = emit_graph6(g)
+    # the encoding of the old full-bit-string encoder, pinned
+    assert len(line) == 749754
+    assert hashlib.sha256(line.encode()).hexdigest() == "8a66040f58376fcaa6ea541fd214861c2d9b88530e4bcfc1c4becea530c5d6f6"
+    back = parse_graph6(line)
+    assert back.vertex_count == 3000
+    assert back.edges == g.edges
 
 
 def test_graph6_against_networkx():
@@ -93,15 +108,30 @@ def test_graph6_against_networkx():
 
 
 def test_parse_graph6_errors():
+    for line, reason in [
+        ("", "truncated_graph6"),
+        ("D", "truncated_graph6"),  # 5 vertices need payload
+        ("~?", "truncated_graph6"),  # 4-byte size prefix cut short
+        ("C~~~~", "invalid_graph6"),  # trailing junk
+        ("C>", "invalid_graph6"),  # character below 63
+        ("C\x7f", "invalid_graph6"),  # character above 126
+        ("Cé", "invalid_graph6"),  # not ASCII
+        (">", "invalid_graph6"),  # size character below 63
+    ]:
+        with pytest.raises(FormatError) as exc:
+            parse_graph6(line)
+        assert exc.value.reason == reason, line
+
+
+def test_graph6_padding_bits_are_ignored():
+    # K3 uses three of the six bits of its one payload character
+    assert parse_graph6("Bw").edges == parse_graph6("B~").edges == ((0, 1), (0, 2), (1, 2))
+
+
+def test_emit_graph6_too_large():
     with pytest.raises(FormatError) as exc:
-        parse_graph6("")
-    assert exc.value.reason == "truncated_graph6"
-    with pytest.raises(FormatError):
-        parse_graph6("D")  # 5 vertices need payload
-    with pytest.raises(FormatError):
-        parse_graph6("C~~~~")  # trailing junk
-    with pytest.raises(FormatError):
-        parse_graph6("C\x1f")  # character below 63
+        emit_graph6(build_graph(258048, []))
+    assert exc.value.reason == "too_large"
 
 
 def test_emit_solve_result_fields():
