@@ -189,13 +189,15 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _batch_work(item: tuple[str, tuple[str, str]], mode: str) -> dict:
+def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]], mode: str) -> dict:
     """One report row: parse and color one graph, or record why that failed.
 
     A module-level function, so a worker process can unpickle it under any
     start method; --jobs 1 calls it in-process."""
     name, (fmt, text) = item
     try:
+        if isinstance(text, Exception):
+            raise text
         g = parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
         start, cpu_start = time.monotonic(), time.process_time()
         result = solve(g, mode)
@@ -220,14 +222,28 @@ def _batch_work(item: tuple[str, tuple[str, str]], mode: str) -> dict:
         return row
 
 
+_BATCH_FORMATS = {".txt": "edgelist", ".edgelist": "edgelist", ".g6": "graph6", ".graph6": "graph6"}
+
+
 def _batch_inputs(root: Path):
+    """(name, (format, text)) per graph. A file that cannot be read or is not
+    UTF-8 yields one item holding that error in place of the text, so it gets
+    one error row and the other graphs are still colored."""
     for path in sorted(root.iterdir()):
-        if path.suffix in (".txt", ".edgelist"):
-            yield path.name, ("edgelist", path.read_text(encoding="utf-8"))
-        elif path.suffix in (".g6", ".graph6"):
-            lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        fmt = _BATCH_FORMATS.get(path.suffix)
+        if fmt is None:
+            continue
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            yield path.name, (fmt, exc)
+            continue
+        if fmt == "edgelist":
+            yield path.name, (fmt, text)
+        else:
+            lines = [ln for ln in text.splitlines() if ln.strip()]
             for i, line in enumerate(lines):
-                yield f"{path.name}:{i + 1}", ("graph6", line)
+                yield f"{path.name}:{i + 1}", (fmt, line)
 
 
 def _process_pool(workers: int):

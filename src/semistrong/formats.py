@@ -116,8 +116,8 @@ def parse_graph6(line: str) -> Graph:
             top = val.bit_length() - 1
             val ^= 1 << top
             bit = 6 * pos + 5 - top
-            if bit >= nbits:  # padding in the last character
-                break
+            if bit >= nbits:
+                raise FormatError("invalid_graph6", "padding bits set in the last payload character")
             i += bit - k
             k = bit
             while i >= j:

@@ -122,7 +122,7 @@ def connected_components(g: Graph) -> list[ComponentView]:
     """Components ordered by smallest parent vertex; maps are index-sorted.
 
     A connected graph is returned as its own only component (identity maps),
-    so everything cached per graph, such as its neighborhoods, is shared."""
+    with no copy built."""
     label, count = _component_labels(g)
     if count == 1:
         return [ComponentView(g, g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]

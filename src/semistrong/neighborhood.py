@@ -15,8 +15,9 @@ The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
 Only greedy and the repair engine use these neighborhoods; the exact oracle
-reads its N1 and N2 lists straight from ``rings``. The certificates and the badness audit count
-same-colored contacts straight from the adjacency (see verify.py).
+reads its N1 and N2 lists straight from ``rings``. The certificates and the
+badness audit count same-colored contacts straight from the adjacency (see
+verify.py).
 
 An EdgeNeighborhood builds n1, n2 and f_set eagerly, from one walk over the
 adjacency that meets every 2-neighbor once per cross edge; that is all
@@ -25,9 +26,8 @@ triangle 1-neighbors c_delta, the pair types type_of and t6 are derived on
 first use, for the deeper schemas, the stage asserts, m_set and
 observation_bound.
 
-Neighborhoods are cached per Graph object, one slot per edge. A connected
-graph is its own only component (see graph.connected_components), so one
-solve builds them once and greedy and repair share them.
+``neighborhoods(g)`` builds a new list for the whole graph on every call;
+the solver builds it once per component and hands it to greedy and repair.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from weakref import WeakKeyDictionary
 
 from .graph import Graph
 
@@ -55,10 +54,7 @@ _T1, _T2, _T3, _T4, _T5, _T6 = PairType
 
 @dataclass(eq=False)
 class EdgeNeighborhood:
-    """Color-independent neighborhood data for one edge; cached per graph.
-
-    The derived fields read the graph's edge and adjacency tuples, never the
-    Graph itself, so a cached neighborhood does not keep its graph alive."""
+    """Color-independent neighborhood data for one edge of a graph."""
 
     edge: int
     u: int
@@ -66,11 +62,7 @@ class EdgeNeighborhood:
     n1: frozenset[int]
     n2: frozenset[int]
     f_set: frozenset[int]
-    _edges: tuple[tuple[int, int], ...] = field(repr=False)
-    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-
-    def type_class(self, t: PairType) -> frozenset[int]:
-        return frozenset(f for f, tf in self.type_of.items() if tf is t)
+    _g: Graph = field(repr=False)
 
     @cached_property
     def t6(self) -> frozenset[int]:
@@ -78,18 +70,18 @@ class EdgeNeighborhood:
 
     @cached_property
     def n1_u(self) -> frozenset[int]:
-        return frozenset(idx for _, idx in self._adjacency[self.u] if idx != self.edge)
+        return frozenset(idx for _, idx in self._g.adjacency[self.u] if idx != self.edge)
 
     @cached_property
     def n1_v(self) -> frozenset[int]:
-        return frozenset(idx for _, idx in self._adjacency[self.v] if idx != self.edge)
+        return frozenset(idx for _, idx in self._g.adjacency[self.v] if idx != self.edge)
 
     def _near(self, vertex: int) -> set[int]:
-        return {w for w, _ in self._adjacency[vertex]}
+        return {w for w, _ in self._g.adjacency[vertex]}
 
     def _side(self, vertex: int) -> frozenset[int]:
         near = self._near(vertex)
-        edges = self._edges
+        edges = self._g.edges
         return frozenset(f for f in self.n2 if edges[f][0] in near or edges[f][1] in near)
 
     @cached_property
@@ -107,15 +99,15 @@ class EdgeNeighborhood:
         """1-neighbors that close a triangle with the edge."""
         nu = self._near(self.u)
         nv = self._near(self.v)
-        found = [idx for w, idx in self._adjacency[self.u] if w in nv]
-        found += [idx for w, idx in self._adjacency[self.v] if w in nu]
+        found = [idx for w, idx in self._g.adjacency[self.u] if w in nv]
+        found += [idx for w, idx in self._g.adjacency[self.v] if w in nu]
         return frozenset(found)
 
     @cached_property
     def type_of(self) -> dict[int, PairType]:
         nu = self._near(self.u)
         nv = self._near(self.v)
-        edges = self._edges
+        edges = self._g.edges
         type_of: dict[int, PairType] = {}
         for f in self.n2:
             x, y = edges[f]
@@ -147,42 +139,18 @@ class EdgeNeighborhood:
         raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.edge}")
 
 
-_cache: WeakKeyDictionary[Graph, list[EdgeNeighborhood | None]] = WeakKeyDictionary()
-
-
-def _slots(g: Graph) -> list[EdgeNeighborhood | None]:
-    # no lock: the fill is idempotent, so two threads racing here at worst
-    # each build a slot list and fill it
-    slots = _cache.get(g)
-    if slots is None:
-        slots = _cache[g] = [None] * len(g.edges)
-    return slots
-
-
 def neighborhoods(g: Graph) -> list[EdgeNeighborhood]:
-    """Every edge's neighborhood, indexed by edge; built on the first call
-    for a graph and cached (idempotent fill, so concurrent first access is
-    safe). Fetch it once and index it instead of calling
-    compute_neighborhood per edge."""
-    slots = _slots(g)
-    if None in slots:
-        edges, adjacency = g.edges, g.adjacency
-        for e, nb in enumerate(slots):
-            if nb is None:
-                slots[e] = _compute(edges, adjacency, e)
-    return slots  # type: ignore[return-value]
+    """Every edge's neighborhood, indexed by edge; a new list per call, so
+    build it once and index it instead of calling compute_neighborhood per
+    edge."""
+    return [_compute(g, e) for e in range(g.edge_count)]
 
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
-    """Neighborhood of edge e alone; lazily computed and cached."""
-    slots = _slots(g)
+    """Neighborhood of edge e alone."""
     if not 0 <= e < len(g.edges):
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
-    nb = slots[e]
-    if nb is None:
-        nb = _compute(g.edges, g.adjacency, e)
-        slots[e] = nb
-    return nb
+    return _compute(g, e)
 
 
 def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[int], list[int]]:
@@ -206,9 +174,9 @@ def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[i
     return n1, reach
 
 
-def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeighborhood:
-    u, v = edges[e]
-    ring1, reach = rings(edges, adjacency, e)
+def _compute(g: Graph, e: int) -> EdgeNeighborhood:
+    u, v = g.edges[e]
+    ring1, reach = rings(g.edges, g.adjacency, e)
     n1 = frozenset(ring1)
     n2 = frozenset(reach)
     f_set = n1
@@ -220,9 +188,7 @@ def _compute(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> EdgeNeigh
                 close.add(f)
             seen.add(f)
         f_set = n1 | close
-    return EdgeNeighborhood(
-        edge=e, u=u, v=v, n1=n1, n2=n2, f_set=f_set, _edges=edges, _adjacency=adjacency
-    )
+    return EdgeNeighborhood(edge=e, u=u, v=v, n1=n1, n2=n2, f_set=f_set, _g=g)
 
 
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:

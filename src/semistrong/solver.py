@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import exact
 from .coloring import Coloring, from_list
-from .construct import color_g_family, color_kdd_relaxed_graph, color_kdd_semistrong_graph, cycle_pattern
+from .construct import color_g_family, color_kdd_relaxed_graph, color_kdd_semistrong_graph, color_path, cycle_pattern
 from .graph import (
     Graph,
     GraphError,
@@ -47,7 +47,7 @@ from .graph import (
     is_complete_bipartite_dd,
     max_degree,
 )
-from .neighborhood import PairType, neighborhoods, shift_forbidden
+from .neighborhood import EdgeNeighborhood, PairType, neighborhoods, shift_forbidden
 from .verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
@@ -78,13 +78,6 @@ class MoveProposal:
 
 
 @dataclass
-class RepairStats:
-    moves_by_schema: dict[str, int] = field(default_factory=dict)
-    fallback_f3: int = 0
-    kappa_trajectory: list[tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass
 class ComponentTrace:
     strategy: str  # trivial | delta2 | kdd | g_family | greedy_repair
     vertices: int
@@ -110,10 +103,13 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     """Color edges in breadth-first order, always taking the smallest color
     absent from the forbidden set. Raises PaletteExhaustedError when an edge
     has no color left (only possible when some |f_set| >= palette_size)."""
+    return _greedy(g, neighborhoods(g), palette_size)
+
+
+def _greedy(g: Graph, nbs: list[EdgeNeighborhood], palette_size: int) -> Coloring:
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     colors = [0] * g.edge_count
-    nbs = neighborhoods(g)
     for e in bfs_edge_order(g):
         used = {colors[f] for f in nbs[e].f_set if colors[f]}
         chosen = next((c for c in range(1, palette_size + 1) if c not in used), None)
@@ -134,17 +130,24 @@ class _Engine:
     edges, so scoring a move costs O(sum of |N2| over its edges).
     """
 
-    def __init__(self, g: Graph, coloring: Coloring, debug: bool = False, enforce_invariants: bool | None = None):
+    def __init__(
+        self,
+        g: Graph,
+        nbs: list[EdgeNeighborhood],
+        coloring: Coloring,
+        debug: bool = False,
+        enforce_invariants: bool | None = None,
+    ):
         self.g = g
+        self.nbs = nbs
         self.k = coloring.k
         self.debug = debug
         self.colors = colors = list(coloring.colors)
         m = g.edge_count
-        self.nbs = neighborhoods(g)
         self.table: list[dict[int, int]] = []
         for e in range(m):
             t: dict[int, int] = {}
-            for f in self.nbs[e].n2:
+            for f in nbs[e].n2:
                 t[colors[f]] = t.get(colors[f], 0) + 1
             self.table.append(t)
         counts = [self._count(e) for e in range(m)]
@@ -593,7 +596,7 @@ def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
     None when every schema and fallback comes up empty."""
     if not is_good_coloring(g, c):
         raise ValueError("find_improving_move requires a good coloring")
-    engine = _Engine(g, c)
+    engine = _Engine(g, neighborhoods(g), c)
     if engine.kappa1 == 0:
         raise ValueError("coloring has no bad edges; nothing to improve")
     return engine.find_move()
@@ -610,23 +613,41 @@ def _check_repair_preconditions(g: Graph, c: Coloring):
         raise GraphError("g_family", "covering-edge family graphs take the dedicated construction")
 
 
-def _repair_engine(g: Graph, c: Coloring, debug: bool, mode: str) -> tuple[Coloring, RepairStats]:
-    engine = _Engine(g, c, debug=debug)
-    stats = RepairStats(kappa_trajectory=[engine.potential()])
+def _repair_engine(
+    g: Graph, nbs: list[EdgeNeighborhood], c: Coloring, debug: bool, mode: str
+) -> tuple[Coloring, ComponentTrace]:
+    """Repair c on g; the trace is that of a greedy_repair component."""
+    engine = _Engine(g, nbs, c, debug=debug)
+    moves: dict[str, int] = {}
+    trajectory = [engine.potential()]
+    fallback_f3 = 0
     while engine.kappa1 > 0:
         move = engine.find_move()
         if move is None:
-            stats.fallback_f3 += 1
+            fallback_f3 = 1
             result = _f3_fallback(g, mode, engine.k, engine.bad_edges())
-            return result, stats
+            break
         before = engine.potential()
         engine.apply(move)
         after = engine.potential()
         if after >= before:
             raise EngineInvariantError(f"move {move.schema} did not lower the potential: {before} -> {after}")
-        stats.moves_by_schema[move.schema] = stats.moves_by_schema.get(move.schema, 0) + 1
-        stats.kappa_trajectory.append(after)
-    return engine.to_coloring(), stats
+        moves[move.schema] = moves.get(move.schema, 0) + 1
+        trajectory.append(after)
+    else:
+        result = engine.to_coloring()
+    used = result.distinct_colors()
+    return result, ComponentTrace(
+        strategy="greedy_repair",
+        vertices=g.vertex_count,
+        edges=g.edge_count,
+        delta=engine.delta,
+        colors_used=used,
+        exceeds_bound=used > engine.delta * engine.delta - 1,
+        moves_by_schema=moves,
+        fallback_f3=fallback_f3,
+        kappa_trajectory=trajectory,
+    )
 
 
 def _f3_fallback(g: Graph, mode: str, k: int, bad: list[int]) -> Coloring:
@@ -653,49 +674,33 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     maximum degree >= 3 outside the covering-edge family. The palette is
     kept; an already-clean coloring is returned unchanged."""
     _check_repair_preconditions(g, c)
-    result, _ = _repair_engine(g, c, debug, mode)
+    result, _ = _repair_engine(g, neighborhoods(g), c, debug, mode)
     return result
 
 
-def _walk_path(comp: Graph) -> list[int]:
-    start = min(v for v in range(comp.vertex_count) if comp.degree(v) == 1)
-    seq = [start]
-    prev = -1
-    while len(seq) < comp.vertex_count:
-        nxt = next(w for w in comp.neighbors(seq[-1]) if w != prev)
+def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
+    """Walk the path from its smallest end, or the cycle from vertex 0 to
+    its smaller neighbor, and lay the closed-form pattern along the walk."""
+    n = comp.vertex_count
+    ends = [v for v in range(n) if comp.degree(v) == 1]
+    seq, prev = [ends[0] if ends else 0], -1
+    while len(seq) < n:
+        nxt = min(w for w in comp.neighbors(seq[-1]) if w != prev)
         prev = seq[-1]
         seq.append(nxt)
-    return seq
-
-
-def _walk_cycle(comp: Graph) -> list[int]:
-    seq = [0, min(comp.neighbors(0))]
-    while len(seq) < comp.vertex_count:
-        nxt = next(w for w in comp.neighbors(seq[-1]) if w != seq[-2])
-        seq.append(nxt)
-    return seq
-
-
-def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
-    is_cycle = all(comp.degree(v) == 2 for v in range(comp.vertex_count))
-    colors = [0] * comp.edge_count
-    if is_cycle:
-        seq = _walk_cycle(comp)
-        pattern = cycle_pattern(comp.vertex_count, relaxed=(mode == "relaxed01"))
-        for i in range(len(seq)):
-            e = comp.edge_between(seq[i], seq[(i + 1) % len(seq)])
-            colors[e] = pattern[i]
+    if ends:
+        pattern = color_path(n).colors
     else:
-        seq = _walk_path(comp)
-        for i in range(len(seq) - 1):
-            e = comp.edge_between(seq[i], seq[i + 1])
-            colors[e] = (i % 3) + 1
+        seq.append(seq[0])
+        pattern = cycle_pattern(n, relaxed=(mode == "relaxed01"))
+    colors = [0] * comp.edge_count
+    for i, c in enumerate(pattern):
+        colors[comp.edge_between(seq[i], seq[i + 1])] = c
     return colors
 
 
 def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
     d = max_degree(comp)
-    stats = RepairStats()
     if comp.edge_count == 0:
         strategy, colors = "trivial", []
     elif d <= 1:
@@ -711,10 +716,9 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
     elif (witness := g_family_witness(comp)) is not None:
         strategy, colors = "g_family", list(color_g_family(comp, witness).colors)
     else:
-        strategy = "greedy_repair"
-        start = greedy_good_coloring(comp, d * d - 1)
-        repaired, stats = _repair_engine(comp, start, debug, mode)
-        colors = list(repaired.colors)
+        nbs = neighborhoods(comp)
+        repaired, trace = _repair_engine(comp, nbs, _greedy(comp, nbs, d * d - 1), debug, mode)
+        return list(repaired.colors), trace
     used = len(set(colors))
     bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
     return colors, ComponentTrace(
@@ -724,9 +728,6 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
         delta=d,
         colors_used=used,
         exceeds_bound=used > bound,
-        moves_by_schema=stats.moves_by_schema,
-        fallback_f3=stats.fallback_f3,
-        kappa_trajectory=stats.kappa_trajectory,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from semistrong.graph import Graph
+from semistrong.neighborhood import EdgeNeighborhood, PairType
 
 
 def edge_distance_class(g: Graph, e: int, f: int) -> int:
@@ -145,3 +146,9 @@ def naive_graph6_payload(g: Graph) -> str:
     return "".join(
         chr(63 + int("".join(map(str, bits[k : k + 6])), 2)) for k in range(0, len(bits), 6)
     )
+
+
+def type_class(nb: EdgeNeighborhood, t: PairType) -> frozenset[int]:
+    """The 2-neighbors of nb's edge whose pair type is t; a view of nb.type_of
+    that only tests need."""
+    return frozenset(f for f, tf in nb.type_of.items() if tf is t)

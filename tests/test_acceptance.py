@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from _oracles import type_class
 from semistrong import families
 from semistrong.construct import color_cycle, color_g_family, color_kdd_relaxed, color_kdd_semistrong, color_path
 from semistrong.exact import Budget, exact_index, feasibility
@@ -204,7 +205,7 @@ def test_criterion_08_structural_properties():
         for e in range(g.edge_count):
             checked_edges += 1
             nb = compute_neighborhood(g, e)
-            t_sets = [nb.type_class(t) for t in PairType]
+            t_sets = [type_class(nb, t) for t in PairType]
             if frozenset().union(*t_sets) != nb.n2 or sum(len(s) for s in t_sets) != len(nb.n2):
                 failures.append(f"graph {i} edge {e}: type classes do not partition the 2-neighborhood")
             if len(nb.f_set) > observation_bound(nb, delta):

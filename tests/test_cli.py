@@ -197,6 +197,25 @@ def test_batch_jobs_matches_serial(tmp_path, capsys):
     assert strip_time(r2) == serial
 
 
+def test_batch_unreadable_files_get_one_error_row_each(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a.txt").write_text(emit_edge_list(families.cycle(7)))
+    (d / "b.g6").write_bytes(b"\xff\xfe\x00")
+    (d / "c.txt").mkdir()
+    report = tmp_path / "report.csv"
+    for jobs in ("1", "2"):
+        argv = ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report), "--jobs", jobs]
+        assert run(capsys, argv)[0] == 0
+        good, bad, folder = _report_rows(report)
+        assert folder["graph"] == "c.txt" and folder["strategy"] == "error:IsADirectoryError"
+        assert good["graph"] == "a.txt" and good["valid"] == "True" and good["error"] == ""
+        assert bad["graph"] == "b.g6"
+        assert bad["strategy"] == "error:UnicodeDecodeError"
+        assert bad["error"] == "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert bad["valid"] == "False"
+
+
 def test_batch_pool_is_capped(tmp_path, capsys, monkeypatch):
     """Workers are min(--jobs, CPUs, graphs); one or fewer runs in-process.
     The pool is a stub that maps serially, so no process is started."""

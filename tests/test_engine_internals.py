@@ -10,7 +10,7 @@ import pytest
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, max_degree
-from semistrong.neighborhood import compute_neighborhood
+from semistrong.neighborhood import compute_neighborhood, neighborhoods
 from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring
 from semistrong.verify import badness, is_good_coloring
 
@@ -47,7 +47,7 @@ def test_schema_generators_yield_wellformed_candidates():
     rng = random.Random(1)
     g = families.prism(5)
     c = bad_state(g, rng)
-    eng = _Engine(g, c)
+    eng = _Engine(g, neighborhoods(g), c)
     gens = [
         eng._s1_candidates,
         eng._s2_candidates,
@@ -117,7 +117,7 @@ def test_evaluate_matches_full_recount():
     scored = Counter()
     close = Counter()
     for g, c in states:
-        eng = _Engine(g, c)
+        eng = _Engine(g, neighborhoods(g), c)
         for e in eng.bad_edges():
             for name, gen in _schema_candidates(eng, e):
                 for cand in itertools.islice(gen, 5):
@@ -151,7 +151,7 @@ def _assert_matches_recount(eng):
 def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     g = families.random_max_degree(n, d, seed)
     assert max_degree(g) == d and 200 <= g.edge_count <= 400
-    eng = _Engine(g, greedy_good_coloring(g, d * d - 1))
+    eng = _Engine(g, neighborhoods(g), greedy_good_coloring(g, d * d - 1))
     _assert_matches_recount(eng)
     moves = 0
     while eng.kappa1 > 0:
@@ -167,7 +167,7 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
 def test_evaluate_rejects_noop():
     g = families.prism(5)
     c = random_good_coloring(g, 8, random.Random(3))
-    eng = _Engine(g, c)
+    eng = _Engine(g, neighborhoods(g), c)
     assert eng.evaluate({0: c.colors[0]}) is None
 
 
@@ -176,9 +176,9 @@ def test_repair_on_cut_gadget():
     g, c = cut_gadget()
     assert is_good_coloring(g, c)
     assert badness(g, c).kappa1 >= 1
-    out, stats = _repair_engine(g, c, debug=True, mode="semistrong")
+    out, trace = _repair_engine(g, neighborhoods(g), c, debug=True, mode="semistrong")
     assert badness(g, out).kappa1 == 0
-    assert stats.fallback_f3 == 0
+    assert trace.fallback_f3 == 0
 
 
 def test_repair_random_good_starts():
@@ -187,11 +187,11 @@ def test_repair_random_good_starts():
     for g in [families.prism(5), families.c7_blowup(), families.blowup(5, 2)]:
         for _ in range(25):
             c = random_good_coloring(g, max_degree(g) ** 2 - 1, rng)
-            out, stats = _repair_engine(g, c, debug=True, mode="semistrong")
+            out, trace = _repair_engine(g, neighborhoods(g), c, debug=True, mode="semistrong")
             assert badness(g, out).kappa1 == 0
-            assert stats.fallback_f3 == 0
-            schemas_seen.update(stats.moves_by_schema)
-            for a, b in zip(stats.kappa_trajectory, stats.kappa_trajectory[1:]):
+            assert trace.fallback_f3 == 0
+            schemas_seen.update(trace.moves_by_schema)
+            for a, b in zip(trace.kappa_trajectory, trace.kappa_trajectory[1:]):
                 assert b < a
     assert "S1" in schemas_seen
 
@@ -203,14 +203,14 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     rng = random.Random(9)
     g = families.prism(5)
     c = bad_state(g, rng)
-    out, stats = _repair_engine(g, c, debug=False, mode="semistrong")
-    assert stats.fallback_f3 == 1
+    out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="semistrong")
+    assert trace.fallback_f3 == 1
     from semistrong.verify import verify_semistrong
 
     assert verify_semistrong(g, out).ok
 
-    out, stats = _repair_engine(g, c, debug=False, mode="relaxed01")
-    assert stats.fallback_f3 == 1
+    out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="relaxed01")
+    assert trace.fallback_f3 == 1
     from semistrong.verify import verify_relaxed
 
     assert verify_relaxed(g, out, 0, 1).ok
@@ -224,7 +224,7 @@ def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
     bad = sorted(badness(g, c).bad_edges)
     for mode in ("semistrong", "relaxed01"):
         with pytest.raises(EngineInvariantError, match=re.escape(f"bad edges {bad}")):
-            _repair_engine(g, c, debug=False, mode=mode)
+            _repair_engine(g, neighborhoods(g), c, debug=False, mode=mode)
 
 
 def test_deep_schemas_produce_accepted_moves():
@@ -238,7 +238,7 @@ def test_deep_schemas_produce_accepted_moves():
             c = random_good_coloring(g, k, rng)
             if badness(g, c).kappa1 == 0:
                 continue
-            eng = _Engine(g, c)
+            eng = _Engine(g, neighborhoods(g), c)
             bad = eng.bad_edges()
             for e in bad:
                 for name, gen in [

@@ -123,9 +123,13 @@ def test_parse_graph6_errors():
         assert exc.value.reason == reason, line
 
 
-def test_graph6_padding_bits_are_ignored():
-    # K3 uses three of the six bits of its one payload character
-    assert parse_graph6("Bw").edges == parse_graph6("B~").edges == ((0, 1), (0, 2), (1, 2))
+def test_graph6_padding_bits_are_rejected():
+    # K3 uses three of the six bits of its one payload character; the other
+    # three are padding and must be zero
+    assert parse_graph6("Bw").edges == ((0, 1), (0, 2), (1, 2))
+    with pytest.raises(FormatError) as exc:
+        parse_graph6("B~")
+    assert exc.value.reason == "invalid_graph6"
 
 
 def test_emit_graph6_too_large():

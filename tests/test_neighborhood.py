@@ -10,6 +10,7 @@ from _oracles import (
     has_triangle,
     one_neighbors,
     two_neighbors,
+    type_class,
 )
 from semistrong import families
 from semistrong.graph import build_graph, max_degree
@@ -47,14 +48,14 @@ def test_type_partition_and_f_set():
         for e in range(g.edge_count):
             nb = compute_neighborhood(g, e)
             assert set(nb.type_of) == set(nb.n2)
-            t_sets = [nb.type_class(t) for t in PairType]
+            t_sets = [type_class(nb, t) for t in PairType]
             assert frozenset().union(*t_sets) == nb.n2
             for i in range(6):
                 for j in range(i + 1, 6):
                     assert not t_sets[i] & t_sets[j]
             assert nb.f_set == nb.n1.union(*t_sets[:5])
             assert nb.t6 == nb.n2 - nb.f_set
-            assert nb.type_class(PairType.T4) <= nb.n2_u & nb.n2_v
+            assert type_class(nb, PairType.T4) <= nb.n2_u & nb.n2_v
 
 
 def test_types_match_cross_edge_counts():
@@ -108,7 +109,7 @@ def test_triangle_free_rules_out_dense_types():
             nb = compute_neighborhood(g, e)
             if not nb.c_delta:
                 for t in (PairType.T1, PairType.T2, PairType.T3):
-                    assert not nb.type_class(t)
+                    assert not type_class(nb, t)
 
 
 def test_counting_identity():
@@ -198,23 +199,6 @@ def test_invalid_edge_index():
         compute_neighborhood(families.cycle(4), 4)
 
 
-def test_concurrent_cache_fill():
-    import threading
-
-    g = families.c7_blowup()
-    results = [None] * 8
-
-    def worker(i):
-        results[i] = [compute_neighborhood(g, e).f_set for e in range(g.edge_count)]
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-
-
 _PATTERN = {4: PairType.T1, 3: PairType.T2}
 
 
@@ -255,24 +239,10 @@ def test_derived_fields_match_eager_recomputation():
             }
 
 
-def test_neighborhoods_share_the_per_edge_cache():
-    g = families.prism(5)
-    first = compute_neighborhood(g, 3)
-    nbs = neighborhoods(g)
-    assert len(nbs) == g.edge_count
-    assert nbs[3] is first
-    assert all(nbs[e] is compute_neighborhood(g, e) for e in range(g.edge_count))
-    assert neighborhoods(g) is nbs
-
-
-def test_cached_neighborhoods_do_not_keep_their_graph_alive():
-    import gc
-    import weakref
-
-    g = families.c7_blowup()
-    for nb in neighborhoods(g):
-        nb.type_of, nb.t6, nb.n2_u, nb.n2_v, nb.c_delta, nb.n1_u, nb.n1_v
-    ref = weakref.ref(g)
-    del g, nb
-    gc.collect()
-    assert ref() is None
+def test_neighborhoods_match_single_edge_builds():
+    for g in CORPUS:
+        nbs = neighborhoods(g)
+        assert len(nbs) == g.edge_count
+        for e, nb in enumerate(nbs):
+            one = compute_neighborhood(g, e)
+            assert (nb.edge, nb.n1, nb.n2, nb.f_set) == (e, one.n1, one.n2, one.f_set)

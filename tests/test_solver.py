@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from semistrong import families
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, g_family_witness, max_degree
-from semistrong.neighborhood import compute_neighborhood
+from semistrong.neighborhood import compute_neighborhood, neighborhoods
 from semistrong.solver import (
     PaletteExhaustedError,
     _repair_engine,
@@ -143,11 +145,11 @@ def test_repair_trajectory_strictly_decreasing():
         if d < 3 or g_family_witness(g) is not None:
             continue
         start = greedy_good_coloring(g, d * d - 1)
-        coloring, stats = _repair_engine(g, start, debug=True, mode="semistrong")
-        traj = stats.kappa_trajectory
+        coloring, trace = _repair_engine(g, neighborhoods(g), start, debug=True, mode="semistrong")
+        traj = trace.kappa_trajectory
         for a, b in zip(traj, traj[1:]):
             assert b < a
-        assert stats.fallback_f3 == 0
+        assert trace.fallback_f3 == 0
         assert badness(g, coloring).kappa1 == 0
 
 
@@ -226,14 +228,39 @@ def test_solve_path_component():
     assert res.colors_used == 3
     assert res.certificates["semistrong"] and res.certificates["relaxed01"]
     assert res.trace[0].strategy == "delta2"
+    # shuffled labels put the walk's start anywhere along the path or cycle
+    rng = random.Random(2)
+    for n in range(3, 40):
+        path_colors = min(3, n - 1)
+        cycle_colors = 4 if n in (4, 7) else 3
+        shapes = [
+            (families.path(n), path_colors, path_colors),
+            (families.cycle(n), cycle_colors, 2 if n == 4 else cycle_colors),
+        ]
+        for base, semistrong_colors, relaxed_colors in shapes:
+            label = list(range(n))
+            rng.shuffle(label)
+            pairs = [(label[u], label[v]) for u, v in base.edges]
+            rng.shuffle(pairs)
+            shuffled = build_graph(n, pairs)
+            for mode, expected in (("semistrong", semistrong_colors), ("relaxed01", relaxed_colors)):
+                res = solve(shuffled, mode)
+                assert res.trace[0].strategy == "delta2"
+                assert res.certificates[mode]
+                assert res.colors_used == expected
 
 
-def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods():
-    import random
-
-    from semistrong import neighborhood
+def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatch):
+    from semistrong import neighborhood, solver
     from semistrong.formats import emit_result
 
+    built = []
+
+    def counting(graph):
+        built.append(graph)
+        return neighborhood.neighborhoods(graph)
+
+    monkeypatch.setattr(solver, "neighborhoods", counting)
     rng = random.Random(12)
     parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
     n = sum(p.vertex_count for p in parts)
@@ -246,9 +273,13 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods():
     rng.shuffle(pairs)
     g = build_graph(n, pairs)
     for mode in ("semistrong", "relaxed01"):
+        built.clear()
         res = solve(g, mode, debug=True)
         assert res.certificates[mode]
         assert '"valid": true' in emit_result(g, res)
-        # the certificates and the badness audit count contacts from the
-        # adjacency; only the per-component solves build neighborhoods
-        assert neighborhood._cache.get(g) is None
+        # one build per greedy_repair component; the certificates and the
+        # badness audit count contacts from the adjacency of the parent
+        repaired = [t for t in res.trace if t.strategy == "greedy_repair"]
+        assert len(repaired) == 1
+        assert [(h.vertex_count, h.edge_count) for h in built] == [(t.vertices, t.edges) for t in repaired]
+        assert all(h is not g for h in built)
