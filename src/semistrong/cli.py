@@ -46,7 +46,10 @@ class _CliParser(argparse.ArgumentParser):
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("not_utf8", f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str):
@@ -209,7 +212,7 @@ def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]]
             "delta": max_degree(g),
             "strategy": "+".join(sorted({t.strategy for t in result.trace})),
             "colors_used": result.colors_used,
-            "valid": result.certificates["semistrong" if mode == "semistrong" else "relaxed01"],
+            "valid": result.certificates[mode],
             "kappa1_trajectory_len": sum(len(t.kappa_trajectory) for t in result.trace),
             "fallbacks": sum(t.fallback_f3 for t in result.trace),
             "wall_time_s": f"{elapsed:.4f}",

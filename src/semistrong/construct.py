@@ -8,11 +8,17 @@ Colorings are returned in the edge order of the corresponding
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import families
 from .coloring import Coloring, from_list
-from .graph import Graph, GraphError, connected_components, g_family_witness, is_complete_bipartite_dd, max_degree
+from .graph import (
+    Graph,
+    GraphError,
+    _bipartition,
+    connected_components,
+    g_family_witness,
+    is_complete_bipartite_dd,
+    max_degree,
+)
 
 # the repeating 3-color pattern, with the wrap-around patch for cycles whose
 # length is 1 mod 3; raw symbol 0 maps to palette color 3
@@ -56,17 +62,9 @@ def color_cycle(n: int) -> Coloring:
 
 def _kdd_bipartition(g: Graph, d: int) -> tuple[list[int], list[int]]:
     """Sorted sides of a connected bipartite graph known to be K_{d,d}."""
-    side = [-1] * g.vertex_count
-    side[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.adjacency[v]:
-            if side[w] == -1:
-                side[w] = 1 - side[v]
-                queue.append(w)
-    left = sorted(v for v in range(g.vertex_count) if side[v] == 0)
-    right = sorted(v for v in range(g.vertex_count) if side[v] == 1)
+    side = _bipartition(g) or []
+    left = [v for v, s in enumerate(side) if s == 0]
+    right = [v for v, s in enumerate(side) if s == 1]
     if len(left) != d or len(right) != d:
         raise GraphError("not_kdd", f"graph is not a balanced complete bipartite graph of degree {d}")
     return left, right

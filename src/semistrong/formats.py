@@ -183,7 +183,7 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
     audited coloring as meta['coloring'].
     """
     if isinstance(result, SolveResult):
-        doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[_mode_key(result.mode)])
+        doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
         rep = compute_badness(g, result.coloring)
         doc["kappa1"] = rep.kappa1
         doc["kappa2"] = rep.kappa2
@@ -215,10 +215,6 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
     else:
         raise TypeError(f"cannot emit {type(result).__name__}")
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _mode_key(mode: str) -> str:
-    return "semistrong" if mode == "semistrong" else "relaxed01"
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -13,16 +13,15 @@ searching move schemas in a fixed order:
   S5  the two-pendant + displaced-edge rewrite (edge-cut pair shape)
   S6  the four/five-edge rewrites around a non-adjacent pendant pair
   S7  the five-edge rewrite with two singleton pendant contacts
-  F1  any single-edge recoloring
-  F2  any recoloring of two edges near a bad edge
 
-Every candidate is exact-checked: it is accepted only if it preserves
-goodness and strictly lowers (kappa1, kappa2) lexicographically, so imperfect
-schema contexts degrade into skipped candidates, never into bad moves.
-When no schema and no fallback applies, repair defers to the exact
-feasibility search (F3) and records the event; on the qualifying inputs this
-is never expected to happen. F3 has a fixed node budget, and running out of
-it raises EngineInvariantError naming the bad edges no schema could fix.
+These are the recolorings of the paper's proof. Every candidate is
+exact-checked: it is accepted only if it preserves goodness and strictly
+lowers (kappa1, kappa2) lexicographically, so imperfect schema contexts
+degrade into skipped candidates, never into bad moves. When no schema yields
+a move, repair defers to the exact feasibility search (F3) and records the
+event; at the Delta^2 - 1 palette this is never expected to happen. F3 has a
+fixed node budget, and running out of it raises EngineInvariantError naming
+the bad edges no schema could fix.
 
 The potential is kept incrementally. For every edge f the engine holds a
 table counting how many edges of N2(f) carry each color, and it holds the set
@@ -130,14 +129,7 @@ class _Engine:
     edges, so scoring a move costs O(sum of |N2| over its edges).
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        nbs: list[EdgeNeighborhood],
-        coloring: Coloring,
-        debug: bool = False,
-        enforce_invariants: bool | None = None,
-    ):
+    def __init__(self, g: Graph, nbs: list[EdgeNeighborhood], coloring: Coloring, debug: bool = False):
         self.g = g
         self.nbs = nbs
         self.k = coloring.k
@@ -154,9 +146,7 @@ class _Engine:
         self.bad = {e for e in range(m) if counts[e] >= 2}
         self.sum_pairs = sum(counts)  # == 2 * kappa2
         self.delta = max_degree(g)
-        if enforce_invariants is None:
-            enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
-        self.enforce_invariants = enforce_invariants
+        self.enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
 
     # -- potential bookkeeping -------------------------------------------
 
@@ -478,27 +468,6 @@ class _Engine:
                             bb3: self.colors[bb2],
                         }
 
-    def _f1_candidates(self):
-        for e in range(self.g.edge_count):
-            for alpha in range(1, self.k + 1):
-                if alpha != self.colors[e]:
-                    yield {e: alpha}
-
-    def _f2_candidates(self, bad: list[int]):
-        ball: set[int] = set()
-        for e in bad:
-            nb = self.nbs[e]
-            ball.add(e)
-            ball.update(nb.n1)
-            ball.update(nb.n2)
-        edges = sorted(ball)
-        for i, x in enumerate(edges):
-            for y in edges[i + 1 :]:
-                for ax in range(1, self.k + 1):
-                    for ay in range(1, self.k + 1):
-                        if ax != self.colors[x] or ay != self.colors[y]:
-                            yield {x: ax, y: ay}
-
     # -- schema-exhaustion invariants --------------------------------------
 
     def _fail(self, e: int, what: str):
@@ -580,20 +549,13 @@ class _Engine:
                         return move
             if post_assert is not None and self.enforce_invariants:
                 post_assert(bad)
-        for assignments in self._f1_candidates():
-            move = self._propose(assignments, "F1")
-            if move is not None:
-                return move
-        for assignments in self._f2_candidates(bad):
-            move = self._propose(assignments, "F2")
-            if move is not None:
-                return move
         return None
 
 
 def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
-    """One strictly-improving move for a good coloring with bad edges, or
-    None when every schema and fallback comes up empty."""
+    """One strictly-improving move for a good coloring with bad edges, from
+    the first of S1, S2, S4, S3, S5, S6, S7 that yields one, or None when all
+    seven come up empty (repair then runs the budgeted exact search)."""
     if not is_good_coloring(g, c):
         raise ValueError("find_improving_move requires a good coloring")
     engine = _Engine(g, neighborhoods(g), c)
@@ -751,8 +713,7 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
         "semistrong": verify_semistrong(g, coloring).ok,
         "relaxed01": verify_relaxed(g, coloring, 0, 1).ok,
     }
-    mode_key = "semistrong" if mode == "semistrong" else "relaxed01"
-    if not certificates[mode_key]:
+    if not certificates[mode]:
         raise EngineInvariantError(f"solve produced an invalid {mode} coloring")
     return SolveResult(
         coloring=coloring,

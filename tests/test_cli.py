@@ -216,6 +216,21 @@ def test_batch_unreadable_files_get_one_error_row_each(tmp_path, capsys):
         assert bad["valid"] == "False"
 
 
+@pytest.mark.parametrize("bad_flag", ["--graph", "--coloring"])
+def test_verify_names_the_file_that_is_not_utf8(tmp_path, capsys, bad_flag):
+    g = families.cycle(7)
+    files = {"--graph": tmp_path / "ok.txt", "--coloring": tmp_path / "ok.json"}
+    files["--graph"].write_text(emit_edge_list(g))
+    files["--coloring"].write_text(emit_result(g, solve(g, "semistrong")))
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff\xfe\x00")
+    files[bad_flag] = bad
+    argv = ["verify", "--mode", "semistrong", "--graph", str(files["--graph"]), "--coloring", str(files["--coloring"])]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_batch_pool_is_capped(tmp_path, capsys, monkeypatch):
     """Workers are min(--jobs, CPUs, graphs); one or fewer runs in-process.
     The pool is a stub that maps serially, so no process is started."""

@@ -9,10 +9,10 @@ import pytest
 
 from semistrong import families, solver
 from semistrong.coloring import from_list
-from semistrong.graph import build_graph, max_degree
+from semistrong.graph import build_graph, is_connected, max_degree
 from semistrong.neighborhood import compute_neighborhood, neighborhoods
 from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring
-from semistrong.verify import badness, is_good_coloring
+from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
 def random_good_coloring(g, k, rng):
@@ -85,9 +85,22 @@ def cut_gadget():
     return g, from_list([1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 5, 4, 6], 8)
 
 
+def _pairs_at_distance_two(eng, e):
+    """Every two-edge recoloring of edges near bad edge e (e, N1(e), N2(e))
+    that lie in each other's N2."""
+    nb = eng.nbs[e]
+    ball = sorted({e} | nb.n1 | nb.n2)
+    for i, x in enumerate(ball):
+        for y in ball[i + 1 :]:
+            if y in eng.nbs[x].n2:
+                for ax, ay in itertools.product(range(1, eng.k + 1), repeat=2):
+                    if (ax, ay) != (eng.colors[x], eng.colors[y]):
+                        yield {x: ax, y: ay}
+
+
 def _schema_candidates(eng, e):
-    """Every schema's candidates at bad edge e; F2 restricted to pairs whose
-    two edges lie in each other's N2."""
+    """Every schema's candidates at bad edge e, plus the two-edge pairs of
+    _pairs_at_distance_two."""
     return [
         ("S1", eng._s1_candidates(e)),
         ("S2", eng._s2_candidates(e)),
@@ -96,7 +109,7 @@ def _schema_candidates(eng, e):
         ("S5", eng._s5_candidates(e)),
         ("S6", eng._s6_candidates(e)),
         ("S7", eng._s7_candidates(e)),
-        ("F2", (c for c in eng._f2_candidates([e]) if min(c) in eng.nbs[max(c)].n2)),
+        ("pair", _pairs_at_distance_two(eng, e)),
     ]
 
 
@@ -133,9 +146,9 @@ def test_evaluate_matches_full_recount():
                     assert badness(g, c2).potential == predicted
                     scored[name] += 1
                     close[name] += _moved_at_distance_two(eng, cand)
-    assert set(scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "F2"}
+    assert set(scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "pair"}
     # the table correction only acts when move edges lie in each other's N2
-    assert all(close[name] > 0 for name in ("S3", "S5", "S6", "S7", "F2"))
+    assert all(close[name] > 0 for name in ("S3", "S5", "S6", "S7", "pair"))
 
 
 def _assert_matches_recount(eng):
@@ -182,9 +195,21 @@ def test_repair_on_cut_gadget():
 
 
 def test_repair_random_good_starts():
+    # at the Delta^2 - 1 palette, S1-S7 alone clean every start
     rng = random.Random(4)
     schemas_seen = set()
-    for g in [families.prism(5), families.c7_blowup(), families.blowup(5, 2)]:
+    graphs = [
+        families.prism(5),
+        families.prism(7),
+        families.c7_blowup(),
+        families.blowup(5, 2),
+        families.hypercube(3),
+        families.h_graph(3),
+        families.h_graph(4),
+    ]
+    graphs += [families.random_max_degree(n, d, seed) for n, d, seed in [(12, 3, 1), (16, 4, 2), (20, 5, 3)]]
+    for g in graphs:
+        assert is_connected(g) and max_degree(g) >= 3
         for _ in range(25):
             c = random_good_coloring(g, max_degree(g) ** 2 - 1, rng)
             out, trace = _repair_engine(g, neighborhoods(g), c, debug=True, mode="semistrong")
@@ -205,15 +230,37 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     c = bad_state(g, rng)
     out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="semistrong")
     assert trace.fallback_f3 == 1
-    from semistrong.verify import verify_semistrong
-
     assert verify_semistrong(g, out).ok
 
     out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="relaxed01")
     assert trace.fallback_f3 == 1
-    from semistrong.verify import verify_relaxed
-
     assert verify_relaxed(g, out, 0, 1).ok
+
+
+# A seeded good start below the bound (random_max_degree(13, 3, 5), 6 colors
+# where Delta^2 - 1 = 8). S1 and S2 lower the potential to (1, 4), then no
+# schema applies and the exact search finishes the repair.
+BELOW_BOUND_EDGES = [
+    (9, 12), (8, 12), (2, 9), (3, 8), (6, 8), (0, 2), (1, 6), (1, 11), (2, 5), (1, 5),
+    (5, 10), (3, 7), (9, 11), (0, 3), (4, 7), (0, 6), (11, 12), (7, 10), (4, 10),
+]
+BELOW_BOUND_START = [6, 4, 5, 6, 3, 6, 5, 4, 2, 6, 4, 3, 2, 2, 5, 4, 3, 6, 2]
+BELOW_BOUND_STUCK = [1, 6, 5, 1, 3, 6, 5, 6, 3, 1, 4, 3, 2, 2, 5, 4, 3, 6, 2]
+
+
+def test_below_bound_run_ends_in_a_verified_f3_coloring():
+    g = build_graph(13, BELOW_BOUND_EDGES)
+    stuck = from_list(BELOW_BOUND_STUCK, 6)
+    assert is_good_coloring(g, stuck) and badness(g, stuck).potential == (1, 4)
+    assert _Engine(g, neighborhoods(g), stuck).find_move() is None
+    start = from_list(BELOW_BOUND_START, 6)
+    for mode in ("semistrong", "relaxed01"):
+        out, trace = _repair_engine(g, neighborhoods(g), start, debug=True, mode=mode)
+        assert trace.moves_by_schema == {"S1": 5, "S2": 1}
+        assert trace.kappa_trajectory[-1] == (1, 4)
+        assert trace.fallback_f3 == 1
+        certificate = verify_semistrong(g, out) if mode == "semistrong" else verify_relaxed(g, out, 0, 1)
+        assert certificate.ok and out.distinct_colors() <= 6
 
 
 def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
@@ -239,18 +286,15 @@ def test_deep_schemas_produce_accepted_moves():
             if badness(g, c).kappa1 == 0:
                 continue
             eng = _Engine(g, neighborhoods(g), c)
-            bad = eng.bad_edges()
-            for e in bad:
+            for e in eng.bad_edges():
                 for name, gen in [
                     ("S3", eng._s3_candidates(e)),
                     ("S4", eng._s4_candidates(e)),
                     ("S6", eng._s6_candidates(e)),
                     ("S7", eng._s7_candidates(e)),
-                    ("F1", eng._f1_candidates()),
-                    ("F2", eng._f2_candidates(bad)),
                 ]:
                     for cand in gen:
                         if eng._propose(cand, name) is not None:
                             accepted.add(name)
                             break
-    assert {"S3", "S4", "S6", "S7", "F1", "F2"} <= accepted
+    assert {"S3", "S4", "S6", "S7"} <= accepted
