@@ -312,11 +312,13 @@ def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("graph", ["mixed", "random_d4"])
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5"])
 @pytest.mark.parametrize("mode", ["semistrong", "relaxed01"])
 def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
-    # an edge and an isolated vertex; random_d4: random_max_degree(40, 4, 11)
+    # an edge and an isolated vertex; random_d4: random_max_degree(40, 4, 11);
+    # prism5: the 5-prism with shuffled labels, edge order and endpoint order,
+    # whose repair makes a two-edge S2 move ({S1: 5, S2: 1})
     out_path = tmp_path / "out.json"
     argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
     assert run(capsys, argv)[0] == 0
