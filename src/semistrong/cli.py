@@ -44,12 +44,16 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    """The file's text, or standard input's, as strict UTF-8 whatever the
+    locale."""
+    stdin = path is None or path == "-"
     try:
+        if stdin:
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError("not_utf8", f"{path} is not UTF-8 text: {exc}") from exc
+        name = "<stdin>" if stdin else path
+        raise FormatError("not_utf8", f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str):
@@ -114,24 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the gen option (--n, --d or --seed) that carries each family parameter
+_GEN_OPTION = {"n": "n", "a": "n", "cycle_len": "n", "d": "d", "b": "d", "part_size": "d", "seed": "seed"}
+
+
 def _gen_params(args) -> dict:
-    fam = args.family
-    flag_of = {"n": "--n", "a": "--n", "cycle_len": "--n", "d": "--d", "b": "--d", "part_size": "--d", "seed": "--seed"}
-    mapping = {
-        "path": {"n": args.n},
-        "cycle": {"n": args.n},
-        "prism": {"n": args.n},
-        "hypercube": {"n": args.n},
-        "complete_bipartite": {"a": args.n, "b": args.d},
-        "blowup": {"cycle_len": args.n, "part_size": args.d},
-        "c7_blowup": {},
-        "h_graph": {"d": args.d},
-        "random_max_degree": {"n": args.n, "d": args.d, "seed": args.seed},
-    }
-    params = mapping[fam]
-    missing = [flag_of[k] for k, v in params.items() if v is None]
+    params = {name: getattr(args, _GEN_OPTION[name]) for name in families.family_params(args.family)}
+    missing = [f"--{_GEN_OPTION[name]}" for name, value in params.items() if value is None]
     if missing:
-        raise FormatError("usage", f"family {fam} needs {' '.join(missing)}")
+        raise FormatError("usage", f"family {args.family} needs {' '.join(missing)}")
     return params
 
 

@@ -128,6 +128,11 @@ def family_names() -> list[str]:
     return sorted(_FAMILIES)
 
 
+def family_params(family: str) -> tuple[str, ...]:
+    """The parameter names ``make`` takes for the family, in order."""
+    return _FAMILIES[family][1]
+
+
 def make(family: str, **params) -> Graph:
     """Dispatch by family name; rejects unknown names and parameter sets."""
     if family not in _FAMILIES:

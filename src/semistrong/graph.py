@@ -41,13 +41,11 @@ class Graph:
         return tuple(w for w, _ in self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._pair_to_index or (v, u) in self._pair_to_index
+        return self.edge_between(u, v) is not None
 
     def edge_between(self, u: int, v: int) -> int | None:
-        idx = self._pair_to_index.get((u, v))
-        if idx is None:
-            idx = self._pair_to_index.get((v, u))
-        return idx
+        """Index of the edge uv; build_graph keys each edge as (min, max)."""
+        return self._pair_to_index.get((u, v) if u < v else (v, u))
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for _, e in self.adjacency[v])

@@ -21,7 +21,7 @@ verify.py).
 
 An EdgeNeighborhood builds n1, n2 and f_set eagerly, from one walk over the
 adjacency that meets every 2-neighbor once per cross edge; that is all
-greedy and S1 read. The per-endpoint splits (n1_u, n1_v, n2_u, n2_v), the
+greedy and S1 read. The per-endpoint 2-neighbor splits (n2_u, n2_v), the
 triangle 1-neighbors c_delta, the pair types type_of and t6 are derived on
 first use, for the deeper schemas, the stage asserts, m_set and
 observation_bound.
@@ -67,14 +67,6 @@ class EdgeNeighborhood:
     @cached_property
     def t6(self) -> frozenset[int]:
         return self.n2 - self.f_set
-
-    @cached_property
-    def n1_u(self) -> frozenset[int]:
-        return frozenset(idx for _, idx in self._g.adjacency[self.u] if idx != self.edge)
-
-    @cached_property
-    def n1_v(self) -> frozenset[int]:
-        return frozenset(idx for _, idx in self._g.adjacency[self.v] if idx != self.edge)
 
     def _near(self, vertex: int) -> set[int]:
         return {w for w, _ in self._g.adjacency[vertex]}

@@ -25,9 +25,10 @@ the bad edges no schema could fix.
 
 The potential is kept incrementally. For every edge f the engine holds a
 table counting how many edges of N2(f) carry each color, and it holds the set
-of bad edges. A candidate is scored from the tables of the edges it touches,
-a move updates only the tables of N2 of the edges it recolors, and the search
-walks the bad set instead of rescanning all edges.
+of bad edges. A candidate is scored by making it: recoloring an edge updates
+only the tables of its N2, a candidate that does not lower the potential is
+recolored back, and the search walks the bad set instead of rescanning all
+edges.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ class _Engine:
 
     ``table[f]`` maps each color to the number of edges of N2(f) carrying it,
     so f's same-colored 2-neighbor count is ``table[f][colors[f]]``; ``bad``
-    is the set of edges where that count is at least two. ``apply`` keeps both
-    up to date by touching only N2 of the recolored edges, and ``evaluate``
-    derives each affected edge's new count from its table and the move's own
-    edges, so scoring a move costs O(sum of |N2| over its edges).
+    is the set of edges where that count is at least two. ``_recolor`` is the
+    one place that updates them after construction, touching only N2 of the
+    recolored edge, so ``try_move`` scores a candidate by making it and, if
+    it is rejected, undoing it, in O(sum of |N2| over its edges) either way.
     """
 
     def __init__(self, g: Graph, nbs: list[EdgeNeighborhood], coloring: Coloring, debug: bool = False):
@@ -142,7 +143,8 @@ class _Engine:
             for f in nbs[e].n2:
                 t[colors[f]] = t.get(colors[f], 0) + 1
             self.table.append(t)
-        counts = [self._count(e) for e in range(m)]
+        # edges of N2(e) sharing e's color
+        counts = [self.table[e].get(colors[e], 0) for e in range(m)]
         self.bad = {e for e in range(m) if counts[e] >= 2}
         self.sum_pairs = sum(counts)  # == 2 * kappa2
         self.delta = max_degree(g)
@@ -154,10 +156,6 @@ class _Engine:
     def kappa1(self) -> int:
         return len(self.bad)
 
-    def _count(self, e: int) -> int:
-        """Edges of N2(e) sharing e's color."""
-        return self.table[e].get(self.colors[e], 0)
-
     def potential(self) -> tuple[int, int]:
         return (len(self.bad), self.sum_pairs // 2)
 
@@ -167,13 +165,12 @@ class _Engine:
     def bad_edges(self) -> list[int]:
         return sorted(self.bad)
 
-    def _new_color(self, h: int, x: dict[int, int]) -> int:
-        c = x.get(h)
-        return self.colors[h] if c is None else c
-
-    def evaluate(self, assignments: dict[int, int]):
-        """(kappa1', kappa2') after the move, or None if it breaks goodness
-        or is a no-op. Does not mutate."""
+    def try_move(self, assignments: dict[int, int], schema: str) -> MoveProposal | None:
+        """Make the move if it keeps the coloring good and strictly lowers
+        (kappa1, kappa2), and return it; otherwise return None with the
+        state exactly as before. A no-op, a color off the palette or a color
+        in a moved edge's forbidden set (with the move's other colors in
+        place) is rejected without recoloring anything."""
         colors = self.colors
         x = {e: c for e, c in assignments.items() if colors[e] != c}
         if not x:
@@ -182,45 +179,21 @@ class _Engine:
             if not 1 <= ce <= self.k:
                 return None
             for h in self.nbs[e].f_set:
-                if self._new_color(h, x) == ce:
+                if x.get(h, colors[h]) == ce:
                     return None
-        # An edge f outside the move keeps its color, so its count moves by
-        # one for each move edge in N2(f) that takes f's color or leaves it.
-        shift: dict[int, int] = {}
-        for e, ce in x.items():
-            old = colors[e]
-            for f in self.nbs[e].n2:
-                fc = colors[f]
-                if fc == ce:
-                    shift[f] = shift.get(f, 0) + 1
-                elif fc == old:
-                    shift[f] = shift.get(f, 0) - 1
-        k1 = len(self.bad)
-        s2 = self.sum_pairs
-        for f, d in shift.items():
-            if d and f not in x:
-                old_cnt = self._count(f)
-                k1 += (old_cnt + d >= 2) - (old_cnt >= 2)
-                s2 += d
-        # A move edge takes a new color: read its count off the table, then
-        # correct for the move edges in its own N2, whose colors change too.
-        for f, fc in x.items():
-            new_cnt = self.table[f].get(fc, 0)
-            n2f = self.nbs[f].n2
-            for e, ce in x.items():
-                if e in n2f:
-                    new_cnt += (ce == fc) - (colors[e] == fc)
-            old_cnt = self._count(f)
-            k1 += (new_cnt >= 2) - (old_cnt >= 2)
-            s2 += new_cnt - old_cnt
-        return (k1, s2 // 2)
-
-    def apply(self, move: MoveProposal):
-        for e, c in move.assignments:
-            if self.colors[e] != c:
+        before = self.potential()
+        old = {e: colors[e] for e in x}
+        for e, c in x.items():
+            self._recolor(e, c)
+        after = self.potential()
+        if after >= before:
+            for e, c in old.items():
                 self._recolor(e, c)
+            return None
+        move = MoveProposal(tuple(sorted(assignments.items())), schema, after)
         if self.debug:
             self._debug_check(move)
+        return move
 
     def _recolor(self, e: int, c: int):
         """Give e color c, updating the tables of N2(e), the bad set and the
@@ -262,16 +235,6 @@ class _Engine:
                 f"incremental potential {self.potential()} or bad set disagrees with full "
                 f"recomputation {rep.potential} after {move.schema} {move.assignments}"
             )
-        if rep.potential != move.predicted_potential:
-            raise EngineInvariantError(
-                f"predicted potential {move.predicted_potential} wrong, actual {rep.potential}"
-            )
-
-    def _propose(self, assignments: dict[int, int], schema: str) -> MoveProposal | None:
-        result = self.evaluate(assignments)
-        if result is None or result >= self.potential():
-            return None
-        return MoveProposal(tuple(sorted(assignments.items())), schema, result)
 
     # -- schema candidate generators --------------------------------------
 
@@ -529,6 +492,8 @@ class _Engine:
     # -- search -------------------------------------------------------------
 
     def find_move(self) -> MoveProposal | None:
+        """Make the first accepted candidate of the first schema that has
+        one, and return it; None, with nothing changed, when none has."""
         bad = self.bad_edges()
         if not bad:
             return None
@@ -544,7 +509,7 @@ class _Engine:
         for schema, gen, post_assert in per_edge:
             for e in bad:
                 for assignments in gen(e):
-                    move = self._propose(assignments, schema)
+                    move = self.try_move(assignments, schema)
                     if move is not None:
                         return move
             if post_assert is not None and self.enforce_invariants:
@@ -589,11 +554,9 @@ def _repair_engine(
             fallback_f3 = 1
             result = _f3_fallback(g, mode, engine.k, engine.bad_edges())
             break
-        before = engine.potential()
-        engine.apply(move)
         after = engine.potential()
-        if after >= before:
-            raise EngineInvariantError(f"move {move.schema} did not lower the potential: {before} -> {after}")
+        if after >= trajectory[-1]:
+            raise EngineInvariantError(f"move {move.schema} did not lower the potential: {trajectory[-1]} -> {after}")
         moves[move.schema] = moves.get(move.schema, 0) + 1
         trajectory.append(after)
     else:

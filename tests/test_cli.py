@@ -8,16 +8,19 @@ import pytest
 
 from semistrong import families
 from semistrong.cli import cli
-from semistrong.formats import emit_edge_list, emit_graph6, emit_result
+from semistrong.formats import emit_edge_list, emit_graph6, emit_result, parse_edge_list
 from semistrong.solver import solve
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
+    """Run the CLI; stdin (text or bytes) is served like a real standard
+    input, a text stream over a byte buffer."""
     if stdin is not None:
         import io as _io
         import sys as _sys
 
-        monkeypatch.setattr(_sys, "stdin", _io.StringIO(stdin))
+        data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin
+        monkeypatch.setattr(_sys, "stdin", _io.TextIOWrapper(_io.BytesIO(data), encoding="utf-8"))
     code = cli(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -120,6 +123,22 @@ def test_gen_missing_params(capsys):
     code, _, err = run(capsys, ["gen", "--family", "prism"])
     assert code == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize("family", families.family_names())
+def test_gen_every_family(capsys, family):
+    # with no size flags, gen names every flag the family needs
+    code, _, err = run(capsys, ["gen", "--family", family])
+    needed = err.split(" needs ", 1)[1].split() if code else []
+    assert code in (0, 2) and set(needed) <= {"--n", "--d", "--seed"}
+    values = {"--n": "5", "--d": "3", "--seed": "1"}
+    flags = [x for flag in needed for x in (flag, values[flag])]
+    code, out, _ = run(capsys, ["gen", "--family", family, *flags])
+    assert code == 0 and parse_edge_list(out).edge_count > 0
+    for flag in needed:
+        rest = [x for other in needed if other != flag for x in (other, values[other])]
+        code, _, err = run(capsys, ["gen", "--family", family, *rest])
+        assert code == 2 and err == f"error: family {family} needs {flag}\n"
 
 
 def test_usage_errors(capsys):
@@ -229,6 +248,12 @@ def test_verify_names_the_file_that_is_not_utf8(tmp_path, capsys, bad_flag):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_color_names_stdin_that_is_not_utf8(capsys, monkeypatch):
+    code, out, err = run(capsys, ["color", "--mode", "semistrong"], stdin=b"\xff\xfe\x00", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: <stdin> is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_batch_pool_is_capped(tmp_path, capsys, monkeypatch):

@@ -118,7 +118,20 @@ def _moved_at_distance_two(eng, cand):
     return any(a in eng.nbs[b].n2 for a in moved for b in moved)
 
 
-def test_evaluate_matches_full_recount():
+def _assert_matches_recount(eng):
+    g = eng.g
+    for f in range(g.edge_count):
+        assert eng.table[f] == Counter(eng.colors[h] for h in eng.nbs[f].n2)
+    rep = badness(g, eng.to_coloring())
+    assert eng.bad_edges() == list(rep.bad_edges)
+    assert eng.potential() == rep.potential
+
+
+def _snapshot(eng):
+    return list(eng.colors), [dict(t) for t in eng.table], set(eng.bad), eng.sum_pairs
+
+
+def test_try_move_matches_full_recount():
     rng = random.Random(77)
     states = [cut_gadget()]
     for g in [families.prism(5), families.c7_blowup()]:
@@ -130,34 +143,35 @@ def test_evaluate_matches_full_recount():
     scored = Counter()
     close = Counter()
     for g, c in states:
-        eng = _Engine(g, neighborhoods(g), c)
+        nbs = neighborhoods(g)
+        eng = _Engine(g, nbs, c)  # only generates candidates, never moves
+        before = eng.potential()
+        trial = _Engine(g, nbs, c)
         for e in eng.bad_edges():
             for name, gen in _schema_candidates(eng, e):
                 for cand in itertools.islice(gen, 5):
-                    predicted = eng.evaluate(cand)
+                    start = _snapshot(trial)
+                    move = trial.try_move(cand, name)
                     new_colors = list(c.colors)
                     for edge, color in cand.items():
                         new_colors[edge] = color
                     c2 = from_list(new_colors, c.k)
-                    if predicted is None:
-                        assert not is_good_coloring(g, c2) or new_colors == list(c.colors)
-                        continue
-                    assert is_good_coloring(g, c2)
-                    assert badness(g, c2).potential == predicted
-                    scored[name] += 1
-                    close[name] += _moved_at_distance_two(eng, cand)
-    assert set(scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "pair"}
-    # the table correction only acts when move edges lie in each other's N2
+                    good_change = is_good_coloring(g, c2) and new_colors != list(c.colors)
+                    if move is None:
+                        assert _snapshot(trial) == start
+                        assert not good_change or badness(g, c2).potential >= before
+                    else:
+                        assert good_change
+                        assert trial.colors == new_colors
+                        _assert_matches_recount(trial)
+                        assert move.predicted_potential == trial.potential() < before
+                        trial = _Engine(g, nbs, c)
+                    # scored: recolored and its potential read, kept or not
+                    scored[name] += good_change
+                    close[name] += good_change and _moved_at_distance_two(eng, cand)
+    assert set(+scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "pair"}
+    # moves whose edges lie in each other's N2 change each other's counts
     assert all(close[name] > 0 for name in ("S3", "S5", "S6", "S7", "pair"))
-
-
-def _assert_matches_recount(eng):
-    g = eng.g
-    for f in range(g.edge_count):
-        assert eng.table[f] == Counter(eng.colors[h] for h in eng.nbs[f].n2)
-    rep = badness(g, eng.to_coloring())
-    assert eng.bad_edges() == list(rep.bad_edges)
-    assert eng.potential() == rep.potential
 
 
 @pytest.mark.parametrize("n,d,seed", [(110, 4, 1), (120, 5, 2), (130, 6, 3)])
@@ -168,20 +182,22 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     _assert_matches_recount(eng)
     moves = 0
     while eng.kappa1 > 0:
+        before = eng.potential()
         move = eng.find_move()
         assert move is not None
-        eng.apply(move)
-        assert eng.potential() == move.predicted_potential
+        assert eng.potential() == move.predicted_potential < before
         _assert_matches_recount(eng)
         moves += 1
     assert moves > 0
 
 
-def test_evaluate_rejects_noop():
+def test_try_move_rejects_noop():
     g = families.prism(5)
     c = random_good_coloring(g, 8, random.Random(3))
     eng = _Engine(g, neighborhoods(g), c)
-    assert eng.evaluate({0: c.colors[0]}) is None
+    start = _snapshot(eng)
+    assert eng.try_move({0: c.colors[0]}, "S1") is None
+    assert _snapshot(eng) == start
 
 
 def test_repair_on_cut_gadget():
@@ -285,16 +301,12 @@ def test_deep_schemas_produce_accepted_moves():
             c = random_good_coloring(g, k, rng)
             if badness(g, c).kappa1 == 0:
                 continue
-            eng = _Engine(g, neighborhoods(g), c)
-            for e in eng.bad_edges():
-                for name, gen in [
-                    ("S3", eng._s3_candidates(e)),
-                    ("S4", eng._s4_candidates(e)),
-                    ("S6", eng._s6_candidates(e)),
-                    ("S7", eng._s7_candidates(e)),
-                ]:
-                    for cand in gen:
-                        if eng._propose(cand, name) is not None:
-                            accepted.add(name)
-                            break
+            nbs = neighborhoods(g)
+            for e in sorted(badness(g, c).bad_edges):
+                for name in ("S3", "S4", "S6", "S7"):
+                    # a fresh engine per schema: an accepted move stays made
+                    eng = _Engine(g, nbs, c)
+                    gen = getattr(eng, f"_{name.lower()}_candidates")
+                    if any(eng.try_move(cand, name) is not None for cand in gen(e)):
+                        accepted.add(name)
     assert {"S3", "S4", "S6", "S7"} <= accepted

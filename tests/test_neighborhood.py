@@ -38,8 +38,6 @@ def test_rings_match_pairwise_enumeration():
             assert nb.n1 == frozenset(one_neighbors(g, e))
             assert nb.n2 == frozenset(two_neighbors(g, e))
             assert not nb.n1 & nb.n2
-            assert nb.n1 == nb.n1_u | nb.n1_v
-            assert not nb.n1_u & nb.n1_v
             assert nb.n2 == nb.n2_u | nb.n2_v
 
 
@@ -232,8 +230,6 @@ def test_derived_fields_match_eager_recomputation():
             assert nb.t6 == {f for f in n2 if len(cross_edges(g, e, f)) == 1}
             assert nb.n2_u == {f for f in n2 if set(g.edges[f]) & near_u}
             assert nb.n2_v == {f for f in n2 if set(g.edges[f]) & near_v}
-            assert nb.n1_u == {f for f in one_neighbors(g, e) if u in g.edges[f]}
-            assert nb.n1_v == {f for f in one_neighbors(g, e) if v in g.edges[f]}
             assert nb.c_delta == {
                 f for f in one_neighbors(g, e) if (set(g.edges[f]) - {u, v}) <= near_u & near_v
             }
