@@ -90,14 +90,24 @@ def h_graph(d: int) -> Graph:
     return build_graph(2 * off, edges)
 
 
+# random_max_degree shuffles all n(n-1)/2 vertex pairs (45 MiB at this
+# cap), so larger n is rejected rather than left to exhaust memory
+RANDOM_MAX_DEGREE_MAX_N = 1000
+
+
 def random_max_degree(n: int, d: int, seed: int) -> Graph:
     """Seeded uniform edge addition under a hard degree cap.
 
     All vertex pairs are shuffled once with the seed and added greedily while
     both endpoints stay below the cap; identical seeds give identical graphs.
+    n is at most RANDOM_MAX_DEGREE_MAX_N.
     """
     if n < 1 or d < 0:
         raise ValueError(f"random_max_degree needs n >= 1 and d >= 0, got ({n},{d})")
+    if n > RANDOM_MAX_DEGREE_MAX_N:
+        raise ValueError(
+            f"random_max_degree builds all n(n-1)/2 vertex pairs; n = {n} is above its cap of {RANDOM_MAX_DEGREE_MAX_N}"
+        )
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)

@@ -14,28 +14,30 @@ are present. The six possible patterns classify f relative to e:
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
-Only greedy and the repair engine use these neighborhoods; the exact oracle
+Greedy and the repair engine read N2 and the forbidden set of every edge;
+``edge_lists(g)`` builds both as plain per-edge lists from one walk over the
+adjacency (``rings``), with no per-edge object. The solver builds them once
+per component and hands them to greedy and the engine. The exact oracle
 reads its N1 and N2 lists straight from ``rings``. The certificates and the
 badness audit count same-colored contacts straight from the adjacency (see
 verify.py).
 
-An EdgeNeighborhood builds n1, n2 and f_set eagerly, from one walk over the
-adjacency that meets every 2-neighbor once per cross edge; that is all
-greedy and S1 read. The per-endpoint 2-neighbor splits (n2_u, n2_v), the
-triangle 1-neighbors c_delta, the pair types type_of and t6 are derived on
-first use, for the deeper schemas, the stage asserts, m_set and
-observation_bound.
-
-``neighborhoods(g)`` builds a new list for the whole graph on every call;
-the solver builds it once per component and hands it to greedy and repair.
+An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built by the same
+walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
+1-neighbors c_delta, the pair types type_of and t6 are derived on first use.
+The repair engine builds one only for the few edges that its deeper schemas
+(S2-S7) or its stage asserts look at; m_set and observation_bound take one
+too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -131,18 +133,32 @@ class EdgeNeighborhood:
         raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.edge}")
 
 
-def neighborhoods(g: Graph) -> list[EdgeNeighborhood]:
-    """Every edge's neighborhood, indexed by edge; a new list per call, so
-    build it once and index it instead of calling compute_neighborhood per
-    edge."""
-    return [_compute(g, e) for e in range(g.edge_count)]
+class EdgeLists(NamedTuple):
+    """Per-edge N2 and forbidden set as plain lists, indexed by edge."""
+
+    n2: list[list[int]]  # the distinct 2-neighbors
+    f_set: list[list[int]]  # N(e) plus the 2-neighbors joined to e by 2+ edges
+
+
+def edge_lists(g: Graph) -> EdgeLists:
+    """Every edge's N2 and forbidden set; a new pair of lists per call."""
+    n2s: list[list[int]] = []
+    f_sets: list[list[int]] = []
+    for e in range(g.edge_count):
+        n1, n2, close = _split(g, e)
+        n2s.append(list(n2))
+        f_sets.append(n1 + close)
+    return EdgeLists(n2s, f_sets)
 
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     """Neighborhood of edge e alone."""
     if not 0 <= e < len(g.edges):
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
-    return _compute(g, e)
+    u, v = g.edges[e]
+    n1, n2, close = _split(g, e)
+    ring1 = frozenset(n1)
+    return EdgeNeighborhood(edge=e, u=u, v=v, n1=ring1, n2=frozenset(n2), f_set=ring1.union(close), _g=g)
 
 
 def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[int], list[int]]:
@@ -166,21 +182,14 @@ def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[i
     return n1, reach
 
 
-def _compute(g: Graph, e: int) -> EdgeNeighborhood:
-    u, v = g.edges[e]
-    ring1, reach = rings(g.edges, g.adjacency, e)
-    n1 = frozenset(ring1)
-    n2 = frozenset(reach)
-    f_set = n1
-    if len(reach) > len(n2):
-        seen: set[int] = set()
-        close: set[int] = set()
-        for f in reach:
-            if f in seen:
-                close.add(f)
-            seen.add(f)
-        f_set = n1 | close
-    return EdgeNeighborhood(edge=e, u=u, v=v, n1=n1, n2=n2, f_set=f_set, _g=g)
+def _split(g: Graph, e: int) -> tuple[list[int], set[int], list[int]]:
+    """Edge e's 1-neighbors, its distinct 2-neighbors, and the 2-neighbors
+    met more than once by ``rings`` (types T1..T5)."""
+    n1, reach = rings(g.edges, g.adjacency, e)
+    n2 = set(reach)
+    if len(reach) == len(n2):
+        return n1, n2, []
+    return n1, n2, [f for f, times in Counter(reach).items() if times > 1]
 
 
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:

@@ -29,10 +29,21 @@ of bad edges. A candidate is scored by making it: recoloring an edge updates
 only the tables of its N2, a candidate that does not lower the potential is
 recolored back, and the search walks the bad set instead of rescanning all
 edges.
+
+Each component's N2 and forbidden-set lists are built once, by
+neighborhood.edge_lists, and handed to greedy and the engine; that is all
+greedy and S1 read. The engine builds an EdgeNeighborhood for an edge only
+when S2-S7 or a stage assert first asks for it, and keeps it. Beside the bad
+set it keeps a lazy min-heap: an edge is pushed when it turns bad, and stale
+entries are dropped when they reach the top. Each move first tries S1 on the
+smallest bad edge, which is the first candidate the full search would try;
+the bad set is sorted only when that attempt fails, and the sorted list then
+drives S1-S7 and the stage asserts.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from . import exact
@@ -47,7 +58,7 @@ from .graph import (
     is_complete_bipartite_dd,
     max_degree,
 )
-from .neighborhood import EdgeNeighborhood, PairType, neighborhoods, shift_forbidden
+from .neighborhood import EdgeLists, EdgeNeighborhood, PairType, compute_neighborhood, edge_lists, shift_forbidden
 from .verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
@@ -103,15 +114,15 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     """Color edges in breadth-first order, always taking the smallest color
     absent from the forbidden set. Raises PaletteExhaustedError when an edge
     has no color left (only possible when some |f_set| >= palette_size)."""
-    return _greedy(g, neighborhoods(g), palette_size)
+    return _greedy(g, edge_lists(g).f_set, palette_size)
 
 
-def _greedy(g: Graph, nbs: list[EdgeNeighborhood], palette_size: int) -> Coloring:
+def _greedy(g: Graph, f_sets: list[list[int]], palette_size: int) -> Coloring:
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     colors = [0] * g.edge_count
     for e in bfs_edge_order(g):
-        used = {colors[f] for f in nbs[e].f_set if colors[f]}
+        used = {colors[f] for f in f_sets[e] if colors[f]}
         chosen = next((c for c in range(1, palette_size + 1) if c not in used), None)
         if chosen is None:
             raise PaletteExhaustedError(e, palette_size)
@@ -124,15 +135,20 @@ class _Engine:
 
     ``table[f]`` maps each color to the number of edges of N2(f) carrying it,
     so f's same-colored 2-neighbor count is ``table[f][colors[f]]``; ``bad``
-    is the set of edges where that count is at least two. ``_recolor`` is the
-    one place that updates them after construction, touching only N2 of the
-    recolored edge, so ``try_move`` scores a candidate by making it and, if
-    it is rejected, undoing it, in O(sum of |N2| over its edges) either way.
+    is the set of edges where that count is at least two, and ``heap`` holds
+    every bad edge, possibly with stale entries beside them. ``_recolor`` is
+    the one place that updates them after construction, touching only N2 of
+    the recolored edge, so ``try_move`` scores a candidate by making it and,
+    if it is rejected, undoing it, in O(sum of |N2| over its edges) either
+    way. A table holds only the colors present, so all of them together hold
+    at most sum |N2| entries whatever the palette.
     """
 
-    def __init__(self, g: Graph, nbs: list[EdgeNeighborhood], coloring: Coloring, debug: bool = False):
+    def __init__(self, g: Graph, lists: EdgeLists, coloring: Coloring, debug: bool = False):
         self.g = g
-        self.nbs = nbs
+        self.n2 = lists.n2
+        self.f_set = lists.f_set
+        self._nbs: dict[int, EdgeNeighborhood] = {}
         self.k = coloring.k
         self.debug = debug
         self.colors = colors = list(coloring.colors)
@@ -140,12 +156,13 @@ class _Engine:
         self.table: list[dict[int, int]] = []
         for e in range(m):
             t: dict[int, int] = {}
-            for f in nbs[e].n2:
+            for f in self.n2[e]:
                 t[colors[f]] = t.get(colors[f], 0) + 1
             self.table.append(t)
         # edges of N2(e) sharing e's color
         counts = [self.table[e].get(colors[e], 0) for e in range(m)]
         self.bad = {e for e in range(m) if counts[e] >= 2}
+        self.heap = sorted(self.bad)
         self.sum_pairs = sum(counts)  # == 2 * kappa2
         self.delta = max_degree(g)
         self.enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
@@ -162,8 +179,27 @@ class _Engine:
     def to_coloring(self) -> Coloring:
         return from_list(self.colors, self.k)
 
+    def nb(self, e: int) -> EdgeNeighborhood:
+        """Edge e's full neighborhood, built on first use and kept."""
+        nb = self._nbs.get(e)
+        if nb is None:
+            nb = self._nbs[e] = compute_neighborhood(self.g, e)
+        return nb
+
     def bad_edges(self) -> list[int]:
         return sorted(self.bad)
+
+    def smallest_bad(self) -> int | None:
+        """The smallest bad edge, dropping stale heap tops; None when there
+        is no bad edge. The heap is rebuilt from the bad set once stale
+        entries make it longer than twice the edge count."""
+        heap, bad = self.heap, self.bad
+        if len(heap) > 2 * self.g.edge_count:
+            heap[:] = bad
+            heapq.heapify(heap)
+        while heap and heap[0] not in bad:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def try_move(self, assignments: dict[int, int], schema: str) -> MoveProposal | None:
         """Make the move if it keeps the coloring good and strictly lowers
@@ -178,7 +214,7 @@ class _Engine:
         for e, ce in x.items():
             if not 1 <= ce <= self.k:
                 return None
-            for h in self.nbs[e].f_set:
+            for h in self.f_set[e]:
                 if x.get(h, colors[h]) == ce:
                     return None
         before = self.potential()
@@ -200,18 +236,20 @@ class _Engine:
         pair sum. Only edges of N2(e) colored old or c change their count."""
         colors = self.colors
         bad = self.bad
+        table = self.table
         old = colors[e]
-        te = self.table[e]
+        te = table[e]
         new_cnt = te.get(c, 0)
         # every pair e loses or gains is also counted once at the other end
         self.sum_pairs += 2 * (new_cnt - te.get(old, 0))
         colors[e] = c
-        if new_cnt >= 2:
-            bad.add(e)
-        else:
+        if new_cnt < 2:
             bad.discard(e)
-        for f in self.nbs[e].n2:
-            t = self.table[f]
+        elif e not in bad:
+            bad.add(e)
+            heapq.heappush(self.heap, e)
+        for f in self.n2[e]:
+            t = table[f]
             left = t[old] - 1
             if left:
                 t[old] = left
@@ -224,6 +262,7 @@ class _Engine:
                 bad.discard(f)
             elif fc == c and joined == 2:
                 bad.add(f)
+                heapq.heappush(self.heap, f)
 
     def _debug_check(self, move: MoveProposal):
         coloring = self.to_coloring()
@@ -242,16 +281,16 @@ class _Engine:
     # color table[e] is exactly its T6 count.
 
     def _s1_candidates(self, e: int):
-        f_colors = {self.colors[f] for f in self.nbs[e].f_set}
+        f_colors = {self.colors[f] for f in self.f_set[e]}
         counts = self.table[e]
         for alpha in range(1, self.k + 1):
             if alpha not in f_colors and counts.get(alpha, 0) <= 1:
                 yield {e: alpha}
 
     def _s2_candidates(self, e: int):
-        for f in sorted(self.nbs[e].n1):
+        for f in sorted(self.nb(e).n1):
             alpha1 = self.colors[f]
-            forb = {self.colors[h] for h in self.nbs[f].f_set}
+            forb = {self.colors[h] for h in self.f_set[f]}
             forb.add(alpha1)
             counts = self.table[f]
             for alpha in range(1, self.k + 1):
@@ -259,7 +298,7 @@ class _Engine:
                     yield {f: alpha, e: alpha1}
 
     def _s4_candidates(self, e: int):
-        for h in sorted(self.nbs[e].n1):
+        for h in sorted(self.nb(e).n1):
             yield {e: self.colors[h], h: self.colors[e]}
 
     def _s3_candidates(self, e: int):
@@ -271,7 +310,7 @@ class _Engine:
     def _s3_grow(self, path: list[int], edges: list[int]):
         g = self.g
         if len(edges) >= 2:
-            m_edges = shift_forbidden(self.nbs[edges[-1]], edges[-2], path[-1])
+            m_edges = shift_forbidden(self.nb(edges[-1]), edges[-2], path[-1])
             used = {self.colors[h] for h in m_edges}
             free = [a for a in range(1, self.k + 1) if a not in used]
             if free:
@@ -294,7 +333,7 @@ class _Engine:
         """The two same-colored 2-neighbors split by side, or None when the
         shape does not match (one per side, single cross vertex each)."""
         g = self.g
-        nb = self.nbs[e]
+        nb = self.nb(e)
         same = [f for f in sorted(nb.n2) if self.colors[f] == self.colors[e]]
         if len(same) != 2:
             return None
@@ -318,7 +357,7 @@ class _Engine:
 
     def _s5_candidates(self, e: int):
         g = self.g
-        nb = self.nbs[e]
+        nb = self.nb(e)
         pair = self._same_colored_pair(e)
         if pair is None:
             return
@@ -342,18 +381,18 @@ class _Engine:
             for gedge in sorted(nb.f_set):
                 if self.colors[gedge] != alpha:
                     continue
-                if e1 not in self.nbs[gedge].n1:
+                if e1 not in self.nb(gedge).n1:
                     yield {f1: alpha, f2: alpha, gedge: alpha2, e: alpha1}
-                if e2 not in self.nbs[gedge].n1:
+                if e2 not in self.nb(gedge).n1:
                     yield {f1: alpha, f2: alpha, gedge: alpha1, e: alpha2}
 
     def _t6_through(self, e: int, w: int) -> list[int]:
         """T6 contacts of e whose cross vertex is w."""
-        return [f for f in sorted(self.nbs[e].t6) if w in self.g.edges[f]]
+        return [f for f in sorted(self.nb(e).t6) if w in self.g.edges[f]]
 
     def _s6_candidates(self, e: int):
         g = self.g
-        nb = self.nbs[e]
+        nb = self.nb(e)
         for a, b in ((nb.u, nb.v), (nb.v, nb.u)):
             for a1 in sorted(w for w in g.neighbors(a) if w != b):
                 g1 = g.edge_between(a, a1)
@@ -368,8 +407,8 @@ class _Engine:
                     beta2 = self.colors[g2]
                     if beta1 == beta2:
                         continue
-                    h1s = [h for h in sorted(self.nbs[g1].side_n2(a1)) if self.colors[h] == beta2]
-                    h2s = [h for h in sorted(self.nbs[g2].side_n2(b1)) if self.colors[h] == beta1]
+                    h1s = [h for h in sorted(self.nb(g1).side_n2(a1)) if self.colors[h] == beta2]
+                    h2s = [h for h in sorted(self.nb(g2).side_n2(b1)) if self.colors[h] == beta1]
                     if len(h1s) != 1 or len(h2s) != 1:
                         continue
                     h1 = h1s[0]
@@ -387,8 +426,8 @@ class _Engine:
                         if f3 == f2:
                             continue
                         s3 = next(x for x in g.edges[f3] if x != b1)
-                        p1s = [h for h in sorted(self.nbs[f2].side_n2(s2)) if self.colors[h] == beta2]
-                        p2s = [h for h in sorted(self.nbs[f3].side_n2(s3)) if self.colors[h] == beta2]
+                        p1s = [h for h in sorted(self.nb(f2).side_n2(s2)) if self.colors[h] == beta2]
+                        p2s = [h for h in sorted(self.nb(f3).side_n2(s3)) if self.colors[h] == beta2]
                         if p1s != [h1]:
                             yield {g1: beta2, f2: beta2, g2: beta1, e: alpha2}
                         if p2s != [h1]:
@@ -400,7 +439,7 @@ class _Engine:
 
     def _s7_candidates(self, e: int):
         g = self.g
-        nb = self.nbs[e]
+        nb = self.nb(e)
         pair = self._same_colored_pair(e)
         if pair is None:
             return
@@ -443,7 +482,7 @@ class _Engine:
         """Consequences of S1 exhaustion for every bad edge."""
         g = self.g
         for e in bad:
-            nb = self.nbs[e]
+            nb = self.nb(e)
             same = [f for f in nb.n2 if self.colors[f] == self.colors[e]]
             if len(same) != 2 or any(f not in nb.t6 for f in same):
                 self._fail(e, "exactly two same-colored contacts, both single-cross")
@@ -465,7 +504,7 @@ class _Engine:
     def _assert_stage2(self, bad: list[int]):
         """Additional consequences of S2 exhaustion."""
         for e in bad:
-            nb = self.nbs[e]
+            nb = self.nb(e)
             same = [f for f in nb.n2 if self.colors[f] == self.colors[e]]
             if sum(1 for f in same if f in nb.n2_u) != 1 or sum(1 for f in same if f in nb.n2_v) != 1:
                 self._fail(e, "one same-colored contact on each side")
@@ -475,7 +514,7 @@ class _Engine:
     def _assert_stage3(self, bad: list[int]):
         """Additional consequences of S4 exhaustion."""
         for e in bad:
-            nb = self.nbs[e]
+            nb = self.nb(e)
             t6u = nb.t6 & nb.n2_u
             t6v = nb.t6 & nb.n2_v
             if len(t6u) != len(t6v):
@@ -494,9 +533,15 @@ class _Engine:
     def find_move(self) -> MoveProposal | None:
         """Make the first accepted candidate of the first schema that has
         one, and return it; None, with nothing changed, when none has."""
-        bad = self.bad_edges()
-        if not bad:
+        first = self.smallest_bad()
+        if first is None:
             return None
+        # the full search below would try these candidates first
+        for assignments in self._s1_candidates(first):
+            move = self.try_move(assignments, "S1")
+            if move is not None:
+                return move
+        bad = self.bad_edges()
         per_edge = [
             ("S1", self._s1_candidates, self._assert_stage1),
             ("S2", self._s2_candidates, self._assert_stage2),
@@ -523,7 +568,7 @@ def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
     seven come up empty (repair then runs the budgeted exact search)."""
     if not is_good_coloring(g, c):
         raise ValueError("find_improving_move requires a good coloring")
-    engine = _Engine(g, neighborhoods(g), c)
+    engine = _Engine(g, edge_lists(g), c)
     if engine.kappa1 == 0:
         raise ValueError("coloring has no bad edges; nothing to improve")
     return engine.find_move()
@@ -541,10 +586,10 @@ def _check_repair_preconditions(g: Graph, c: Coloring):
 
 
 def _repair_engine(
-    g: Graph, nbs: list[EdgeNeighborhood], c: Coloring, debug: bool, mode: str
+    g: Graph, lists: EdgeLists, c: Coloring, debug: bool, mode: str
 ) -> tuple[Coloring, ComponentTrace]:
     """Repair c on g; the trace is that of a greedy_repair component."""
-    engine = _Engine(g, nbs, c, debug=debug)
+    engine = _Engine(g, lists, c, debug=debug)
     moves: dict[str, int] = {}
     trajectory = [engine.potential()]
     fallback_f3 = 0
@@ -599,7 +644,7 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     maximum degree >= 3 outside the covering-edge family. The palette is
     kept; an already-clean coloring is returned unchanged."""
     _check_repair_preconditions(g, c)
-    result, _ = _repair_engine(g, neighborhoods(g), c, debug, mode)
+    result, _ = _repair_engine(g, edge_lists(g), c, debug, mode)
     return result
 
 
@@ -641,8 +686,8 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
     elif (witness := g_family_witness(comp)) is not None:
         strategy, colors = "g_family", list(color_g_family(comp, witness).colors)
     else:
-        nbs = neighborhoods(comp)
-        repaired, trace = _repair_engine(comp, nbs, _greedy(comp, nbs, d * d - 1), debug, mode)
+        lists = edge_lists(comp)
+        repaired, trace = _repair_engine(comp, lists, _greedy(comp, lists.f_set, d * d - 1), debug, mode)
         return list(repaired.colors), trace
     used = len(set(colors))
     bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import semistrong
 from semistrong import families
 from semistrong.cli import cli
 from semistrong.formats import emit_edge_list, emit_graph6, emit_result, parse_edge_list
@@ -117,6 +121,29 @@ def test_gen_family_flags(capsys):
     assert out.splitlines()[0] == "10 13"
     code, out, _ = run(capsys, ["gen", "--family", "random_max_degree", "--n", "10", "--d", "3", "--seed", "5"])
     assert code == 0
+
+
+def test_gen_rejects_random_max_degree_above_its_cap(capsys):
+    n = families.RANDOM_MAX_DEGREE_MAX_N + 1
+    code, out, err = run(capsys, ["gen", "--family", "random_max_degree", "--n", str(n), "--d", "4", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert f"n = {n} is above its cap" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "prism5.txt"
+    path.write_text(emit_edge_list(families.prism(5)), encoding="utf-8")
+    src = str(Path(semistrong.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semistrong", "color", "--mode", "semistrong", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
 
 
 def test_gen_missing_params(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, is_connected, max_degree
-from semistrong.neighborhood import compute_neighborhood, neighborhoods
-from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring
+from semistrong.neighborhood import compute_neighborhood, edge_lists
+from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring, solve
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
@@ -47,7 +48,7 @@ def test_schema_generators_yield_wellformed_candidates():
     rng = random.Random(1)
     g = families.prism(5)
     c = bad_state(g, rng)
-    eng = _Engine(g, neighborhoods(g), c)
+    eng = _Engine(g, edge_lists(g), c)
     gens = [
         eng._s1_candidates,
         eng._s2_candidates,
@@ -88,11 +89,11 @@ def cut_gadget():
 def _pairs_at_distance_two(eng, e):
     """Every two-edge recoloring of edges near bad edge e (e, N1(e), N2(e))
     that lie in each other's N2."""
-    nb = eng.nbs[e]
+    nb = eng.nb(e)
     ball = sorted({e} | nb.n1 | nb.n2)
     for i, x in enumerate(ball):
         for y in ball[i + 1 :]:
-            if y in eng.nbs[x].n2:
+            if y in eng.n2[x]:
                 for ax, ay in itertools.product(range(1, eng.k + 1), repeat=2):
                     if (ax, ay) != (eng.colors[x], eng.colors[y]):
                         yield {x: ax, y: ay}
@@ -115,13 +116,13 @@ def _schema_candidates(eng, e):
 
 def _moved_at_distance_two(eng, cand):
     moved = [edge for edge, color in cand.items() if eng.colors[edge] != color]
-    return any(a in eng.nbs[b].n2 for a in moved for b in moved)
+    return any(a in eng.n2[b] for a in moved for b in moved)
 
 
 def _assert_matches_recount(eng):
     g = eng.g
     for f in range(g.edge_count):
-        assert eng.table[f] == Counter(eng.colors[h] for h in eng.nbs[f].n2)
+        assert eng.table[f] == Counter(eng.colors[h] for h in eng.n2[f])
     rep = badness(g, eng.to_coloring())
     assert eng.bad_edges() == list(rep.bad_edges)
     assert eng.potential() == rep.potential
@@ -143,10 +144,10 @@ def test_try_move_matches_full_recount():
     scored = Counter()
     close = Counter()
     for g, c in states:
-        nbs = neighborhoods(g)
-        eng = _Engine(g, nbs, c)  # only generates candidates, never moves
+        lists = edge_lists(g)
+        eng = _Engine(g, lists, c)  # only generates candidates, never moves
         before = eng.potential()
-        trial = _Engine(g, nbs, c)
+        trial = _Engine(g, lists, c)
         for e in eng.bad_edges():
             for name, gen in _schema_candidates(eng, e):
                 for cand in itertools.islice(gen, 5):
@@ -165,7 +166,7 @@ def test_try_move_matches_full_recount():
                         assert trial.colors == new_colors
                         _assert_matches_recount(trial)
                         assert move.predicted_potential == trial.potential() < before
-                        trial = _Engine(g, nbs, c)
+                        trial = _Engine(g, lists, c)
                     # scored: recolored and its potential read, kept or not
                     scored[name] += good_change
                     close[name] += good_change and _moved_at_distance_two(eng, cand)
@@ -178,7 +179,7 @@ def test_try_move_matches_full_recount():
 def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     g = families.random_max_degree(n, d, seed)
     assert max_degree(g) == d and 200 <= g.edge_count <= 400
-    eng = _Engine(g, neighborhoods(g), greedy_good_coloring(g, d * d - 1))
+    eng = _Engine(g, edge_lists(g), greedy_good_coloring(g, d * d - 1))
     _assert_matches_recount(eng)
     moves = 0
     while eng.kappa1 > 0:
@@ -194,7 +195,7 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
 def test_try_move_rejects_noop():
     g = families.prism(5)
     c = random_good_coloring(g, 8, random.Random(3))
-    eng = _Engine(g, neighborhoods(g), c)
+    eng = _Engine(g, edge_lists(g), c)
     start = _snapshot(eng)
     assert eng.try_move({0: c.colors[0]}, "S1") is None
     assert _snapshot(eng) == start
@@ -205,7 +206,7 @@ def test_repair_on_cut_gadget():
     g, c = cut_gadget()
     assert is_good_coloring(g, c)
     assert badness(g, c).kappa1 >= 1
-    out, trace = _repair_engine(g, neighborhoods(g), c, debug=True, mode="semistrong")
+    out, trace = _repair_engine(g, edge_lists(g), c, debug=True, mode="semistrong")
     assert badness(g, out).kappa1 == 0
     assert trace.fallback_f3 == 0
 
@@ -228,7 +229,7 @@ def test_repair_random_good_starts():
         assert is_connected(g) and max_degree(g) >= 3
         for _ in range(25):
             c = random_good_coloring(g, max_degree(g) ** 2 - 1, rng)
-            out, trace = _repair_engine(g, neighborhoods(g), c, debug=True, mode="semistrong")
+            out, trace = _repair_engine(g, edge_lists(g), c, debug=True, mode="semistrong")
             assert badness(g, out).kappa1 == 0
             assert trace.fallback_f3 == 0
             schemas_seen.update(trace.moves_by_schema)
@@ -244,11 +245,11 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     rng = random.Random(9)
     g = families.prism(5)
     c = bad_state(g, rng)
-    out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="semistrong")
+    out, trace = _repair_engine(g, edge_lists(g), c, debug=False, mode="semistrong")
     assert trace.fallback_f3 == 1
     assert verify_semistrong(g, out).ok
 
-    out, trace = _repair_engine(g, neighborhoods(g), c, debug=False, mode="relaxed01")
+    out, trace = _repair_engine(g, edge_lists(g), c, debug=False, mode="relaxed01")
     assert trace.fallback_f3 == 1
     assert verify_relaxed(g, out, 0, 1).ok
 
@@ -268,10 +269,10 @@ def test_below_bound_run_ends_in_a_verified_f3_coloring():
     g = build_graph(13, BELOW_BOUND_EDGES)
     stuck = from_list(BELOW_BOUND_STUCK, 6)
     assert is_good_coloring(g, stuck) and badness(g, stuck).potential == (1, 4)
-    assert _Engine(g, neighborhoods(g), stuck).find_move() is None
+    assert _Engine(g, edge_lists(g), stuck).find_move() is None
     start = from_list(BELOW_BOUND_START, 6)
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(g, neighborhoods(g), start, debug=True, mode=mode)
+        out, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode=mode)
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
         assert trace.kappa_trajectory[-1] == (1, 4)
         assert trace.fallback_f3 == 1
@@ -287,7 +288,7 @@ def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
     bad = sorted(badness(g, c).bad_edges)
     for mode in ("semistrong", "relaxed01"):
         with pytest.raises(EngineInvariantError, match=re.escape(f"bad edges {bad}")):
-            _repair_engine(g, neighborhoods(g), c, debug=False, mode=mode)
+            _repair_engine(g, edge_lists(g), c, debug=False, mode=mode)
 
 
 def test_deep_schemas_produce_accepted_moves():
@@ -301,12 +302,102 @@ def test_deep_schemas_produce_accepted_moves():
             c = random_good_coloring(g, k, rng)
             if badness(g, c).kappa1 == 0:
                 continue
-            nbs = neighborhoods(g)
+            lists = edge_lists(g)
             for e in sorted(badness(g, c).bad_edges):
                 for name in ("S3", "S4", "S6", "S7"):
                     # a fresh engine per schema: an accepted move stays made
-                    eng = _Engine(g, nbs, c)
+                    eng = _Engine(g, lists, c)
                     gen = getattr(eng, f"_{name.lower()}_candidates")
                     if any(eng.try_move(cand, name) is not None for cand in gen(e)):
                         accepted.add(name)
     assert {"S3", "S4", "S6", "S7"} <= accepted
+
+
+def test_on_demand_neighborhood_matches_compute_neighborhood():
+    for g in [families.prism(5), families.c7_blowup(), families.h_graph(4), cut_gadget()[0]]:
+        eng = _Engine(g, edge_lists(g), greedy_good_coloring(g, max_degree(g) ** 2 - 1))
+        assert eng._nbs == {}  # nothing is built up front
+        for e in range(g.edge_count):
+            nb, one = eng.nb(e), compute_neighborhood(g, e)
+            assert eng.nb(e) is nb
+            assert (nb.edge, nb.u, nb.v, nb.n1, nb.n2, nb.f_set) == (one.edge, one.u, one.v, one.n1, one.n2, one.f_set)
+            assert (nb.t6, nb.n2_u, nb.n2_v, nb.c_delta, nb.type_of) == (one.t6, one.n2_u, one.n2_v, one.c_delta, one.type_of)
+
+
+def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
+    rng = random.Random(31)
+    made = Counter()
+    for g in [families.prism(5), families.c7_blowup(), families.random_max_degree(30, 4, 7)]:
+        k = max_degree(g) ** 2 - 1
+        eng = _Engine(g, edge_lists(g), random_good_coloring(g, k, rng))
+        for _ in range(400):
+            edges = rng.sample(range(g.edge_count), rng.choice((1, 2, 3)))
+            move = eng.try_move({e: rng.randint(1, k) for e in edges}, "random")
+            made[move is not None] += 1
+            assert eng.smallest_bad() == min(eng.bad, default=None)
+            assert eng.bad <= set(eng.heap) and len(eng.heap) <= 2 * g.edge_count
+            if not eng.bad:
+                eng = _Engine(g, edge_lists(g), random_good_coloring(g, k, rng))
+    assert made[True] > 0 and made[False] > 0
+
+
+def test_s1_only_repair_never_sorts_the_bad_set(monkeypatch):
+    sorts = []
+    bad_edges = _Engine.bad_edges
+
+    def counting(self):
+        sorts.append(len(self.bad))
+        return bad_edges(self)
+
+    monkeypatch.setattr(_Engine, "bad_edges", counting)
+    g = families.random_max_degree(130, 6, 3)
+    d = max_degree(g)
+    start = greedy_good_coloring(g, d * d - 1)
+    assert badness(g, start).kappa1 > 100
+    for debug in (False, True):
+        out, trace = _repair_engine(g, edge_lists(g), start, debug=debug, mode="semistrong")
+        assert badness(g, out).kappa1 == 0
+        assert set(trace.moves_by_schema) == {"S1"} and trace.moves_by_schema["S1"] > 100
+    assert sorts == []
+
+
+def _hub_graph():
+    """A seeded graph of maximum degree 3 with 2,850 edges, plus one vertex
+    of degree 40 joined to it, so the palette is 40^2 - 1 while almost every
+    N2 is small."""
+    rng = random.Random(5)
+    n = 1950
+    deg = [0] * n
+    pairs = set()
+    for _ in range(10 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in pairs:
+            deg[u] += 1
+            deg[v] += 1
+            pairs.add((u, v))
+    spokes = [(w, n) for w in rng.sample(range(n), 40)]
+    return build_graph(n + 1, sorted(pairs) + spokes)
+
+
+def test_count_tables_grow_with_n2_not_with_the_palette():
+    hub = _hub_graph()
+    g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
+    assert max_degree(g) == 40 and g.edge_count > 2500
+    lists = edge_lists(g)
+    eng = _Engine(g, lists, solver._greedy(g, lists.f_set, 40 * 40 - 1))
+    n2_total = sum(len(n2) for n2 in lists.n2)
+    assert sum(len(t) for t in eng.table) <= n2_total
+    while eng.find_move() is not None:
+        pass
+    assert eng.kappa1 == 0
+    assert sum(len(t) for t in eng.table) <= n2_total
+    # the whole solve: per-edge frozenset neighborhoods peaked at 6.4 MiB
+    # here, and a dense palette-sized table per edge at about 38 MiB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert solve(hub, "semistrong").certificates["semistrong"]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

@@ -75,6 +75,14 @@ def test_random_max_degree_respects_cap_and_seed():
     assert families.random_max_degree(12, 4, 0).edges != families.random_max_degree(12, 4, 1).edges
 
 
+def test_random_max_degree_rejects_n_above_its_cap():
+    cap = families.RANDOM_MAX_DEGREE_MAX_N
+    with pytest.raises(ValueError, match=f"above its cap of {cap}"):
+        families.random_max_degree(cap + 1, 3, 1)
+    with pytest.raises(ValueError, match="above its cap"):
+        families.make("random_max_degree", n=10**6, d=4, seed=1)
+
+
 def test_witness_over_families():
     assert g_family_witness(families.complete_bipartite(4, 4)) is not None
     assert g_family_witness(families.prism(3)) is not None

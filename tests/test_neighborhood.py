@@ -14,7 +14,7 @@ from _oracles import (
 )
 from semistrong import families
 from semistrong.graph import build_graph, max_degree
-from semistrong.neighborhood import PairType, compute_neighborhood, m_set, neighborhoods, observation_bound
+from semistrong.neighborhood import PairType, compute_neighborhood, edge_lists, m_set, observation_bound
 
 CORPUS = [
     families.cycle(4),
@@ -235,10 +235,20 @@ def test_derived_fields_match_eager_recomputation():
             }
 
 
-def test_neighborhoods_match_single_edge_builds():
-    for g in CORPUS:
-        nbs = neighborhoods(g)
-        assert len(nbs) == g.edge_count
-        for e, nb in enumerate(nbs):
+def _atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    for G in nx.graph_atlas_g():
+        yield build_graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
+
+
+def test_edge_lists_match_single_edge_builds():
+    # every graph with at most 7 vertices, the corpus, and seeded random graphs
+    randoms = [families.random_max_degree(n, d, seed) for seed, (n, d) in enumerate([(30, 3), (40, 5), (60, 6)] * 3)]
+    for g in [*_atlas_graphs(), *CORPUS, *randoms]:
+        lists = edge_lists(g)
+        assert len(lists.n2) == len(lists.f_set) == g.edge_count
+        for e in range(g.edge_count):
             one = compute_neighborhood(g, e)
-            assert (nb.edge, nb.n1, nb.n2, nb.f_set) == (e, one.n1, one.n2, one.f_set)
+            n2, f_set = lists.n2[e], lists.f_set[e]
+            assert len(set(n2)) == len(n2) and len(set(f_set)) == len(f_set)
+            assert (set(n2), set(f_set)) == (one.n2, one.f_set)

@@ -4,7 +4,7 @@ import random
 
 from semistrong import families
 from semistrong.graph import g_family_witness, max_degree
-from semistrong.neighborhood import compute_neighborhood, neighborhoods
+from semistrong.neighborhood import compute_neighborhood, edge_lists
 from semistrong.solver import _repair_engine, greedy_good_coloring
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
@@ -28,7 +28,7 @@ def test_clean_good_colorings_pass_both_verifiers():
     for g in _qualifying_random_graphs(40, rng):
         d = max_degree(g)
         start = greedy_good_coloring(g, d * d - 1)
-        coloring, _ = _repair_engine(g, neighborhoods(g), start, debug=False, mode="semistrong")
+        coloring, _ = _repair_engine(g, edge_lists(g), start, debug=False, mode="semistrong")
         assert is_good_coloring(g, coloring)
         assert badness(g, coloring).kappa1 == 0
         assert verify_semistrong(g, coloring).ok
@@ -41,7 +41,7 @@ def test_move_count_within_potential_bound():
         d = max_degree(g)
         start = greedy_good_coloring(g, d * d - 1)
         rep = badness(g, start)
-        _, trace = _repair_engine(g, neighborhoods(g), start, debug=False, mode="semistrong")
+        _, trace = _repair_engine(g, edge_lists(g), start, debug=False, mode="semistrong")
         moves = sum(trace.moves_by_schema.values())
         assert moves <= rep.kappa1 * (rep.kappa2 + 1) + rep.kappa2
 

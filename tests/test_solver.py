@@ -7,7 +7,7 @@ import pytest
 from semistrong import families
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, g_family_witness, max_degree
-from semistrong.neighborhood import compute_neighborhood, neighborhoods
+from semistrong.neighborhood import compute_neighborhood, edge_lists
 from semistrong.solver import (
     PaletteExhaustedError,
     _repair_engine,
@@ -145,7 +145,7 @@ def test_repair_trajectory_strictly_decreasing():
         if d < 3 or g_family_witness(g) is not None:
             continue
         start = greedy_good_coloring(g, d * d - 1)
-        coloring, trace = _repair_engine(g, neighborhoods(g), start, debug=True, mode="semistrong")
+        coloring, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode="semistrong")
         traj = trace.kappa_trajectory
         for a, b in zip(traj, traj[1:]):
             assert b < a
@@ -255,12 +255,18 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
     from semistrong.formats import emit_result
 
     built = []
+    single = []
 
     def counting(graph):
         built.append(graph)
-        return neighborhood.neighborhoods(graph)
+        return neighborhood.edge_lists(graph)
 
-    monkeypatch.setattr(solver, "neighborhoods", counting)
+    def counting_single(graph, e):
+        single.append(graph)
+        return neighborhood.compute_neighborhood(graph, e)
+
+    monkeypatch.setattr(solver, "edge_lists", counting)
+    monkeypatch.setattr(solver, "compute_neighborhood", counting_single)
     rng = random.Random(12)
     parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
     n = sum(p.vertex_count for p in parts)
@@ -274,6 +280,7 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
     g = build_graph(n, pairs)
     for mode in ("semistrong", "relaxed01"):
         built.clear()
+        single.clear()
         res = solve(g, mode, debug=True)
         assert res.certificates[mode]
         assert '"valid": true' in emit_result(g, res)
@@ -282,4 +289,4 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
         repaired = [t for t in res.trace if t.strategy == "greedy_repair"]
         assert len(repaired) == 1
         assert [(h.vertex_count, h.edge_count) for h in built] == [(t.vertices, t.edges) for t in repaired]
-        assert all(h is not g for h in built)
+        assert all(h is not g for h in built + single)
