@@ -30,7 +30,7 @@ from .formats import (
 )
 from .graph import Graph, GraphError, max_degree
 from .solver import solve
-from .verify import badness, verify_relaxed, verify_semistrong, verify_strong
+from .verify import badness, verify_mode
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -142,12 +142,7 @@ def _cmd_verify(args) -> int:
     coloring = parse_coloring(_read_text(args.coloring))
     if len(coloring.colors) != g.edge_count:
         raise FormatError("bad_coloring", f"coloring has {len(coloring.colors)} colors for {g.edge_count} edges")
-    if args.mode == "semistrong":
-        res = verify_semistrong(g, coloring)
-    elif args.mode == "strong":
-        res = verify_strong(g, coloring)
-    else:
-        res = verify_relaxed(g, coloring, args.s, args.t)
+    res = verify_mode(g, coloring, args.mode, args.s, args.t)
     report = badness(g, coloring)
     doc = {
         "mode": args.mode if args.mode != "relaxed" else f"relaxed({args.s},{args.t})",

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .coloring import Coloring
 from .graph import Graph, bfs_edge_order
 from .neighborhood import rings
-from .verify import verify_relaxed, verify_semistrong, verify_strong
+from .verify import verify_mode
 
 MODES = ("semistrong", "strong", "relaxed")
 
@@ -391,14 +391,6 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
         undo(tokens[pos])
 
 
-def _verify_certificate(g: Graph, mode: str, coloring: Coloring, s: int, t: int) -> bool:
-    if mode == "semistrong":
-        return verify_semistrong(g, coloring).ok
-    if mode == "strong":
-        return verify_strong(g, coloring).ok
-    return verify_relaxed(g, coloring, s, t).ok
-
-
 def feasibility(
     g: Graph, mode: str, k: int, budget: Budget | None = None, s: int = 0, t: int = 0
 ) -> FeasibilityResult:
@@ -420,7 +412,7 @@ def _feasibility(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, lay
     if colors is None:
         return FeasibilityResult("unsat", None, clock.nodes - start_nodes)
     cert = Coloring(tuple(colors), k)
-    if not _verify_certificate(g, mode, cert, s, t):
+    if not verify_mode(g, cert, mode, s, t).ok:
         raise AssertionError(f"search produced an invalid {mode} certificate; this is a bug")
     return FeasibilityResult("sat", cert, clock.nodes - start_nodes)
 

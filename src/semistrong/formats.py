@@ -223,7 +223,9 @@ def parse_coloring(text: str) -> Coloring:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("bad_json", f"coloring file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("bad_coloring", "coloring file must hold a JSON object with a 'colors' field")
     colors = doc.get("colors")
-    if not isinstance(colors, list) or any(not isinstance(c, int) for c in colors):
+    if not isinstance(colors, list) or any(type(c) is not int for c in colors):
         raise FormatError("bad_coloring", "JSON field 'colors' must be a list of integers")
     return from_list(colors)

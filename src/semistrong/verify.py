@@ -1,13 +1,11 @@
 """Ground-truth checkers for the matching and coloring notions, plus the
 bad-edge / bad-pair accounting that drives the repair engine.
 
-All functions are pure; witnesses always report the lexicographically
-smallest failure so tests are reproducible.
-
-The per-edge checks (verify_relaxed, is_good_coloring, badness) count
-same-colored contacts straight from the adjacency, in O(m·Δ), and share no
-data with the neighborhoods that greedy and the repair engine build, so
-they are an independent check of the engine's own tables.
+Every checker reads one color index (per vertex, its edges by color) and
+applies its rule edge by edge, in O(m·Δ); a witness is always the smallest
+offending (color, edge). All functions are pure and share no data with the
+neighborhoods that greedy and the repair engine build, so they are an
+independent check of the engine's own tables.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .coloring import Coloring
+from .coloring import Coloring, from_list
 from .graph import Graph
 
 
@@ -27,124 +25,83 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-def _induced_degrees(g: Graph, edge_ids: Iterable[int]) -> dict[int, int]:
-    """Degrees in the subgraph induced by the endpoints of the given edges."""
-    verts: set[int] = set()
-    for e in edge_ids:
-        u, v = g.edges[e]
-        verts.add(u)
-        verts.add(v)
-    return {x: sum(1 for w, _ in g.adjacency[x] if w in verts) for x in verts}
+def _color_index(g: Graph, c: Coloring) -> list[dict[int, list[int]]]:
+    """at[x][color] = the edges of that color at vertex x, in index order."""
+    if len(c.colors) != len(g.edges):
+        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
+    at: list[dict[int, list[int]]] = [{} for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.edges):
+        ce = c.colors[e]
+        at[u].setdefault(ce, []).append(e)
+        at[v].setdefault(ce, []).append(e)
+    return at
 
 
-def _is_matching(g: Graph, edge_ids: list[int]) -> bool:
-    seen: set[int] = set()
-    for e in edge_ids:
-        u, v = g.edges[e]
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
+def verify_semistrong(g: Graph, c: Coloring) -> VerifyResult:
+    """Every color class M is a semistrong matching: each edge of M shares
+    no vertex with another edge of M and has an endpoint of degree 1 in
+    G[V(M)], i.e. an endpoint with no other neighbor on an edge of M."""
+    at = _color_index(g, c)
+    colors = c.colors
+    adjacency = g.adjacency
+    best: tuple[int, int] | None = None
+    for e, (u, v) in enumerate(g.edges):
+        ce = colors[e]
+        if best is not None and ce >= best[0]:
+            continue  # edges come in index order: no smaller witness of a color >= best's
+        if len(at[u][ce]) + len(at[v][ce]) > 2 or (
+            any(w != v and ce in at[w] for w, _ in adjacency[u])
+            and any(w != u and ce in at[w] for w, _ in adjacency[v])
+        ):
+            best = (ce, e)
+    return VerifyResult(best is None, best)
+
+
+def verify_strong(g: Graph, c: Coloring) -> VerifyResult:
+    """Every color class is an induced matching (relaxed with s = t = 0)."""
+    return verify_relaxed(g, c, 0, 0)
+
+
+def _one_class(g: Graph, m: Iterable[int]) -> Coloring:
+    """m in color 1, every other edge in a color of its own."""
+    colors = list(range(2, len(g.edges) + 2))
+    for e in m:
+        colors[e] = 1
+    return from_list(colors)
 
 
 def is_semistrong_matching(g: Graph, m: Iterable[int]) -> bool:
     """m is a matching and each of its edges keeps an endpoint of degree 1 in
     the subgraph induced by m's endpoints."""
-    edge_ids = sorted(set(m))
-    if not _is_matching(g, edge_ids):
-        return False
-    deg = _induced_degrees(g, edge_ids)
-    return all(deg[g.edges[e][0]] == 1 or deg[g.edges[e][1]] == 1 for e in edge_ids)
+    return verify_semistrong(g, _one_class(g, m)).ok
 
 
 def is_induced_matching(g: Graph, m: Iterable[int]) -> bool:
     """m is a matching with all induced-subgraph degrees equal to 1
     (no two edges at distance 1 or 2)."""
-    edge_ids = sorted(set(m))
-    if not _is_matching(g, edge_ids):
-        return False
-    deg = _induced_degrees(g, edge_ids)
-    return all(d == 1 for d in deg.values())
+    return verify_strong(g, _one_class(g, m)).ok
 
 
-def _first_offender_matching(g: Graph, edge_ids: list[int]) -> int:
-    """Smallest edge sharing a vertex with another edge of the class."""
-    use: dict[int, int] = {}
-    clash = len(g.edges)
-    for e in edge_ids:
-        for x in g.edges[e]:
-            if x in use:
-                clash = min(clash, use[x], e)
-            else:
-                use[x] = e
-    return clash
-
-
-def _check_classes(g: Graph, c: Coloring, class_ok, offender) -> VerifyResult:
-    if len(c.colors) != len(g.edges):
-        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
-    best: tuple[int, int] | None = None
-    for color, edge_ids in sorted(c.classes().items()):
-        if class_ok(g, edge_ids):
-            continue
-        cand = (color, offender(g, edge_ids))
-        if best is None or cand < best:
-            best = cand
-    return VerifyResult(best is None, best)
-
-
-def _semistrong_offender(g: Graph, edge_ids: list[int]) -> int:
-    if not _is_matching(g, edge_ids):
-        return _first_offender_matching(g, edge_ids)
-    deg = _induced_degrees(g, edge_ids)
-    for e in edge_ids:
-        u, v = g.edges[e]
-        if deg[u] != 1 and deg[v] != 1:
-            return e
-    raise AssertionError("offender requested for a valid class")
-
-
-def _induced_offender(g: Graph, edge_ids: list[int]) -> int:
-    if not _is_matching(g, edge_ids):
-        return _first_offender_matching(g, edge_ids)
-    deg = _induced_degrees(g, edge_ids)
-    for e in edge_ids:
-        u, v = g.edges[e]
-        if deg[u] != 1 or deg[v] != 1:
-            return e
-    raise AssertionError("offender requested for a valid class")
-
-
-def verify_semistrong(g: Graph, c: Coloring) -> VerifyResult:
-    """Every color class is a semistrong matching."""
-    return _check_classes(g, c, is_semistrong_matching, _semistrong_offender)
-
-
-def verify_strong(g: Graph, c: Coloring) -> VerifyResult:
-    """Every color class is an induced matching."""
-    return _check_classes(g, c, is_induced_matching, _induced_offender)
+def verify_mode(g: Graph, c: Coloring, mode: str, s: int = 0, t: int = 0) -> VerifyResult:
+    """The checker of a verify/exact mode: semistrong, strong or relaxed(s,t)."""
+    if mode == "relaxed":
+        return verify_relaxed(g, c, s, t)
+    return {"semistrong": verify_semistrong, "strong": verify_strong}[mode](g, c)
 
 
 def _same_colored_contacts(g: Graph, c: Coloring) -> Iterator[tuple[int, int, int, dict[int, int]]]:
     """(e, color of e, same-colored 1-neighbor count, {same-colored
     2-neighbor f: cross edges between e and f}) for every edge in order.
 
-    Edges are indexed per vertex by color; for e = uv of color c the walk
-    reads the color-c edges at each neighbor w of u (resp. v), reaching every
-    same-colored 2-neighbor once per cross edge. A count of 1 is a T6 contact,
-    anything higher puts f in e's forbidden set.
+    For e = uv of color c the walk reads the color-c edges of the index at
+    each neighbor w of u (resp. v), reaching every same-colored 2-neighbor
+    once per cross edge. A count of 1 is a T6 contact, anything higher puts
+    f in e's forbidden set.
     """
-    if len(c.colors) != len(g.edges):
-        raise ValueError(f"coloring has {len(c.colors)} entries for {len(g.edges)} edges")
+    at = _color_index(g, c)
     colors = c.colors
     edges = g.edges
     adjacency = g.adjacency
-    at: list[dict[int, list[int]]] = [{} for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(edges):
-        ce = colors[e]
-        at[u].setdefault(ce, []).append(e)
-        at[v].setdefault(ce, []).append(e)
     for e, (u, v) in enumerate(edges):
         ce = colors[e]
         d1 = len(at[u][ce]) + len(at[v][ce]) - 2
@@ -162,7 +119,7 @@ def _same_colored_contacts(g: Graph, c: Coloring) -> Iterator[tuple[int, int, in
 
 def verify_relaxed(g: Graph, c: Coloring, s: int, t: int) -> VerifyResult:
     """Per edge: at most s same-colored 1-neighbors and at most t same-colored
-    2-neighbors. (0,0) coincides with verify_strong."""
+    2-neighbors. (0,0) is verify_strong."""
     if s < 0 or t < 0:
         raise ValueError(f"s,t must be >= 0, got ({s},{t})")
     best: tuple[int, int] | None = None

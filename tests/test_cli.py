@@ -277,6 +277,27 @@ def test_verify_names_the_file_that_is_not_utf8(tmp_path, capsys, bad_flag):
     assert err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("text", ['[1, 2, 3, 4]', '{"colors": [true, true, true, true]}'])
+def test_verify_rejects_a_malformed_coloring_with_exit_2(tmp_path, capsys, text):
+    gpath = tmp_path / "c4.txt"
+    gpath.write_text(emit_edge_list(families.cycle(4)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(text)
+    code, out, err = run(capsys, ["verify", "--mode", "strong", "--graph", str(gpath), "--coloring", str(cpath)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "colors" in err
+
+
+def test_verify_reports_the_smallest_offending_edge(tmp_path, capsys):
+    gpath = tmp_path / "p6.txt"
+    gpath.write_text(emit_edge_list(families.path(6)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"colors": [1, 2, 1, 1, 3]}))
+    code, out, _ = run(capsys, ["verify", "--mode", "strong", "--graph", str(gpath), "--coloring", str(cpath)])
+    assert code == 1
+    assert json.loads(out) == {"mode": "strong", "valid": False, "witness": {"color": 1, "edge": 0}, "kappa1": 0, "kappa2": 1}
+
+
 def test_color_names_stdin_that_is_not_utf8(capsys, monkeypatch):
     code, out, err = run(capsys, ["color", "--mode", "semistrong"], stdin=b"\xff\xfe\x00", monkeypatch=monkeypatch)
     assert code == 2 and out == ""

@@ -194,6 +194,10 @@ def test_parse_coloring_errors():
         parse_coloring("not json")
     with pytest.raises(FormatError):
         parse_coloring('{"colors": "nope"}')
+    for text in ('[1, 2]', '"colors"', '3', 'null', '{"colors": [true, true]}', '{"colors": [1, false]}'):
+        with pytest.raises(FormatError) as exc:
+            parse_coloring(text)
+        assert exc.value.reason == "bad_coloring"
 
 
 def test_emit_is_byte_stable():

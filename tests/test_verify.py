@@ -9,6 +9,7 @@ from _oracles import (
     cross_edges,
     edge_distance_class,
     has_triangle,
+    induced_degrees,
     naive_badness,
     naive_is_induced,
     naive_is_semistrong,
@@ -22,6 +23,7 @@ from semistrong.verify import (
     is_good_coloring,
     is_induced_matching,
     is_semistrong_matching,
+    verify_mode,
     verify_relaxed,
     verify_semistrong,
     verify_strong,
@@ -125,8 +127,9 @@ def test_relaxed00_equals_strong_on_random_pairs():
         if g.edge_count == 0:
             continue
         k = rng.randint(1, g.edge_count)
-        c = from_list([rng.randint(1, k) for _ in range(g.edge_count)], k)
-        assert verify_relaxed(g, c, 0, 0).ok == verify_strong(g, c).ok
+        colors = [rng.randint(1, k) for _ in range(g.edge_count)]
+        c = from_list(colors, k)
+        assert verify_relaxed(g, c, 0, 0).ok == verify_strong(g, c).ok == naive_verify(g, colors, "strong")
         checked += 1
 
 
@@ -275,6 +278,24 @@ def _oracle_relaxed_witness(g, colors, s, t):
     return min(worst, default=None)
 
 
+def _oracle_matching_witness(g, colors, strong):
+    """Smallest (color, edge) of a class M where the edge shares a vertex
+    with another edge of M, or has no endpoint (strong: not both endpoints)
+    of degree 1 in G[V(M)], by pairwise enumeration and induced degrees."""
+    classes = {}
+    for e, ce in enumerate(colors):
+        classes.setdefault(ce, []).append(e)
+    worst = []
+    for ce, ids in classes.items():
+        deg = induced_degrees(g, ids)
+        for e in ids:
+            clash = any(edge_distance_class(g, e, f) == 1 for f in ids if f != e)
+            loose = [deg[x] != 1 for x in g.edges[e]]
+            if clash or (any(loose) if strong else all(loose)):
+                worst.append((ce, e))
+    return min(worst, default=None)
+
+
 def test_verify_relaxed_matches_oracle_for_every_cap():
     rng = random.Random(47)
     failing = 0
@@ -286,5 +307,49 @@ def test_verify_relaxed_matches_oracle_for_every_cap():
             res = verify_relaxed(g, c, s, t)
             assert res.ok == naive_verify(g, colors, "relaxed", s, t)
             assert res.witness == _oracle_relaxed_witness(g, colors, s, t)
+            assert verify_mode(g, c, "relaxed", s, t) == res
             failing += not res.ok
+        for mode, strong in (("semistrong", False), ("strong", True)):
+            res = verify_mode(g, c, mode)
+            assert res.ok == naive_verify(g, colors, mode)
+            assert res.witness == _oracle_matching_witness(g, colors, strong), (mode, g.edges, colors)
     assert failing >= 100
+
+
+def test_matching_witnesses_match_oracle_on_sparse_colorings():
+    """Colorings near validity, where a class is often a matching except
+    for one clash and the smallest offender need not be on the clash."""
+    rng = random.Random(53)
+    outcomes = {"semistrong": [], "strong": []}
+    for _ in range(300):
+        g = families.random_max_degree(rng.randint(5, 10), rng.randint(2, 4), rng.randint(0, 10**6))
+        if g.edge_count < 2:
+            continue
+        colors = list(range(1, g.edge_count + 1))
+        for _ in range(rng.randint(1, 4)):  # merge a few classes of the rainbow coloring
+            colors[rng.randrange(g.edge_count)] = colors[rng.randrange(g.edge_count)]
+        c = from_list(colors)
+        for mode, check, strong in (("semistrong", verify_semistrong, False), ("strong", verify_strong, True)):
+            res = check(g, c)
+            assert res.ok == naive_verify(g, colors, mode)
+            assert res.witness == _oracle_matching_witness(g, colors, strong), (mode, g.edges, colors)
+            outcomes[mode].append(res.ok)
+    for seen in outcomes.values():
+        assert seen.count(True) >= 20 and seen.count(False) >= 100
+
+
+def test_witness_is_the_smallest_offender_not_the_smallest_clash():
+    # color 1 = edges {0, 2, 3}: 2 and 3 share vertex 3, but edge 0 already
+    # sits at distance 2 from edge 2, so it breaks the strong rule first
+    g = families.path(6)
+    c = from_list([1, 2, 1, 1, 3])
+    assert verify_strong(g, c).witness == (1, 0)
+    assert verify_semistrong(g, c).witness == (1, 2)  # vertex 0 keeps edge 0 semistrong
+    # color 1 = edges {1, 4, 5, 6, 11}: 4 and 5 share vertex 3, while both
+    # ends of edge 1 = (1, 2) see class vertex 0, so neither has degree 1
+    g = build_graph(
+        8,
+        [(0, 1), (1, 2), (0, 2), (5, 6), (0, 3), (3, 5), (3, 4), (1, 7), (2, 5), (4, 7), (6, 7), (4, 6)],
+    )
+    c = from_list([2, 1, 2, 2, 1, 1, 1, 2, 2, 2, 2, 1])
+    assert verify_semistrong(g, c).witness == (1, 1)
