@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import time
@@ -21,6 +20,7 @@ from . import families
 from .exact import Budget, exact_index
 from .formats import (
     FormatError,
+    _dumps,
     emit_edge_list,
     emit_graph6,
     emit_result,
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> int:
         "kappa1": report.kappa1,
         "kappa2": report.kappa2,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
     return EXIT_OK if res.ok else EXIT_INVALID
 
 

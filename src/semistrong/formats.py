@@ -184,9 +184,7 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
     """
     if isinstance(result, SolveResult):
         doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
-        rep = compute_badness(g, result.coloring)
-        doc["kappa1"] = rep.kappa1
-        doc["kappa2"] = rep.kappa2
+        doc["kappa1"], doc["kappa2"] = result.kappa
         doc["trace"] = [_trace_json(t) for t in result.trace]
         doc["certificates"] = dict(sorted(result.certificates.items()))
     elif isinstance(result, ExactResult):
@@ -214,7 +212,63 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
         doc["bad_pairs"] = [list(p) for p in result.bad_pairs]
     else:
         raise TypeError(f"cannot emit {type(result).__name__}")
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps(doc) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for any value
+    whose dicts have str keys.
+
+    With an indent CPython's json falls back to its pure-Python encoder; this
+    writer dispatches on exact type and joins an all-int list in one call.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:  # floats, subclasses: the stdlib encoder, re-indented to this depth
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def parse_coloring(text: str) -> Coloring:

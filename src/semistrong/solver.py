@@ -59,7 +59,7 @@ from .graph import (
     max_degree,
 )
 from .neighborhood import EdgeLists, EdgeNeighborhood, PairType, compute_neighborhood, edge_lists, shift_forbidden
-from .verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
+from .verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
 MAX_SHIFT_PATH_EDGES = 8
@@ -108,6 +108,7 @@ class SolveResult:
     mode: str
     trace: list[ComponentTrace]
     certificates: dict[str, bool]
+    kappa: tuple[int, int]  # (kappa1, kappa2) of the coloring
 
 
 def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
@@ -717,10 +718,14 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
             colors[pe] = local_colors[le]
         traces.append(trace)
     coloring = from_list(colors, max(colors, default=0))
-    certificates = {
-        "semistrong": verify_semistrong(g, coloring).ok,
-        "relaxed01": verify_relaxed(g, coloring, 0, 1).ok,
-    }
+    cert = certify(g, coloring)
+    if debug and cert != (
+        verify_semistrong(g, coloring),
+        verify_relaxed(g, coloring, 0, 1),
+        badness(g, coloring).potential,
+    ):
+        raise EngineInvariantError("certify disagrees with the independent checkers")
+    certificates = {"semistrong": cert.semistrong.ok, "relaxed01": cert.relaxed01.ok}
     if not certificates[mode]:
         raise EngineInvariantError(f"solve produced an invalid {mode} coloring")
     return SolveResult(
@@ -729,4 +734,5 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
         mode=mode,
         trace=traces,
         certificates=certificates,
+        kappa=cert.kappa,
     )

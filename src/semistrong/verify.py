@@ -6,6 +6,12 @@ applies its rule edge by edge, in O(m·Δ); a witness is always the smallest
 offending (color, edge). All functions are pure and share no data with the
 neighborhoods that greedy and the repair engine build, so they are an
 independent check of the engine's own tables.
+
+``certify`` is the solve-time pass: one index and one contact walk give both
+of the theorem's certificates (semistrong and (0,1)-relaxed) and (κ₁, κ₂).
+``verify_semistrong``, ``verify_relaxed`` and ``badness`` are the independent
+checkers, each with its own walk; tests and ``solve(debug=True)`` hold
+``certify`` to them.
 """
 
 from __future__ import annotations
@@ -63,9 +69,12 @@ def verify_strong(g: Graph, c: Coloring) -> VerifyResult:
 
 
 def _one_class(g: Graph, m: Iterable[int]) -> Coloring:
-    """m in color 1, every other edge in a color of its own."""
+    """m in color 1, every other edge in a color of its own. Raises
+    ValueError for an edge id outside [0, m)."""
     colors = list(range(2, len(g.edges) + 2))
     for e in m:
+        if not 0 <= e < len(colors):
+            raise ValueError(f"edge id {e} outside [0, {len(colors)})")
         colors[e] = 1
     return from_list(colors)
 
@@ -136,6 +145,59 @@ def is_good_coloring(g: Graph, c: Coloring) -> bool:
     return all(
         d1 == 0 and all(count == 1 for count in same.values())
         for _, _, d1, same in _same_colored_contacts(g, c)
+    )
+
+
+class Certificate(NamedTuple):
+    semistrong: VerifyResult
+    relaxed01: VerifyResult
+    kappa: tuple[int, int]  # (kappa1, kappa2), as badness(...).potential
+
+
+def certify(g: Graph, c: Coloring) -> Certificate:
+    """verify_semistrong, verify_relaxed(g, c, 0, 1) and badness(g, c).potential
+    in one walk over the same-colored contacts of every edge.
+
+    For e = uv of color c with no other color-c edge at u or v, every color-c
+    edge at a neighbor w of u (resp. v) is a same-colored 2-neighbor, and e
+    breaks the semistrong rule iff both u and v have such a neighbor.
+    """
+    at = _color_index(g, c)
+    colors = c.colors
+    edges = g.edges
+    adjacency = g.adjacency
+    semistrong: tuple[int, int] | None = None
+    relaxed: tuple[int, int] | None = None
+    kappa1 = contacts = 0
+    for e, (u, v) in enumerate(edges):
+        ce = colors[e]
+        clash = len(at[u][ce]) + len(at[v][ce]) > 2
+        same: set[int] = set()
+        sides = 0
+        for a, b in ((u, v), (v, u)):
+            hit = False
+            for w, _ in adjacency[a]:
+                fs = at[w].get(ce)
+                if fs and w != b:
+                    hit = True
+                    if clash:
+                        same.update(f for f in fs if a not in edges[f] and b not in edges[f])
+                    else:
+                        same.update(fs)
+            sides += hit
+        n2 = len(same)
+        contacts += n2
+        if n2 >= 2:
+            kappa1 += 1
+        if (clash or sides == 2) and (semistrong is None or (ce, e) < semistrong):
+            semistrong = (ce, e)
+        if (clash or n2 > 1) and (relaxed is None or (ce, e) < relaxed):
+            relaxed = (ce, e)
+    # the 2-neighbor relation is symmetric, so each bad pair was met from both ends
+    return Certificate(
+        VerifyResult(semistrong is None, semistrong),
+        VerifyResult(relaxed is None, relaxed),
+        (kappa1, contacts // 2),
     )
 
 

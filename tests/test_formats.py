@@ -3,15 +3,20 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from _oracles import naive_graph6_payload
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semistrong import families
+from semistrong.cli import cli
 from semistrong.coloring import from_list
 from semistrong.exact import exact_index
 from semistrong.formats import (
     FormatError,
+    _dumps,
     emit_edge_list,
     emit_graph6,
     emit_result,
@@ -211,3 +216,43 @@ def test_five_vertex_code_round_trip():
     g = parse_graph6("DQc")
     assert g.vertex_count == 5
     assert emit_graph6(g) == "DQc"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+@example([[], {}, [[]], {"": {}}, [[], [{}]]])
+@example([True, 1, False, 0, None, -7, [0, False], [1, 2, True]])
+@example({"\u00e9\u2028": "\"\\\x00\t\U0001f600", "b": [-1, 2**70], "a": {"z": None, "": -0.0}})
+def test_dumps_matches_the_stdlib_indent_encoder(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _canonical(text: str) -> bool:
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_emitted_documents_match_the_stdlib_indent_encoder(tmp_path, capsys):
+    g = parse_edge_list((Path(__file__).parent / "data" / "mixed.txt").read_text(encoding="utf-8"))
+    results = [solve(g, mode) for mode in ("semistrong", "relaxed01")]
+    assert all(_canonical(emit_result(g, res)) for res in results)
+    c4 = families.cycle(4)
+    for mode, s, t, cap in (("semistrong", 0, 0, 6), ("semistrong", 0, 0, 3), ("relaxed", 0, 1, 4)):
+        res = exact_index(c4, mode, cap, s=s, t=t)
+        assert _canonical(emit_result(c4, res, mode=mode, s=s, t=t))
+    bad = from_list([1, 2, 3, 2, 1, 3, 2])
+    assert _canonical(emit_result(families.cycle(7), badness(families.cycle(7), bad), coloring=bad))
+    graph = tmp_path / "c7.txt"
+    graph.write_text(emit_edge_list(families.cycle(7)))
+    for colors in ([1, 2, 3, 1, 2, 3, 4], bad.colors):
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(json.dumps({"colors": list(colors)}))
+        capsys.readouterr()
+        cli(["verify", "--mode", "semistrong", "--graph", str(graph), "--coloring", str(coloring)])
+        assert _canonical(capsys.readouterr().out)

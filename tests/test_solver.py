@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from semistrong import families
+from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, g_family_witness, max_degree
 from semistrong.neighborhood import compute_neighborhood, edge_lists
 from semistrong.solver import (
+    EngineInvariantError,
     PaletteExhaustedError,
     _repair_engine,
     find_improving_move,
@@ -16,7 +17,7 @@ from semistrong.solver import (
     repair,
     solve,
 )
-from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
+from semistrong.verify import VerifyResult, badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
 
 def petersen():
@@ -290,3 +291,36 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
         assert len(repaired) == 1
         assert [(h.vertex_count, h.edge_count) for h in built] == [(t.vertices, t.edges) for t in repaired]
         assert all(h is not g for h in built + single)
+
+
+def test_solve_carries_the_certificate_and_kappa_of_its_coloring():
+    g = families.c7_blowup()
+    for mode in ("semistrong", "relaxed01"):
+        res = solve(g, mode)
+        assert res.kappa == badness(g, res.coloring).potential
+        assert res.certificates == {
+            "semistrong": verify_semistrong(g, res.coloring).ok,
+            "relaxed01": verify_relaxed(g, res.coloring, 0, 1).ok,
+        }
+
+
+def test_solve_raises_when_a_certificate_fails_or_disagrees(monkeypatch):
+    g = families.prism(5)
+    failed = VerifyResult(False, (1, 0))
+
+    def failing(mode):
+        def fake(g, c):
+            cert = certify(g, c)
+            return cert._replace(**{mode: failed})
+
+        return fake
+
+    for mode in ("semistrong", "relaxed01"):
+        monkeypatch.setattr(solver, "certify", failing(mode))
+        with pytest.raises(EngineInvariantError, match=f"invalid {mode}"):
+            solve(g, mode)
+    # debug=True holds certify to the independent checkers
+    monkeypatch.setattr(solver, "certify", lambda g, c: certify(g, c)._replace(kappa=(1, 1)))
+    assert solve(g, "semistrong").kappa == (1, 1)
+    with pytest.raises(EngineInvariantError, match="disagrees"):
+        solve(g, "semistrong", debug=True)

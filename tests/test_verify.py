@@ -18,8 +18,10 @@ from _oracles import (
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
 from semistrong.graph import build_graph
+from semistrong.solver import solve
 from semistrong.verify import (
     badness,
+    certify,
     is_good_coloring,
     is_induced_matching,
     is_semistrong_matching,
@@ -61,6 +63,15 @@ def test_adjacent_edges_never_a_matching():
     g = families.path(3)
     assert not is_semistrong_matching(g, [0, 1])
     assert not is_induced_matching(g, [0, 1])
+
+
+def test_matching_checks_reject_edge_ids_outside_the_graph():
+    g = families.path(4)
+    for ids in ([0, -1], [-3], [3], [0, 2, 7]):
+        with pytest.raises(ValueError):
+            is_semistrong_matching(g, ids)
+        with pytest.raises(ValueError):
+            is_induced_matching(g, ids)
 
 
 def test_matching_checks_agree_with_oracle():
@@ -353,3 +364,72 @@ def test_witness_is_the_smallest_offender_not_the_smallest_clash():
     )
     c = from_list([2, 1, 2, 2, 1, 1, 1, 2, 2, 2, 2, 1])
     assert verify_semistrong(g, c).witness == (1, 1)
+
+
+def _assert_certify_agrees(g, c):
+    cert = certify(g, c)
+    assert cert.semistrong == verify_semistrong(g, c), (g.edges, c.colors)
+    assert cert.relaxed01 == verify_relaxed(g, c, 0, 1), (g.edges, c.colors)
+    assert cert.kappa == badness(g, c).potential, (g.edges, c.colors)
+    return cert
+
+
+def test_certify_matches_the_oracles_on_named_graphs():
+    rng = random.Random(61)
+    corpus = [
+        families.cycle(4),
+        families.cycle(7),
+        families.path(6),
+        families.complete_bipartite(3, 3),
+        families.prism(3),
+        families.prism(5),
+        families.hypercube(3),
+        families.h_graph(3),
+        families.c7_blowup(),
+    ]
+    for g in corpus:
+        colorings = [rainbow(g), solve(g, "semistrong").coloring, solve(g, "relaxed01").coloring]
+        for k in (2, 4, 8):
+            colorings.append(from_list([rng.randint(1, k) for _ in range(g.edge_count)], k))
+        for c in colorings:
+            cert = _assert_certify_agrees(g, c)
+            assert cert.semistrong.ok == naive_verify(g, c.colors, "semistrong")
+            assert cert.relaxed01.ok == naive_verify(g, c.colors, "relaxed", 0, 1)
+            assert cert.kappa == naive_badness(g, c.colors)[:2]
+
+
+def test_certify_matches_the_checkers_on_random_colorings():
+    rng = random.Random(67)
+    seen = {"semistrong": [], "relaxed01": []}
+    checked = 0
+    while checked < 2000:
+        g = families.random_max_degree(rng.randint(5, 12), rng.randint(2, 5), rng.randint(0, 10**6))
+        if g.edge_count == 0:
+            continue
+        kind = checked % 4
+        if kind < 2:  # valid in its mode, perturbed half of the time
+            colors = list(solve(g, ("semistrong", "relaxed01")[kind]).coloring.colors)
+            if rng.random() < 0.5:
+                colors[rng.randrange(g.edge_count)] = colors[rng.randrange(g.edge_count)]
+        else:
+            k = rng.randint(1, g.edge_count)
+            colors = [rng.randint(1, k) for _ in range(g.edge_count)]
+        cert = _assert_certify_agrees(g, from_list(colors))
+        seen["semistrong"].append(cert.semistrong.ok)
+        seen["relaxed01"].append(cert.relaxed01.ok)
+        checked += 1
+    for oks in seen.values():
+        assert oks.count(True) >= 300 and oks.count(False) >= 300
+
+
+def test_certify_on_disconnected_and_empty_graphs():
+    pairs, n = [], 0
+    for part in (families.prism(5), families.cycle(7), families.path(2)):
+        pairs += [(u + n, v + n) for u, v in part.edges]
+        n += part.vertex_count
+    g = build_graph(n + 1, pairs)  # and an isolated vertex
+    for mode in ("semistrong", "relaxed01"):
+        _assert_certify_agrees(g, solve(g, mode).coloring)
+    _assert_certify_agrees(g, from_list([1 + e % 3 for e in range(g.edge_count)]))
+    for n in (0, 3):
+        assert certify(build_graph(n, []), from_list([])) == ((True, None), (True, None), (0, 0))
