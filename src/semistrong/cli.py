@@ -30,7 +30,7 @@ from .formats import (
 )
 from .graph import Graph, GraphError, max_degree
 from .solver import solve
-from .verify import badness, verify_mode
+from .verify import certify, verify_mode
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -142,14 +142,19 @@ def _cmd_verify(args) -> int:
     coloring = parse_coloring(_read_text(args.coloring))
     if len(coloring.colors) != g.edge_count:
         raise FormatError("bad_coloring", f"coloring has {len(coloring.colors)} colors for {g.edge_count} edges")
-    res = verify_mode(g, coloring, args.mode, args.s, args.t)
-    report = badness(g, coloring)
+    cert = certify(g, coloring)
+    if args.mode == "semistrong":
+        res = cert.semistrong
+    elif args.mode == "relaxed" and (args.s, args.t) == (0, 1):
+        res = cert.relaxed01
+    else:
+        res = verify_mode(g, coloring, args.mode, args.s, args.t)
     doc = {
         "mode": args.mode if args.mode != "relaxed" else f"relaxed({args.s},{args.t})",
         "valid": res.ok,
         "witness": None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]},
-        "kappa1": report.kappa1,
-        "kappa2": report.kappa2,
+        "kappa1": cert.kappa[0],
+        "kappa2": cert.kappa[1],
     }
     sys.stdout.write(_dumps(doc) + "\n")
     return EXIT_OK if res.ok else EXIT_INVALID

@@ -20,7 +20,7 @@ from .coloring import Coloring, from_list
 from .exact import ExactResult
 from .graph import Graph, build_graph
 from .solver import ComponentTrace, SolveResult
-from .verify import BadnessReport, badness as compute_badness
+from .verify import BadnessReport, certify
 
 
 class FormatError(ValueError):
@@ -194,9 +194,7 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
         doc["proof"] = result.proof
         doc["nodes"] = result.nodes
         if result.certificate is not None:
-            rep = compute_badness(g, result.certificate)
-            doc["kappa1"] = rep.kappa1
-            doc["kappa2"] = rep.kappa2
+            doc["kappa1"], doc["kappa2"] = certify(g, result.certificate).kappa
         if meta.get("mode") == "relaxed":
             doc["s"] = meta.get("s", 0)
             doc["t"] = meta.get("t", 0)

@@ -14,11 +14,12 @@ are present. The six possible patterns classify f relative to e:
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
-Greedy and the repair engine read N2 and the forbidden set of every edge;
+The repair engine reads N2 and the forbidden set of every edge;
 ``edge_lists(g)`` builds both as plain per-edge lists from one walk over the
 adjacency (``rings``), with no per-edge object. The solver builds them once
-per component and hands them to greedy and the engine. The exact oracle
-reads its N1 and N2 lists straight from ``rings``. The certificates and the
+for a component whose greedy start has a bad edge and hands them to the
+engine; greedy itself walks a per-vertex color map (see solver.py). The
+exact oracle reads its N1 and N2 lists straight from ``rings``. The certificates and the
 badness audit count same-colored contacts straight from the adjacency (see
 verify.py).
 

@@ -2,9 +2,20 @@
 to zero under the lexicographic (kappa1, kappa2) potential.
 
 A *good* coloring keeps every edge's color off its forbidden set; its only
-same-colored distance-2 contacts are single-cross-edge (T6) pairs. The
-repair engine removes bad edges (edges with two or more such contacts) by
-searching move schemas in a fixed order:
+same-colored distance-2 contacts are single-cross-edge (T6) pairs. A *bad*
+edge has two or more such contacts.
+
+Greedy colors the edges in breadth-first order and avoids making bad edges:
+it takes the smallest color outside the forbidden set whose colored
+2-neighbors number 0, or 1 that has no same-colored 2-neighbor yet, and only
+when no color qualifies the smallest color outside the forbidden set. It
+keeps per vertex a map from color to edge and per edge its count of
+same-colored 2-neighbors, in O(m * Delta^2) time and O(m) memory. When no
+count exceeds one, the start has no bad edge and is the component's coloring:
+no neighborhood list and no engine is built.
+
+Otherwise the repair engine removes the bad edges by searching move schemas
+in a fixed order:
 
   S1  recolor the bad edge itself
   S2  recolor a 1-neighbor, then give the bad edge that neighbor's old color
@@ -30,15 +41,14 @@ only the tables of its N2, a candidate that does not lower the potential is
 recolored back, and the search walks the bad set instead of rescanning all
 edges.
 
-Each component's N2 and forbidden-set lists are built once, by
-neighborhood.edge_lists, and handed to greedy and the engine; that is all
-greedy and S1 read. The engine builds an EdgeNeighborhood for an edge only
-when S2-S7 or a stage assert first asks for it, and keeps it. Beside the bad
-set it keeps a lazy min-heap: an edge is pushed when it turns bad, and stale
-entries are dropped when they reach the top. Each move first tries S1 on the
-smallest bad edge, which is the first candidate the full search would try;
-the bad set is sorted only when that attempt fails, and the sorted list then
-drives S1-S7 and the stage asserts.
+A component that needs the engine gets its N2 and forbidden-set lists once,
+from neighborhood.edge_lists; that is all S1 reads. The engine builds an
+EdgeNeighborhood for an edge only when S2-S7 or a stage assert first asks for
+it, and keeps it. Beside the bad set it keeps a lazy min-heap: an edge is
+pushed when it turns bad, and stale entries are dropped when they reach the
+top. Each move first tries S1 on the smallest bad edge, which is the first
+candidate the full search would try; the bad set is sorted only when that
+attempt fails, and the sorted list then drives S1-S7 and the stage asserts.
 """
 
 from __future__ import annotations
@@ -112,23 +122,71 @@ class SolveResult:
 
 
 def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
-    """Color edges in breadth-first order, always taking the smallest color
-    absent from the forbidden set. Raises PaletteExhaustedError when an edge
-    has no color left (only possible when some |f_set| >= palette_size)."""
-    return _greedy(g, edge_lists(g).f_set, palette_size)
+    """Color edges in breadth-first order with the smallest color outside the
+    forbidden set that makes no bad edge: one whose colored 2-neighbors
+    number 0, or 1 where that 2-neighbor has no same-colored 2-neighbor yet.
+    When no color qualifies, the smallest color outside the forbidden set.
+    Raises PaletteExhaustedError when an edge has no color left (only
+    possible when some |f_set| >= palette_size)."""
+    colors, _ = _greedy(g, palette_size)
+    return from_list(colors, palette_size)
 
 
-def _greedy(g: Graph, f_sets: list[list[int]], palette_size: int) -> Coloring:
+def _greedy(g: Graph, palette_size: int) -> tuple[list[int], list[int]]:
+    """greedy_good_coloring's colors, and each edge's count of same-colored
+    2-neighbors in them.
+
+    ``at[w]`` maps each color at vertex w to its one edge (the partial
+    coloring is good, so no color repeats at a vertex). For e = uv one walk
+    over ``at[w]``, w a neighbor of u or v other than u and v, meets every
+    colored 2-neighbor once per edge joining it to e; an edge met twice is in
+    e's forbidden set, as are the colors at u and v. Edges at u or v are met
+    too, but their colors are forbidden anyway.
+    """
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
+    edges = g.edges
+    adjacency = g.adjacency
     colors = [0] * g.edge_count
+    count = [0] * g.edge_count
+    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for e in bfs_edge_order(g):
-        used = {colors[f] for f in f_sets[e] if colors[f]}
-        chosen = next((c for c in range(1, palette_size + 1) if c not in used), None)
-        if chosen is None:
-            raise PaletteExhaustedError(e, palette_size)
+        u, v = edges[e]
+        met: dict[int, int] = {}
+        for a, b in ((u, v), (v, u)):
+            for w, _ in adjacency[a]:
+                if w != b:
+                    for f in at[w].values():
+                        met[f] = met.get(f, 0) + 1
+        forbidden = set(at[u]).union(at[v])
+        contacts: dict[int, list[int]] = {}
+        for f, times in met.items():
+            if times > 1:
+                forbidden.add(colors[f])
+            else:
+                contacts.setdefault(colors[f], []).append(f)
+        chosen = fallback = 0
+        for c in range(1, palette_size + 1):
+            if c in forbidden:
+                continue
+            fs = contacts.get(c)
+            if fs is None or (len(fs) == 1 and count[fs[0]] == 0):
+                chosen = c
+                break
+            if not fallback:
+                fallback = c
+        else:
+            if not fallback:
+                raise PaletteExhaustedError(e, palette_size)
+            chosen = fallback
         colors[e] = chosen
-    return from_list(colors, palette_size)
+        at[u][chosen] = at[v][chosen] = e
+        # a forbidden color is never chosen, so every contact of it is T6
+        fs = contacts.get(chosen, ())
+        count[e] = len(fs)
+        for f in fs:
+            count[f] += 1
+    return colors, count
 
 
 class _Engine:
@@ -670,8 +728,23 @@ def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
     return colors
 
 
+def _check_start(g: Graph, colors: list[int], count: list[int]):
+    """Hold greedy's start and its same-colored 2-neighbor counts to
+    is_good_coloring and badness."""
+    start = from_list(colors)
+    if not is_good_coloring(g, start):
+        raise EngineInvariantError("the greedy start is not a good coloring")
+    recount = [0] * g.edge_count
+    for e, f in badness(g, start).bad_pairs:
+        recount[e] += 1
+        recount[f] += 1
+    if recount != count:
+        raise EngineInvariantError("greedy's same-colored 2-neighbor counts disagree with badness")
+
+
 def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
     d = max_degree(comp)
+    trajectory: list[tuple[int, int]] = []
     if comp.edge_count == 0:
         strategy, colors = "trivial", []
     elif d <= 1:
@@ -687,9 +760,15 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
     elif (witness := g_family_witness(comp)) is not None:
         strategy, colors = "g_family", list(color_g_family(comp, witness).colors)
     else:
-        lists = edge_lists(comp)
-        repaired, trace = _repair_engine(comp, lists, _greedy(comp, lists.f_set, d * d - 1), debug, mode)
-        return list(repaired.colors), trace
+        strategy = "greedy_repair"
+        colors, count = _greedy(comp, d * d - 1)
+        if debug:
+            _check_start(comp, colors, count)
+        if max(count) > 1:
+            repaired, trace = _repair_engine(comp, edge_lists(comp), from_list(colors, d * d - 1), debug, mode)
+            return list(repaired.colors), trace
+        # no bad edge: the start is the repaired coloring, with no engine built
+        trajectory = [(0, sum(count) // 2)]
     used = len(set(colors))
     bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
     return colors, ComponentTrace(
@@ -699,6 +778,7 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
         delta=d,
         colors_used=used,
         exceeds_bound=used > bound,
+        kappa_trajectory=trajectory,
     )
 
 

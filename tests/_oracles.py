@@ -2,15 +2,20 @@
 
 Everything here works straight from the definitions (pairwise enumeration,
 induced-subgraph degrees) and deliberately shares no code with the package
-paths it is used to check.
+paths it is used to check. The two greedy starts at the end are the
+exception: they read N2 and the forbidden sets from neighborhood.edge_lists,
+which solver.greedy_good_coloring does not use, and share only the
+breadth-first edge order with it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from semistrong.graph import Graph
-from semistrong.neighborhood import EdgeNeighborhood, PairType
+from semistrong.coloring import Coloring, from_list
+from semistrong.graph import Graph, bfs_edge_order
+from semistrong.neighborhood import EdgeNeighborhood, PairType, edge_lists
+from semistrong.solver import PaletteExhaustedError
 
 
 def edge_distance_class(g: Graph, e: int, f: int) -> int:
@@ -152,3 +157,45 @@ def type_class(nb: EdgeNeighborhood, t: PairType) -> frozenset[int]:
     """The 2-neighbors of nb's edge whose pair type is t; a view of nb.type_of
     that only tests need."""
     return frozenset(f for f, tf in nb.type_of.items() if tf is t)
+
+
+def _greedy_oracle(g: Graph, palette_size: int, contact_aware: bool) -> tuple[Coloring, int]:
+    """Greedy in breadth-first order over the forbidden sets and N2 lists of
+    edge_lists: the smallest color outside the forbidden set or, contact
+    aware, the smallest such color whose colored 2-neighbors number 0, or 1
+    with no same-colored 2-neighbor of its own yet, and the smallest color
+    outside the forbidden set when none qualifies. Returns the coloring and
+    how many edges took that fallback."""
+    lists = edge_lists(g)
+    colors = [0] * g.edge_count
+    fallbacks = 0
+
+    def qualifies(e: int, c: int) -> bool:
+        near = [f for f in lists.n2[e] if colors[f] == c]
+        return not near or (len(near) == 1 and all(colors[h] != c for h in lists.n2[near[0]]))
+
+    for e in bfs_edge_order(g):
+        used = {colors[f] for f in lists.f_set[e]}
+        allowed = [c for c in range(1, palette_size + 1) if c not in used]
+        if not allowed:
+            raise PaletteExhaustedError(e, palette_size)
+        if contact_aware:
+            fitting = [c for c in allowed if qualifies(e, c)]
+            fallbacks += not fitting
+            allowed = fitting or allowed
+        colors[e] = allowed[0]
+    return from_list(colors, palette_size), fallbacks
+
+
+def smallest_color_start(g: Graph, palette_size: int) -> Coloring:
+    """The smallest color outside the forbidden set, edge by edge: a good
+    start that leaves most edges bad, so tests hand it to the repair
+    engine."""
+    return _greedy_oracle(g, palette_size, contact_aware=False)[0]
+
+
+def contact_greedy(g: Graph, palette_size: int) -> tuple[Coloring, int]:
+    """The rule of solver.greedy_good_coloring, re-derived from N2 lists, and
+    how many edges fell back to the smallest color outside the forbidden
+    set."""
+    return _greedy_oracle(g, palette_size, contact_aware=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,11 @@ import pytest
 import semistrong
 from semistrong import families
 from semistrong.cli import cli
-from semistrong.formats import emit_edge_list, emit_graph6, emit_result, parse_edge_list
+from semistrong.coloring import from_list
+from semistrong.exact import Budget, exact_index
+from semistrong.formats import _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
 from semistrong.solver import solve
+from semistrong.verify import badness, verify_mode
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -391,8 +395,58 @@ def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
     # an edge and an isolated vertex; random_d4: random_max_degree(40, 4, 11);
     # prism5: the 5-prism with shuffled labels, edge order and endpoint order,
-    # whose repair makes a two-edge S2 move ({S1: 5, S2: 1})
+    # whose greedy start has one bad edge, so its repair makes one S1 move;
+    # random_d4's start has none, so that solve builds no repair engine
     out_path = tmp_path / "out.json"
     argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
     assert run(capsys, argv)[0] == 0
     assert out_path.read_bytes() == (DATA / f"{graph}.{mode}.json").read_bytes()
+
+
+def _two_walk_verify_output(g, coloring, mode, s, t):
+    """What verify prints when its mode's checker and badness each walk the
+    coloring, and its exit code."""
+    res = verify_mode(g, coloring, mode, s, t)
+    report = badness(g, coloring)
+    doc = {
+        "mode": mode if mode != "relaxed" else f"relaxed({s},{t})",
+        "valid": res.ok,
+        "witness": None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]},
+        "kappa1": report.kappa1,
+        "kappa2": report.kappa2,
+    }
+    return (0 if res.ok else 1), _dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5"])
+def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys, graph):
+    g = parse_edge_list((DATA / f"{graph}.txt").read_text(encoding="utf-8"))
+    rng = random.Random(graph)
+    colorings = []
+    for fixture in ("semistrong", "relaxed01"):
+        colors = json.loads((DATA / f"{graph}.{fixture}.json").read_text(encoding="utf-8"))["colors"]
+        colorings.append(colors)
+        for _ in range(3):
+            tampered = list(colors)
+            for _ in range(rng.randint(1, 3)):
+                tampered[rng.randrange(len(tampered))] = rng.randint(1, max(colors))
+            colorings.append(tampered)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(emit_edge_list(g))
+    cpath = tmp_path / "c.json"
+    codes = set()
+    for colors in colorings:
+        cpath.write_text(json.dumps({"colors": colors}))
+        coloring = from_list(colors)
+        for mode, s, t in (("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1), ("relaxed", 1, 2)):
+            argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t), "--graph", str(gpath), "--coloring", str(cpath)]
+            code, out, _ = run(capsys, argv)
+            assert (code, out) == _two_walk_verify_output(g, coloring, mode, s, t)
+            codes.add(code)
+    assert codes == {0, 1}
+    # an exact certificate's kappa is the badness of its coloring
+    for mode, s, t in (("semistrong", 0, 0), ("relaxed", 0, 1)):
+        res = exact_index(g, mode, 12, budget=Budget(max_nodes=3000), s=s, t=t)
+        doc = json.loads(emit_result(g, res, mode=mode, s=s, t=t))
+        if res.certificate is not None:
+            assert (doc["kappa1"], doc["kappa2"]) == badness(g, res.certificate).potential

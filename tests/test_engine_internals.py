@@ -5,11 +5,14 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from _oracles import smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
+from semistrong.formats import parse_edge_list
 from semistrong.graph import build_graph, is_connected, max_degree
 from semistrong.neighborhood import compute_neighborhood, edge_lists
 from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring, solve
@@ -179,7 +182,7 @@ def test_try_move_matches_full_recount():
 def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     g = families.random_max_degree(n, d, seed)
     assert max_degree(g) == d and 200 <= g.edge_count <= 400
-    eng = _Engine(g, edge_lists(g), greedy_good_coloring(g, d * d - 1))
+    eng = _Engine(g, edge_lists(g), smallest_color_start(g, d * d - 1))
     _assert_matches_recount(eng)
     moves = 0
     while eng.kappa1 > 0:
@@ -280,6 +283,18 @@ def test_below_bound_run_ends_in_a_verified_f3_coloring():
         assert certificate.ok and out.distinct_colors() <= 6
 
 
+def test_prism5_fixture_repair_makes_a_two_edge_s2_move():
+    # the shuffled 5-prism of the byte-stable color fixtures, from the
+    # smallest-color start: a two-edge S2 move at the Delta^2 - 1 palette
+    g = parse_edge_list((Path(__file__).parent / "data" / "prism5.txt").read_text(encoding="utf-8"))
+    start = smallest_color_start(g, 8)
+    for mode in ("semistrong", "relaxed01"):
+        out, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode=mode)
+        assert trace.moves_by_schema == {"S1": 5, "S2": 1}
+        assert trace.kappa_trajectory[0] == (9, 12) and trace.kappa_trajectory[-1] == (0, 1)
+        assert trace.fallback_f3 == 0 and verify_semistrong(g, out).ok
+
+
 def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
     monkeypatch.setattr(_Engine, "find_move", lambda self: None)
     monkeypatch.setattr(solver, "F3_MAX_NODES", 5)
@@ -352,7 +367,7 @@ def test_s1_only_repair_never_sorts_the_bad_set(monkeypatch):
     monkeypatch.setattr(_Engine, "bad_edges", counting)
     g = families.random_max_degree(130, 6, 3)
     d = max_degree(g)
-    start = greedy_good_coloring(g, d * d - 1)
+    start = smallest_color_start(g, d * d - 1)
     assert badness(g, start).kappa1 > 100
     for debug in (False, True):
         out, trace = _repair_engine(g, edge_lists(g), start, debug=debug, mode="semistrong")
@@ -384,7 +399,7 @@ def test_count_tables_grow_with_n2_not_with_the_palette():
     g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
     assert max_degree(g) == 40 and g.edge_count > 2500
     lists = edge_lists(g)
-    eng = _Engine(g, lists, solver._greedy(g, lists.f_set, 40 * 40 - 1))
+    eng = _Engine(g, lists, smallest_color_start(g, 40 * 40 - 1))
     n2_total = sum(len(n2) for n2 in lists.n2)
     assert sum(len(t) for t in eng.table) <= n2_total
     while eng.find_move() is not None:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from _oracles import contact_greedy, smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, g_family_witness, max_degree
@@ -81,14 +82,15 @@ def test_find_improving_move_requires_goodness():
 
 
 def test_find_improving_move_progresses():
-    # scan seeded graphs until greedy leaves bad edges, then check the move
+    # scan seeded graphs until the smallest-color start leaves bad edges,
+    # then check the move
     found = 0
     for seed in range(60):
         g = families.random_max_degree(12, 4, seed)
         d = max_degree(g)
         if d < 3 or g_family_witness(g) is not None:
             continue
-        c = greedy_good_coloring(g, d * d - 1)
+        c = smallest_color_start(g, d * d - 1)
         rep = badness(g, c)
         if rep.kappa1 == 0:
             continue
@@ -108,7 +110,7 @@ def test_find_improving_move_progresses():
 
 def test_repair_petersen():
     g = petersen()
-    c = repair(g, greedy_good_coloring(g, 8), debug=True)
+    c = repair(g, smallest_color_start(g, 8), debug=True)
     assert badness(g, c).kappa1 == 0
     assert is_good_coloring(g, c)
     assert verify_semistrong(g, c).ok
@@ -118,14 +120,14 @@ def test_repair_petersen():
 
 def test_repair_prism5():
     g = families.prism(5)
-    c = repair(g, greedy_good_coloring(g, 8), debug=True)
+    c = repair(g, smallest_color_start(g, 8), debug=True)
     assert verify_semistrong(g, c).ok
     assert c.distinct_colors() <= 8
 
 
 def test_repair_fixed_point():
     g = petersen()
-    clean = repair(g, greedy_good_coloring(g, 8))
+    clean = repair(g, smallest_color_start(g, 8))
     again = repair(g, clean)
     assert again.colors == clean.colors
 
@@ -145,7 +147,7 @@ def test_repair_trajectory_strictly_decreasing():
         d = max_degree(g)
         if d < 3 or g_family_witness(g) is not None:
             continue
-        start = greedy_good_coloring(g, d * d - 1)
+        start = smallest_color_start(g, d * d - 1)
         coloring, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode="semistrong")
         traj = trace.kappa_trajectory
         for a, b in zip(traj, traj[1:]):
@@ -251,22 +253,30 @@ def test_solve_path_component():
                 assert res.colors_used == expected
 
 
-def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatch):
-    from semistrong import neighborhood, solver
-    from semistrong.formats import emit_result
+def _counting_edge_lists(monkeypatch) -> list:
+    from semistrong import neighborhood
 
     built = []
-    single = []
 
     def counting(graph):
         built.append(graph)
         return neighborhood.edge_lists(graph)
 
+    monkeypatch.setattr(solver, "edge_lists", counting)
+    return built
+
+
+def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatch):
+    from semistrong import neighborhood
+    from semistrong.formats import emit_result
+
+    built = _counting_edge_lists(monkeypatch)
+    single = []
+
     def counting_single(graph, e):
         single.append(graph)
         return neighborhood.compute_neighborhood(graph, e)
 
-    monkeypatch.setattr(solver, "edge_lists", counting)
     monkeypatch.setattr(solver, "compute_neighborhood", counting_single)
     rng = random.Random(12)
     parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
@@ -285,11 +295,13 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
         res = solve(g, mode, debug=True)
         assert res.certificates[mode]
         assert '"valid": true' in emit_result(g, res)
-        # one build per greedy_repair component; the certificates and the
-        # badness audit count contacts from the adjacency of the parent
+        # at most one build per greedy_repair component, and only when its
+        # start has a bad edge; the certificates and the badness audit count
+        # contacts from the adjacency of the parent
         repaired = [t for t in res.trace if t.strategy == "greedy_repair"]
         assert len(repaired) == 1
-        assert [(h.vertex_count, h.edge_count) for h in built] == [(t.vertices, t.edges) for t in repaired]
+        shapes = [(h.vertex_count, h.edge_count) for h in built]
+        assert len(shapes) <= len(repaired) and set(shapes) <= {(t.vertices, t.edges) for t in repaired}
         assert all(h is not g for h in built + single)
 
 
@@ -324,3 +336,56 @@ def test_solve_raises_when_a_certificate_fails_or_disagrees(monkeypatch):
     assert solve(g, "semistrong").kappa == (1, 1)
     with pytest.raises(EngineInvariantError, match="disagrees"):
         solve(g, "semistrong", debug=True)
+
+
+# random_max_degree(10, 3, 8): the contact rule finds no color for one edge
+# and falls back, so the start has a bad edge and solve runs the engine
+FALLBACK_EDGES = [
+    (1, 2), (0, 4), (4, 6), (7, 9), (2, 7), (5, 9), (2, 6), (4, 8), (3, 6), (0, 5),
+    (1, 3), (7, 8), (1, 9), (5, 8), (0, 3),
+]
+
+
+def test_solve_runs_the_engine_only_when_the_start_has_a_bad_edge(monkeypatch):
+    built = _counting_edge_lists(monkeypatch)
+    fallback = build_graph(10, FALLBACK_EDGES)
+    assert contact_greedy(fallback, 8)[1] == 1
+    clean = families.hypercube(3)
+    assert contact_greedy(clean, 8)[1] == 0
+    for mode in ("semistrong", "relaxed01"):
+        built.clear()
+        res = solve(fallback, mode, debug=True)
+        assert [(h.vertex_count, h.edge_count) for h in built] == [(10, 15)]
+        (trace,) = res.trace
+        assert trace.strategy == "greedy_repair"
+        assert trace.moves_by_schema == {"S1": 3, "S2": 1}
+        assert trace.kappa_trajectory[0] == (1, 7) and trace.kappa_trajectory[-1] == (0, 3)
+        assert res.certificates[mode] and res.kappa == (0, 3)
+        built.clear()
+        res = solve(clean, mode, debug=True)
+        assert built == []
+        (trace,) = res.trace
+        assert (trace.strategy, trace.moves_by_schema, trace.fallback_f3) == ("greedy_repair", {}, 0)
+        assert trace.kappa_trajectory == [res.kappa] == [(0, 4)]
+        assert res.certificates[mode]
+
+
+def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
+    g = families.hypercube(3)
+    greedy = solver._greedy
+
+    def miscounted(h, k):
+        colors, count = greedy(h, k)
+        count[0] += 1
+        return colors, count
+
+    def not_good(h, k):
+        colors, count = greedy(h, k)
+        colors[1] = colors[0]  # edges 0 and 1 share vertex 0
+        return colors, count
+
+    assert set(g.edges[0]) & set(g.edges[1])
+    for fake, why in ((miscounted, "disagree with badness"), (not_good, "not a good coloring")):
+        monkeypatch.setattr(solver, "_greedy", fake)
+        with pytest.raises(EngineInvariantError, match=why):
+            solve(g, "semistrong", debug=True)
