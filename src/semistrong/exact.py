@@ -8,7 +8,12 @@ classes are checked incrementally:
 
 * semistrong: a class is abandoned as soon as some class edge has both
   endpoints with a second neighbor among the class vertices (monotone, so
-  the prune is sound; at a full assignment the check is exact),
+  the prune is sound; at a full assignment the check is exact). Per-class,
+  per-vertex counters answer each probe in O(1): how many class vertices
+  each vertex sees, and how many reasons bar it from being an endpoint (it
+  is a class vertex, a common neighbor of a class edge's two ends, or next
+  to a class vertex whose partner already has a second class neighbor).
+  A placement updates them in O(Δ), and undoing it reverses them exactly.
 * strong / relaxed(s,t): per-edge counters of same-colored 1- and
   2-neighbors against the s/t caps.
 
@@ -16,9 +21,14 @@ Both checks only get stricter as edges are added, and a fresh color always
 fits an empty class, so an edge with no fitting color stays stuck in every
 extension: ending the branch there loses no coloring.
 
+``exact_index`` walks the color count top-down, from a count that a greedy
+strong coloring always meets, to one less than the colors each found
+coloring used, and stops at the first refutation.
+
 Budgets are wall-clock and/or node counts; a node is one probe of a color
 on an edge near the last placed one, or one color tried on the chosen edge,
-so node budgets make timeouts reproducible.
+so node budgets make timeouts reproducible: a node budget b times out at
+exactly b + 1 nodes, and the deadline is read every 1,024 nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .coloring import Coloring
-from .graph import Graph, bfs_edge_order
+from .graph import Graph, bfs_edge_order, max_degree
 from .neighborhood import rings
 from .verify import verify_mode
 
@@ -47,6 +57,9 @@ class _BudgetExceeded(Exception):
 
 
 class _Clock:
+    """The budget of a run. ``nodes`` is the count so far; the search keeps
+    its own count and calls ``check`` only when it reaches ``stop(nodes)``."""
+
     def __init__(self, budget: Budget | None):
         self.nodes = 0
         self.deadline = None
@@ -56,12 +69,26 @@ class _Clock:
             if budget.max_seconds is not None:
                 self.deadline = time.monotonic() + budget.max_seconds
 
-    def tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+    def stop(self, nodes: int) -> int:
+        """The next count to check at: one past the node budget, or the next
+        multiple of 1024 when there is a deadline; -1, never reached, with
+        neither."""
+        stops = []
+        if self.max_nodes is not None:
+            stops.append(max(self.max_nodes, nodes) + 1)
+        if self.deadline is not None:
+            stops.append((nodes // 1024 + 1) * 1024)
+        return min(stops, default=-1)
+
+    def check(self, nodes: int) -> int:
+        """Record the count, raise _BudgetExceeded when the budget is spent,
+        and return the next count to check at."""
+        self.nodes = nodes
+        if self.max_nodes is not None and nodes > self.max_nodes:
             raise _BudgetExceeded
-        if self.deadline is not None and self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+        if self.deadline is not None and nodes % 1024 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExceeded
+        return self.stop(nodes)
 
 
 @dataclass(frozen=True)
@@ -73,7 +100,7 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class ExactResult:
-    value: int | None  # None when infeasible within max_colors (or unknown on timeout)
+    value: int | None  # None when infeasible within max_colors, or no coloring found before a timeout
     certificate: Coloring | None
     proof: str  # 'exhausted' | 'timeout'
     nodes: int
@@ -87,91 +114,106 @@ def _check_mode(mode: str, s: int, t: int):
 
 
 class _SemistrongState:
-    """Incremental per-class matching + free-endpoint bookkeeping."""
+    """Per-class, per-vertex counters that answer a probe in O(1).
+
+    For each class c and vertex x: partner[c][x] is x's partner in the class
+    matching, -1 when x is not a class vertex; sees[c][x] counts the class
+    vertices adjacent to x; doomed[c][x] marks a class vertex whose partner
+    has a second class neighbor, so x must keep its own partner as its only
+    one; poison[c][x] counts the reasons x cannot be an endpoint of a new
+    class edge: x is a class vertex, x is a common neighbor of a class edge's
+    two ends, or x is next to a doomed class vertex.
+    """
 
     def __init__(self, g: Graph, k: int):
         self.edges = g.edges
-        self.adjacency = g.adjacency
+        nbrs = self.nbrs = [[w for w, _ in row] for row in g.adjacency]
+        sets = [set(row) for row in nbrs]
+        self.common = [[x for x in nbrs[u] if x in sets[v]] for u, v in g.edges]
         n = g.vertex_count
-        self.partner = [[-1] * n for _ in range(k + 1)]  # class vertex -> matched partner
-        self.cnt = [[0] * n for _ in range(k + 1)]  # class vertex -> neighbors inside class
+        self.partner = [[-1] * n for _ in range(k + 1)]
+        self.sees = [[0] * n for _ in range(k + 1)]
+        self.poison = [[0] * n for _ in range(k + 1)]
+        self.doomed = [[False] * n for _ in range(k + 1)]
 
     def fits(self, e: int, c: int) -> bool:
         """try_assign's verdict, without changing the state.
 
-        If both endpoints see class vertices, the new edge has no endpoint
-        of degree 1. Otherwise each class vertex w seen from the one side
-        gets its second class neighbor, so w's class edge fails exactly when
-        w's partner already has two, or has one and is seen from that side
-        too (a triangle).
+        Edge uv fits class c when neither end is poisoned and one end sees no
+        class vertex: that end has degree 1 among the class vertices, and each
+        class vertex w next to the other end gets a second class neighbor,
+        which breaks w's class edge only when w is doomed or uv's end is next
+        to w's partner too.
         """
         u, v = self.edges[e]
-        partner = self.partner[c]
-        if partner[u] != -1 or partner[v] != -1:
+        poison = self.poison[c]
+        if poison[u] or poison[v]:
             return False
-        adjacency = self.adjacency
-        seen = [w for w, _ in adjacency[u] if partner[w] != -1]
-        if not seen:
-            seen = [w for w, _ in adjacency[v] if partner[w] != -1]
-        elif any(partner[w] != -1 for w, _ in adjacency[v]):
-            return False
-        cnt = self.cnt[c]
-        for w in seen:
-            p = partner[w]
-            if cnt[p] >= 2 or p in seen:
-                return False
-        return True
+        sees = self.sees[c]
+        return not (sees[u] and sees[v])
 
     def try_assign(self, e: int, c: int):
         u, v = self.edges[e]
+        poison = self.poison[c]
+        sees = self.sees[c]
+        if poison[u] or poison[v]:
+            return None
+        if sees[v]:
+            if sees[u]:
+                return None
+            u, v = v, u
+        # now v sees no class vertex, so only u's class neighbors can get a
+        # second class neighbor and doom their partners
         partner = self.partner[c]
-        cnt = self.cnt[c]
-        if partner[u] != -1 or partner[v] != -1:
-            return None
-        bumped: list[int] = []
-        ok = True
-        cu = 1
-        cv = 1
-        for w, _ in self.adjacency[u]:
-            if partner[w] != -1:
-                cu += 1
-                cnt[w] += 1
-                bumped.append(w)
-                if cnt[w] >= 2 and cnt[partner[w]] >= 2:
-                    ok = False
-                    break
-        if ok:
-            for w, _ in self.adjacency[v]:
-                if partner[w] != -1:
-                    cv += 1
-                    cnt[w] += 1
-                    bumped.append(w)
-                    if cnt[w] >= 2 and cnt[partner[w]] >= 2:
-                        ok = False
-                        break
-        if ok and cu >= 2 and cv >= 2:
-            ok = False
-        if not ok:
-            for w in bumped:
-                cnt[w] -= 1
-            return None
+        nbrs = self.nbrs
         partner[u] = v
         partner[v] = u
-        cnt[u] = cu
-        cnt[v] = cv
-        return (e, c, bumped)
+        poison[u] += 1
+        poison[v] += 1
+        for x in self.common[e]:
+            poison[x] += 1
+        for x in nbrs[v]:
+            sees[x] += 1
+        if sees[u] == 1:
+            for x in nbrs[u]:
+                sees[x] += 1
+            return (e, c, ())
+        doom = [v]
+        for x in nbrs[u]:
+            s = sees[x] + 1
+            sees[x] = s
+            if s == 2 and partner[x] != -1:
+                doom.append(partner[x])
+        doomed = self.doomed[c]
+        for w in doom:
+            doomed[w] = True
+            for x in nbrs[w]:
+                poison[x] += 1
+        return (e, c, doom)
 
     def undo(self, token):
-        e, c, bumped = token
+        e, c, doom = token
         u, v = self.edges[e]
         partner = self.partner[c]
-        cnt = self.cnt[c]
-        for w in bumped:
-            cnt[w] -= 1
+        sees = self.sees[c]
+        poison = self.poison[c]
+        nbrs = self.nbrs
+        if doom:
+            doomed = self.doomed[c]
+            for w in doom:
+                doomed[w] = False
+                for x in nbrs[w]:
+                    poison[x] -= 1
+        for x in nbrs[u]:
+            sees[x] -= 1
+        for x in nbrs[v]:
+            sees[x] -= 1
+        for x in self.common[e]:
+            poison[x] -= 1
+        poison[u] -= 1
+        poison[v] -= 1
         partner[u] = -1
         partner[v] = -1
-        cnt[u] = 0
-        cnt[v] = 0
 
 
 class _RelaxedState:
@@ -289,10 +331,12 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     near the placed one and one heap step per changed key, never a pass
     over all candidates.
 
-    The clock ticks once per probe and once per color tried, and ``nodes``
-    counts those ticks. The state lives in per-position arrays instead of
-    the call stack, so long graphs do not hit the interpreter's recursion
-    limit.
+    ``nodes`` counts one per probe and one per color tried, in a local
+    variable; the clock is called only when the count reaches its next stop
+    (one past the node budget, or the next deadline checkpoint), so a
+    search without a budget never calls it. The state lives in per-position
+    arrays instead of the call stack, so long graphs do not hit the
+    interpreter's recursion limit.
     """
     m = g.edge_count
     colors = [0] * m
@@ -303,7 +347,9 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     else:
         state = _RelaxedState(layout.n1, layout.n2, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
     order, rank, near = layout.order, layout.rank, layout.near
-    tick, fits, try_assign, undo = clock.tick, state.fits, state.try_assign, state.undo
+    fits, try_assign, undo = state.fits, state.try_assign, state.undo
+    nodes = clock.nodes
+    stop = clock.stop(nodes)
     blocked = [0] * m  # bit c set: color c is known not to fit the edge
     nblocked = [0] * m
     touched = [0] * m  # colored edges in each edge's N1 ∪ N2
@@ -342,13 +388,16 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
         while token is None and c < limit:
             c += 1
             if not known >> c & 1:
-                tick()
+                nodes += 1
+                if nodes == stop:
+                    stop = clock.check(nodes)
                 token = try_assign(e, c)
         tried[pos] = c
         if token is not None:
             tokens[pos] = token
             colors[e] = c
             if pos + 1 == m:
+                clock.nodes = nodes
                 return colors
             max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
             bit = 1 << c
@@ -358,7 +407,9 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
                     continue
                 touched[f] += 1
                 if not blocked[f] & bit:
-                    tick()
+                    nodes += 1
+                    if nodes == stop:
+                        stop = clock.check(nodes)
                     if not fits(f, c):
                         blocked[f] |= bit
                         nblocked[f] += 1
@@ -375,6 +426,7 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
         if touched[e]:
             heappush(heap, (k - nblocked[e]) * m + rank[e])
         if pos == 0:
+            clock.nodes = nodes
             return None
         pos -= 1
         e = chosen[pos]
@@ -427,27 +479,43 @@ def exact_index(
 ) -> ExactResult:
     """Smallest k <= max_colors admitting a valid coloring.
 
-    proof='exhausted' certifies every smaller k was refuted by complete
-    search; proof='timeout' certifies only the upper bound. value=None means
-    no k within max_colors worked (a completed infeasible-at-max refutation
-    when proof='exhausted').
+    The walk goes top-down. It starts at min(max_colors, m, 2Δ(Δ−1)+1):
+    every edge strong-conflicts with at most 2Δ(Δ−1) others, so a greedy
+    strong coloring, valid in every mode, meets that count, and so does
+    giving each edge its own color. After each ``sat`` it searches again at
+    one less than the colors that coloring used, and it stops at the first
+    ``unsat``, which refutes every smaller count too. The certificate is the
+    first coloring the search finds at the value itself: a search at a
+    larger count walks the same tree, with excursions into the extra
+    colors, so its first coloring that uses only ``value`` colors is that
+    one. ``nodes`` is summed over every count tried.
+
+    proof='exhausted' certifies that value - 1 was refuted by complete
+    search; value=None then means max_colors itself was refuted. On
+    proof='timeout' the value and certificate are the best upper bound
+    found before the budget ran out, or None when there was none.
     """
     _check_mode(mode, s, t)
     if max_colors < 1:
         raise ValueError(f"max_colors must be >= 1, got {max_colors}")
-    if g.edge_count == 0:
+    m = g.edge_count
+    if m == 0:
         return ExactResult(0, Coloring((), 0), "exhausted", 0)
     clock = _Clock(budget)
     layout = _layout(g, mode)
-    timed_out = False
-    for k in range(1, max_colors + 1):
+    delta = max_degree(g)
+    k = min(max_colors, m, 2 * delta * (delta - 1) + 1)
+    best: Coloring | None = None
+    proof = "exhausted"
+    while k >= 1:
         res = _feasibility(g, mode, k, clock, s, t, layout)
-        if res.status == "sat":
-            return ExactResult(k, res.coloring, "timeout" if timed_out else "exhausted", clock.nodes)
         if res.status == "timeout":
-            timed_out = True
-            if clock.max_nodes is not None and clock.nodes > clock.max_nodes:
-                break
-            if clock.deadline is not None and time.monotonic() > clock.deadline:
-                break
-    return ExactResult(None, None, "timeout" if timed_out else "exhausted", clock.nodes)
+            proof = "timeout"
+        if res.status != "sat":
+            break
+        best = res.coloring
+        k = max(best.colors) - 1
+    if best is None:
+        return ExactResult(None, None, proof, clock.nodes)
+    value = max(best.colors)
+    return ExactResult(value, Coloring(best.colors, value), proof, clock.nodes)

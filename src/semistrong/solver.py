@@ -701,8 +701,11 @@ def _f3_fallback(g: Graph, mode: str, k: int, bad: list[int]) -> Coloring:
 def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong") -> Coloring:
     """Drive a good coloring to zero bad edges on a connected graph with
     maximum degree >= 3 outside the covering-edge family. The palette is
-    kept; an already-clean coloring is returned unchanged."""
+    kept; an already-clean coloring is returned unchanged, with no engine
+    built."""
     _check_repair_preconditions(g, c)
+    if certify(g, c).kappa[0] == 0:
+        return c
     result, _ = _repair_engine(g, edge_lists(g), c, debug, mode)
     return result
 

@@ -92,6 +92,10 @@ def test_node_budget_timeout_is_deterministic():
     assert res.status == "timeout"
     again = feasibility(g, "semistrong", 7, budget=Budget(max_nodes=500))
     assert again.nodes == res.nodes
+    # a node budget b stops at exactly b + 1 nodes, deadline or not
+    assert res.nodes == 501
+    timed = feasibility(g, "semistrong", 7, budget=Budget(max_seconds=600, max_nodes=500))
+    assert (timed.status, timed.nodes) == ("timeout", 501)
     full = feasibility(g, "semistrong", 7)
     assert full.status == "unsat"
 
@@ -101,6 +105,58 @@ def test_exact_index_timeout_proof():
     res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=50))
     assert res.proof == "timeout"
     assert res.value is None
+    # the 100-node search at 8 colors fits in the budget, the refutation of 7
+    # does not: the found coloring is kept as an upper bound
+    res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=5000))
+    assert (res.value, res.proof, res.nodes) == (8, "timeout", 5001)
+    assert res.certificate.k == 8 and verify_semistrong(g, res.certificate).ok
+
+
+def test_exact_index_walks_down_and_searches_no_count_below_the_refuted_one():
+    # prism5: 100 nodes to color with 8, then the 61,467-node refutation of 7;
+    # K4,4 relaxed(0,1): the same at 8, then the refutation of 7
+    g = families.prism(5)
+    res = exact_index(g, "semistrong", 8)
+    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 61567)
+    assert res.nodes == feasibility(g, "semistrong", 8).nodes + feasibility(g, "semistrong", 7).nodes
+    g = families.complete_bipartite(4, 4)
+    res = exact_index(g, "relaxed", 8, s=0, t=1)
+    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 36607)
+
+
+def test_exact_certificate_is_the_first_coloring_at_the_value():
+    # a search at a larger count finds, among colorings with at most `value`
+    # colors, the same first one as the search at `value` itself
+    rng = random.Random(41)
+    runs = 0
+    for _ in range(30):
+        g = _random_graph(rng.randint(4, 8), rng.choice((0.3, 0.45, 0.6)), rng)
+        if not 1 <= g.edge_count <= 14:  # relaxed(1,1) refutes 16 edges in 1.6 million nodes
+            continue
+        for mode, s, t in (("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1), ("relaxed", 1, 1)):
+            res = exact_index(g, mode, g.edge_count, s=s, t=t)
+            assert res.proof == "exhausted"
+            assert res.certificate == feasibility(g, mode, res.value, s=s, t=t).coloring
+            runs += 1
+    assert runs >= 100
+
+
+def test_exact_index_starts_at_a_count_greedy_always_meets(monkeypatch):
+    # path(5): 4 edges and maximum degree 2, so the walk starts at
+    # min(10**6, 4, 2*2*1 + 1) = 4 colors and allocates nothing larger
+    from semistrong import exact
+
+    sizes = []
+
+    class Recording(exact._SemistrongState):
+        def __init__(self, g, k):
+            sizes.append(k)
+            super().__init__(g, k)
+
+    monkeypatch.setattr(exact, "_SemistrongState", Recording)
+    res = exact_index(families.path(5), "semistrong", 10**6)
+    assert (res.value, res.proof) == (2, "exhausted")
+    assert sizes and max(sizes) == 4
 
 
 def test_infeasible_at_max():
@@ -171,7 +227,7 @@ def _random_graph(n, density, rng):
 
 def _snapshot(state):
     if isinstance(state, _SemistrongState):
-        return [row[:] for row in state.partner], [row[:] for row in state.cnt]
+        return [[row[:] for row in table] for table in (state.partner, state.sees, state.poison, state.doomed)]
     return state.colors[:], state.same1[:], state.same2[:]
 
 
@@ -218,6 +274,40 @@ def test_fits_matches_try_assign_then_undo(caps):
                         trial = [colors[f] or -1 - f for f in range(m)]
                         trial[e] = c
                         assert verdict == naive_verify(g, trial, *mode)
+
+
+def _recount(g, partner):
+    """sees, poison and doomed of one class, from the class matching alone."""
+    n = g.vertex_count
+    nbrs = [set(g.neighbors(x)) for x in range(n)]
+    sees = [sum(partner[w] != -1 for w in nbrs[x]) for x in range(n)]
+    doomed = [partner[x] != -1 and sees[partner[x]] >= 2 for x in range(n)]
+    class_edges = [(a, b) for a, b in enumerate(partner) if a < b]
+    poison = [
+        (partner[x] != -1) + sum(a in nbrs[x] and b in nbrs[x] for a, b in class_edges) + sum(doomed[w] for w in nbrs[x])
+        for x in range(n)
+    ]
+    return sees, poison, doomed
+
+
+def test_semistrong_counters_match_their_definitions():
+    rng = random.Random(43)
+    graphs = [families.prism(3), build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
+    graphs += [_random_graph(rng.randint(5, 10), rng.choice((0.3, 0.5)), rng) for _ in range(8)]
+    for g in graphs:
+        k = 3
+        state = _SemistrongState(g, k)
+        tokens = []
+        for _ in range(200):
+            if tokens and rng.random() < 0.3:
+                state.undo(tokens.pop())
+            else:
+                token = state.try_assign(rng.randrange(g.edge_count), rng.randint(1, k))
+                if token is not None:
+                    tokens.append(token)
+            for c in range(1, k + 1):
+                counters = (state.sees[c], state.poison[c], state.doomed[c])
+                assert counters == _recount(g, state.partner[c])
 
 
 def _brute_force_index(g, mode, s, t):

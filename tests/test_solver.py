@@ -132,6 +132,20 @@ def test_repair_fixed_point():
     assert again.colors == clean.colors
 
 
+def test_repair_returns_a_clean_coloring_without_building_the_engine(monkeypatch):
+    g = petersen()
+    clean = repair(g, smallest_color_start(g, 8))
+
+    def failing(graph):
+        raise AssertionError("a clean coloring reached edge_lists")
+
+    monkeypatch.setattr(solver, "edge_lists", failing)
+    for mode in ("semistrong", "relaxed01"):
+        assert repair(g, clean, debug=True, mode=mode) is clean
+    with pytest.raises(AssertionError, match="edge_lists"):
+        repair(g, smallest_color_start(g, 8))
+
+
 def test_repair_rejects_bad_inputs():
     g = families.cycle(6)
     with pytest.raises(ValueError):
