@@ -23,6 +23,11 @@ from .solver import ComponentTrace, SolveResult
 from .verify import BadnessReport, certify
 
 
+# graph6's 4-byte size prefix holds no more; parsers reject a larger header
+# before they allocate its adjacency
+MAX_VERTICES = 258047
+
+
 class FormatError(ValueError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
@@ -44,6 +49,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise FormatError("malformed_header", f"header must be two integers, got {' '.join(header)!r}") from exc
+    if n > MAX_VERTICES:
+        raise FormatError("too_large", f"header declares {n} vertices; at most {MAX_VERTICES} are supported")
     body = rows[1:]
     if len(body) != m:
         raise FormatError("count_mismatch", f"header declares {m} edges but {len(body)} edge lines follow")
@@ -135,10 +142,10 @@ def emit_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n <= 62:
         prefix = chr(n + 63)
-    elif n <= 258047:
+    elif n <= MAX_VERTICES:
         prefix = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     else:
-        raise FormatError("too_large", f"graph6 encoding beyond 258047 vertices not supported (n={n})")
+        raise FormatError("too_large", f"graph6 encoding beyond {MAX_VERTICES} vertices not supported (n={n})")
     sextets = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
         i, j = (u, v) if u < v else (v, u)
@@ -273,11 +280,11 @@ def parse_coloring(text: str) -> Coloring:
     """Read back a coloring from emitted JSON (or any JSON with 'colors')."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
         raise FormatError("bad_json", f"coloring file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("bad_coloring", "coloring file must hold a JSON object with a 'colors' field")
     colors = doc.get("colors")
-    if not isinstance(colors, list) or any(type(c) is not int for c in colors):
-        raise FormatError("bad_coloring", "JSON field 'colors' must be a list of integers")
+    if not isinstance(colors, list) or any(type(c) is not int or c < 1 for c in colors):
+        raise FormatError("bad_coloring", "JSON field 'colors' must be a list of integers of at least 1")
     return from_list(colors)

@@ -47,9 +47,6 @@ class Graph:
         """Index of the edge uv; build_graph keys each edge as (min, max)."""
         return self._pair_to_index.get((u, v) if u < v else (v, u))
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(e for _, e in self.adjacency[v])
-
 
 def build_graph(vertex_count: int, edge_pairs) -> Graph:
     """Validate and build a Graph; edge indices follow input order."""

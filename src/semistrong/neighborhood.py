@@ -14,17 +14,14 @@ are present. The six possible patterns classify f relative to e:
 The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
-The repair engine reads N2 and the forbidden set of every edge;
-``edge_lists(g)`` builds both as plain per-edge lists from one walk over the
-adjacency (``rings``), with no per-edge object. The solver builds them once
-for a component whose greedy start has a bad edge and hands them to the
-engine; greedy itself walks a per-vertex color map (see solver.py). The
-exact oracle reads its N1 and N2 lists straight from ``rings``. The certificates and the
-badness audit count same-colored contacts straight from the adjacency (see
-verify.py).
+Greedy and the repair engine keep no per-edge list: they share one state, a
+color -> edge map per vertex and a same-colored 2-neighbor count per edge
+(see solver.py). The exact oracle reads its N1 and N2 lists from ``rings``.
+The certificates and the badness audit count same-colored contacts straight
+from the adjacency (see verify.py).
 
-An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built by the same
-walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
+An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built from one
+``rings`` walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
 1-neighbors c_delta, the pair types type_of and t6 are derived on first use.
 The repair engine builds one only for the few edges that its deeper schemas
 (S2-S7) or its stage asserts look at; m_set and observation_bound take one
@@ -38,7 +35,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .graph import Graph
 
@@ -134,32 +130,16 @@ class EdgeNeighborhood:
         raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.edge}")
 
 
-class EdgeLists(NamedTuple):
-    """Per-edge N2 and forbidden set as plain lists, indexed by edge."""
-
-    n2: list[list[int]]  # the distinct 2-neighbors
-    f_set: list[list[int]]  # N(e) plus the 2-neighbors joined to e by 2+ edges
-
-
-def edge_lists(g: Graph) -> EdgeLists:
-    """Every edge's N2 and forbidden set; a new pair of lists per call."""
-    n2s: list[list[int]] = []
-    f_sets: list[list[int]] = []
-    for e in range(g.edge_count):
-        n1, n2, close = _split(g, e)
-        n2s.append(list(n2))
-        f_sets.append(n1 + close)
-    return EdgeLists(n2s, f_sets)
-
-
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     """Neighborhood of edge e alone."""
     if not 0 <= e < len(g.edges):
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
     u, v = g.edges[e]
-    n1, n2, close = _split(g, e)
-    ring1 = frozenset(n1)
-    return EdgeNeighborhood(edge=e, u=u, v=v, n1=ring1, n2=frozenset(n2), f_set=ring1.union(close), _g=g)
+    n1, reach = rings(g.edges, g.adjacency, e)
+    ring1, n2 = frozenset(n1), frozenset(reach)
+    # the 2-neighbors met more than once are T1..T5
+    close = [] if len(n2) == len(reach) else [f for f, times in Counter(reach).items() if times > 1]
+    return EdgeNeighborhood(edge=e, u=u, v=v, n1=ring1, n2=n2, f_set=ring1.union(close), _g=g)
 
 
 def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[int], list[int]]:
@@ -181,16 +161,6 @@ def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[i
         if z != a and z != b
     ]
     return n1, reach
-
-
-def _split(g: Graph, e: int) -> tuple[list[int], set[int], list[int]]:
-    """Edge e's 1-neighbors, its distinct 2-neighbors, and the 2-neighbors
-    met more than once by ``rings`` (types T1..T5)."""
-    n1, reach = rings(g.edges, g.adjacency, e)
-    n2 = set(reach)
-    if len(reach) == len(n2):
-        return n1, n2, []
-    return n1, n2, [f for f, times in Counter(reach).items() if times > 1]
 
 
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:

@@ -8,11 +8,11 @@ edge has two or more such contacts.
 Greedy colors the edges in breadth-first order and avoids making bad edges:
 it takes the smallest color outside the forbidden set whose colored
 2-neighbors number 0, or 1 that has no same-colored 2-neighbor yet, and only
-when no color qualifies the smallest color outside the forbidden set. It
-keeps per vertex a map from color to edge and per edge its count of
-same-colored 2-neighbors, in O(m * Delta^2) time and O(m) memory. When no
-count exceeds one, the start has no bad edge and is the component's coloring:
-no neighborhood list and no engine is built.
+when no color qualifies the smallest color outside the forbidden set. Its
+state, a _Contacts, keeps per vertex a map from color to edge and per edge
+its count of same-colored 2-neighbors: O(m) memory, built in O(m * Delta^2)
+time. When no count exceeds one, the start has no bad edge and is the
+component's coloring, and no engine is built.
 
 Otherwise the repair engine removes the bad edges by searching move schemas
 in a fixed order:
@@ -34,21 +34,17 @@ event; at the Delta^2 - 1 palette this is never expected to happen. F3 has a
 fixed node budget, and running out of it raises EngineInvariantError naming
 the bad edges no schema could fix.
 
-The potential is kept incrementally. For every edge f the engine holds a
-table counting how many edges of N2(f) carry each color, and it holds the set
-of bad edges. A candidate is scored by making it: recoloring an edge updates
-only the tables of its N2, a candidate that does not lower the potential is
-recolored back, and the search walks the bad set instead of rescanning all
-edges.
+The engine takes greedy's state over as it is and keeps beside it the set of
+bad edges and the sum of the counts. Lifting or placing an edge changes only
+the counts of its same-colored 2-neighbors, found in O(Delta); S1 and S2 read
+forbidden colors and per-color contacts from one O(Delta^2) scan. A candidate
+is scored by making it and undone when the potential does not fall.
 
-A component that needs the engine gets its N2 and forbidden-set lists once,
-from neighborhood.edge_lists; that is all S1 reads. The engine builds an
-EdgeNeighborhood for an edge only when S2-S7 or a stage assert first asks for
-it, and keeps it. Beside the bad set it keeps a lazy min-heap: an edge is
-pushed when it turns bad, and stale entries are dropped when they reach the
-top. Each move first tries S1 on the smallest bad edge, which is the first
+The engine builds an EdgeNeighborhood for an edge only when S2-S7 or a stage
+assert first asks for it, and keeps it. A lazy min-heap beside the bad set
+gives the smallest bad edge. Each move first tries S1 on it, the first
 candidate the full search would try; the bad set is sorted only when that
-attempt fails, and the sorted list then drives S1-S7 and the stage asserts.
+fails, and the sorted list then drives S1-S7 and the stage asserts.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from .graph import (
     is_complete_bipartite_dd,
     max_degree,
 )
-from .neighborhood import EdgeLists, EdgeNeighborhood, PairType, compute_neighborhood, edge_lists, shift_forbidden
+from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, shift_forbidden
 from .verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
@@ -128,33 +124,50 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     When no color qualifies, the smallest color outside the forbidden set.
     Raises PaletteExhaustedError when an edge has no color left (only
     possible when some |f_set| >= palette_size)."""
-    colors, _ = _greedy(g, palette_size)
-    return from_list(colors, palette_size)
+    return _greedy(g, palette_size).to_coloring()
 
 
-def _greedy(g: Graph, palette_size: int) -> tuple[list[int], list[int]]:
-    """greedy_good_coloring's colors, and each edge's count of same-colored
-    2-neighbors in them.
+class _Contacts:
+    """A good coloring, possibly partial (color 0, count 0), with every
+    edge's count of same-colored 2-neighbors: the state greedy builds and
+    repair moves.
 
-    ``at[w]`` maps each color at vertex w to its one edge (the partial
-    coloring is good, so no color repeats at a vertex). For e = uv one walk
-    over ``at[w]``, w a neighbor of u or v other than u and v, meets every
-    colored 2-neighbor once per edge joining it to e; an edge met twice is in
-    e's forbidden set, as are the colors at u and v. Edges at u or v are met
-    too, but their colors are forbidden anyway.
+    ``at[w]`` maps each color at vertex w to its one edge, 2m entries in all.
+    Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so it
+    is ``at[w][colors[e]]`` for exactly one w of e's ring, the neighbors of u
+    and v other than u and v. ``contacts``, ``place`` and ``lift`` read one
+    color over the ring, in O(Delta); ``scan`` reads all of ``at`` over it.
     """
-    if palette_size < 1:
-        raise ValueError(f"palette_size must be >= 1, got {palette_size}")
-    edges = g.edges
-    adjacency = g.adjacency
-    colors = [0] * g.edge_count
-    count = [0] * g.edge_count
-    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-    for e in bfs_edge_order(g):
-        u, v = edges[e]
+
+    def __init__(self, g: Graph, k: int):
+        self.g = g
+        self.k = k
+        self.colors = [0] * g.edge_count
+        self.count = [0] * g.edge_count
+        self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+
+    @classmethod
+    def of(cls, g: Graph, c: Coloring) -> _Contacts:
+        """The state of a good coloring c."""
+        state = cls(g, c.k)
+        for e, color in enumerate(c.colors):
+            state.place(e, color, state.contacts(e, color))
+        return state
+
+    def to_coloring(self) -> Coloring:
+        return from_list(self.colors, self.k)
+
+    def scan(self, e: int) -> tuple[set[int], dict[int, list[int]]]:
+        """The colors e may not take, and per color the colored 2-neighbors
+        joined to e by one cross edge. The walk meets every colored
+        2-neighbor once per edge joining it to e; an edge met twice is in e's
+        forbidden set, as are the colors at e's ends (edges there are met
+        too, but their colors are forbidden anyway)."""
+        u, v = self.g.edges[e]
+        at, colors = self.at, self.colors
         met: dict[int, int] = {}
         for a, b in ((u, v), (v, u)):
-            for w, _ in adjacency[a]:
+            for w, _ in self.g.adjacency[a]:
                 if w != b:
                     for f in at[w].values():
                         met[f] = met.get(f, 0) + 1
@@ -165,6 +178,71 @@ def _greedy(g: Graph, palette_size: int) -> tuple[list[int], list[int]]:
                 forbidden.add(colors[f])
             else:
                 contacts.setdefault(colors[f], []).append(f)
+        return forbidden, contacts
+
+    def place(self, e: int, c: int, contacts) -> None:
+        """Color the uncolored edge e with c, outside its forbidden set, given
+        its colored 2-neighbors of color c as scan or contacts found them."""
+        u, v = self.g.edges[e]
+        at, count = self.at, self.count
+        self.colors[e] = c
+        at[u][c] = at[v][c] = e
+        count[e] = len(contacts)
+        for f in contacts:
+            count[f] += 1
+
+    def contacts(self, e: int, c: int) -> list[int] | None:
+        """e's colored 2-neighbors of color c, or None when c is in e's
+        forbidden set: at e's ends, or on an edge joined to e twice."""
+        u, v = self.g.edges[e]
+        at = self.at
+        if c in at[u] or c in at[v]:
+            return None
+        found = []
+        for a, b in ((u, v), (v, u)):
+            for w, _ in self.g.adjacency[a]:
+                if w != b:
+                    f = at[w].get(c)
+                    if f is not None:
+                        if f in found:
+                            return None
+                        found.append(f)
+        return found
+
+    def lift(self, e: int) -> list[int]:
+        """Uncolor e; return the contacts that place puts it back with."""
+        u, v = self.g.edges[e]
+        c = self.colors[e]
+        del self.at[u][c], self.at[v][c]
+        self.colors[e] = self.count[e] = 0
+        found = self.contacts(e, c)
+        for f in found:
+            self.count[f] -= 1
+        return found
+
+    def check(self, what: str) -> None:
+        """Hold the coloring to is_good_coloring, ``count`` to badness and
+        ``at`` to a state built from scratch; raise EngineInvariantError."""
+        g = self.g
+        coloring = self.to_coloring()
+        if not is_good_coloring(g, coloring):
+            raise EngineInvariantError(f"{what} is not a good coloring")
+        recount = [0] * g.edge_count
+        for e, f in badness(g, coloring).bad_pairs:
+            recount[e] += 1
+            recount[f] += 1
+        if recount != self.count or _Contacts.of(g, coloring).at != self.at:
+            raise EngineInvariantError(f"{what}: the contact counts or color maps disagree with a recount")
+
+
+def _greedy(g: Graph, palette_size: int) -> _Contacts:
+    """greedy_good_coloring's coloring, with its contact counts."""
+    if palette_size < 1:
+        raise ValueError(f"palette_size must be >= 1, got {palette_size}")
+    state = _Contacts(g, palette_size)
+    count, scan, place = state.count, state.scan, state.place
+    for e in bfs_edge_order(g):
+        forbidden, contacts = scan(e)
         chosen = fallback = 0
         for c in range(1, palette_size + 1):
             if c in forbidden:
@@ -179,50 +257,29 @@ def _greedy(g: Graph, palette_size: int) -> tuple[list[int], list[int]]:
             if not fallback:
                 raise PaletteExhaustedError(e, palette_size)
             chosen = fallback
-        colors[e] = chosen
-        at[u][chosen] = at[v][chosen] = e
-        # a forbidden color is never chosen, so every contact of it is T6
-        fs = contacts.get(chosen, ())
-        count[e] = len(fs)
-        for f in fs:
-            count[f] += 1
-    return colors, count
+        place(e, chosen, contacts.get(chosen, ()))
+    return state
 
 
 class _Engine:
-    """Mutable coloring state with incremental (kappa1, kappa2) accounting.
-
-    ``table[f]`` maps each color to the number of edges of N2(f) carrying it,
-    so f's same-colored 2-neighbor count is ``table[f][colors[f]]``; ``bad``
-    is the set of edges where that count is at least two, and ``heap`` holds
-    every bad edge, possibly with stale entries beside them. ``_recolor`` is
-    the one place that updates them after construction, touching only N2 of
-    the recolored edge, so ``try_move`` scores a candidate by making it and,
-    if it is rejected, undoing it, in O(sum of |N2| over its edges) either
-    way. A table holds only the colors present, so all of them together hold
-    at most sum |N2| entries whatever the palette.
+    """The repair search over a _Contacts state, which it takes over and
+    moves. Beside it the engine keeps ``bad``, the edges of count two or
+    more; ``heap``, every bad edge and maybe stale entries; and ``sum_pairs``,
+    the sum of all counts (twice kappa2). Only ``_lift`` and ``_place`` update
+    them, so ``try_move`` scores a candidate by making it and undoes a
+    rejected one, in O(Delta) per moved edge either way.
     """
 
-    def __init__(self, g: Graph, lists: EdgeLists, coloring: Coloring, debug: bool = False):
-        self.g = g
-        self.n2 = lists.n2
-        self.f_set = lists.f_set
+    def __init__(self, state: _Contacts, debug: bool = False):
+        self.g = g = state.g
+        self.state = state
+        self.colors = state.colors
         self._nbs: dict[int, EdgeNeighborhood] = {}
-        self.k = coloring.k
+        self.k = state.k
         self.debug = debug
-        self.colors = colors = list(coloring.colors)
-        m = g.edge_count
-        self.table: list[dict[int, int]] = []
-        for e in range(m):
-            t: dict[int, int] = {}
-            for f in self.n2[e]:
-                t[colors[f]] = t.get(colors[f], 0) + 1
-            self.table.append(t)
-        # edges of N2(e) sharing e's color
-        counts = [self.table[e].get(colors[e], 0) for e in range(m)]
-        self.bad = {e for e in range(m) if counts[e] >= 2}
+        self.bad = {e for e, n in enumerate(state.count) if n >= 2}
         self.heap = sorted(self.bad)
-        self.sum_pairs = sum(counts)  # == 2 * kappa2
+        self.sum_pairs = sum(state.count)  # == 2 * kappa2
         self.delta = max_degree(g)
         self.enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
 
@@ -234,9 +291,6 @@ class _Engine:
 
     def potential(self) -> tuple[int, int]:
         return (len(self.bad), self.sum_pairs // 2)
-
-    def to_coloring(self) -> Coloring:
-        return from_list(self.colors, self.k)
 
     def nb(self, e: int) -> EdgeNeighborhood:
         """Edge e's full neighborhood, built on first use and kept."""
@@ -263,98 +317,83 @@ class _Engine:
     def try_move(self, assignments: dict[int, int], schema: str) -> MoveProposal | None:
         """Make the move if it keeps the coloring good and strictly lowers
         (kappa1, kappa2), and return it; otherwise return None with the
-        state exactly as before. A no-op, a color off the palette or a color
-        in a moved edge's forbidden set (with the move's other colors in
-        place) is rejected without recoloring anything."""
-        colors = self.colors
+        state exactly as before. A no-op or a color off the palette is
+        rejected at once. Otherwise every moved edge is lifted and then placed
+        in its new color unless the edges colored so far forbid it, which
+        rolls the move back. So every coloring on the way is good, and ``at``
+        never holds one color twice at a vertex."""
+        colors, state = self.colors, self.state
         x = {e: c for e, c in assignments.items() if colors[e] != c}
-        if not x:
+        if not x or not all(1 <= c <= self.k for c in x.values()):
             return None
-        for e, ce in x.items():
-            if not 1 <= ce <= self.k:
-                return None
-            for h in self.f_set[e]:
-                if x.get(h, colors[h]) == ce:
-                    return None
         before = self.potential()
-        old = {e: colors[e] for e in x}
+        lifted = [(e, colors[e], self._lift(e)) for e in x]
+        placed = []
         for e, c in x.items():
-            self._recolor(e, c)
-        after = self.potential()
-        if after >= before:
-            for e, c in old.items():
-                self._recolor(e, c)
-            return None
-        move = MoveProposal(tuple(sorted(assignments.items())), schema, after)
-        if self.debug:
-            self._debug_check(move)
-        return move
+            contacts = state.contacts(e, c)
+            if contacts is None:
+                break
+            self._place(e, c, contacts)
+            placed.append(e)
+        else:
+            after = self.potential()
+            if after < before:
+                move = MoveProposal(tuple(sorted(assignments.items())), schema, after)
+                if self.debug:
+                    self._debug_check(move)
+                return move
+        for e in reversed(placed):
+            self._lift(e)
+        for e, c, contacts in reversed(lifted):
+            self._place(e, c, contacts)
+        return None
 
-    def _recolor(self, e: int, c: int):
-        """Give e color c, updating the tables of N2(e), the bad set and the
-        pair sum. Only edges of N2(e) colored old or c change their count."""
-        colors = self.colors
-        bad = self.bad
-        table = self.table
-        old = colors[e]
-        te = table[e]
-        new_cnt = te.get(c, 0)
-        # every pair e loses or gains is also counted once at the other end
-        self.sum_pairs += 2 * (new_cnt - te.get(old, 0))
-        colors[e] = c
-        if new_cnt < 2:
-            bad.discard(e)
-        elif e not in bad:
-            bad.add(e)
-            heapq.heappush(self.heap, e)
-        for f in self.n2[e]:
-            t = table[f]
-            left = t[old] - 1
-            if left:
-                t[old] = left
-            else:
-                del t[old]
-            joined = t.get(c, 0) + 1
-            t[c] = joined
-            fc = colors[f]
-            if fc == old and left == 1:
+    def _lift(self, e: int) -> list[int]:
+        """state.lift(e), keeping the bad set and the pair sum."""
+        contacts = self.state.lift(e)
+        # every pair e loses is also counted once at the other end
+        self.sum_pairs -= 2 * len(contacts)
+        bad, count = self.bad, self.state.count
+        for f in (e, *contacts):
+            if count[f] < 2:
                 bad.discard(f)
-            elif fc == c and joined == 2:
+        return contacts
+
+    def _place(self, e: int, c: int, contacts) -> None:
+        """state.place(e, c, contacts), keeping the bad set, heap and pair sum."""
+        self.state.place(e, c, contacts)
+        self.sum_pairs += 2 * len(contacts)
+        bad, count = self.bad, self.state.count
+        for f in (e, *contacts):
+            if count[f] >= 2 and f not in bad:
                 bad.add(f)
                 heapq.heappush(self.heap, f)
 
     def _debug_check(self, move: MoveProposal):
-        coloring = self.to_coloring()
-        if not is_good_coloring(self.g, coloring):
-            raise EngineInvariantError(f"move {move.schema} {move.assignments} broke goodness")
-        rep = badness(self.g, coloring)
-        if rep.potential != self.potential() or rep.bad_edges != tuple(sorted(self.bad)):
-            raise EngineInvariantError(
-                f"incremental potential {self.potential()} or bad set disagrees with full "
-                f"recomputation {rep.potential} after {move.schema} {move.assignments}"
-            )
+        what = f"move {move.schema} {move.assignments}"
+        self.state.check(what)
+        count = self.state.count
+        if self.bad != {e for e, n in enumerate(count) if n >= 2} or self.sum_pairs != sum(count):
+            raise EngineInvariantError(f"{what}: the bad set or pair sum disagrees with full recomputation")
 
     # -- schema candidate generators --------------------------------------
 
-    # A color outside f_set(e) meets N2(e) only on T6 contacts, so for such a
-    # color table[e] is exactly its T6 count.
+    def _free_colors(self, e: int):
+        """Colors outside e's forbidden set that at most one 2-neighbor of e
+        carries, in increasing order; for such a color every contact is T6."""
+        forbidden, contacts = self.state.scan(e)
+        return (a for a in range(1, self.k + 1) if a not in forbidden and len(contacts.get(a, ())) <= 1)
 
     def _s1_candidates(self, e: int):
-        f_colors = {self.colors[f] for f in self.f_set[e]}
-        counts = self.table[e]
-        for alpha in range(1, self.k + 1):
-            if alpha not in f_colors and counts.get(alpha, 0) <= 1:
-                yield {e: alpha}
+        for alpha in self._free_colors(e):
+            yield {e: alpha}
 
     def _s2_candidates(self, e: int):
         for f in sorted(self.nb(e).n1):
             alpha1 = self.colors[f]
-            forb = {self.colors[h] for h in self.f_set[f]}
-            forb.add(alpha1)
-            counts = self.table[f]
-            for alpha in range(1, self.k + 1):
-                if alpha not in forb and counts.get(alpha, 0) <= 1:
-                    yield {f: alpha, e: alpha1}
+            # f's own color is forbidden to it, so it is never offered
+            for alpha in self._free_colors(f):
+                yield {f: alpha, e: alpha1}
 
     def _s4_candidates(self, e: int):
         for h in sorted(self.nb(e).n1):
@@ -431,9 +470,7 @@ class _Engine:
         alpha2 = self.colors[f2]
         x1 = next(x for x in g.edges[e1] if x != u1)
         y1 = next(x for x in g.edges[e2] if x != v1)
-        blocked = {self.colors[h] for h in g.incident_edges(x1)}
-        blocked |= {self.colors[h] for h in g.incident_edges(y1)}
-        blocked |= {alpha1, alpha2}
+        blocked = {alpha1, alpha2}.union(self.state.at[x1], self.state.at[y1])  # colors at x1 and y1
         for alpha in range(1, self.k + 1):
             if alpha in blocked:
                 continue
@@ -627,7 +664,7 @@ def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
     seven come up empty (repair then runs the budgeted exact search)."""
     if not is_good_coloring(g, c):
         raise ValueError("find_improving_move requires a good coloring")
-    engine = _Engine(g, edge_lists(g), c)
+    engine = _Engine(_Contacts.of(g, c))
     if engine.kappa1 == 0:
         raise ValueError("coloring has no bad edges; nothing to improve")
     return engine.find_move()
@@ -644,11 +681,11 @@ def _check_repair_preconditions(g: Graph, c: Coloring):
         raise GraphError("g_family", "covering-edge family graphs take the dedicated construction")
 
 
-def _repair_engine(
-    g: Graph, lists: EdgeLists, c: Coloring, debug: bool, mode: str
-) -> tuple[Coloring, ComponentTrace]:
-    """Repair c on g; the trace is that of a greedy_repair component."""
-    engine = _Engine(g, lists, c, debug=debug)
+def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, ComponentTrace]:
+    """Repair the coloring of state, moving it; the trace is that of a
+    greedy_repair component."""
+    g = state.g
+    engine = _Engine(state, debug=debug)
     moves: dict[str, int] = {}
     trajectory = [engine.potential()]
     fallback_f3 = 0
@@ -664,7 +701,7 @@ def _repair_engine(
         moves[move.schema] = moves.get(move.schema, 0) + 1
         trajectory.append(after)
     else:
-        result = engine.to_coloring()
+        result = state.to_coloring()
     used = result.distinct_colors()
     return result, ComponentTrace(
         strategy="greedy_repair",
@@ -704,9 +741,10 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     kept; an already-clean coloring is returned unchanged, with no engine
     built."""
     _check_repair_preconditions(g, c)
-    if certify(g, c).kappa[0] == 0:
+    state = _Contacts.of(g, c)
+    if max(state.count) < 2:
         return c
-    result, _ = _repair_engine(g, edge_lists(g), c, debug, mode)
+    result, _ = _repair_engine(state, debug, mode)
     return result
 
 
@@ -731,20 +769,6 @@ def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
     return colors
 
 
-def _check_start(g: Graph, colors: list[int], count: list[int]):
-    """Hold greedy's start and its same-colored 2-neighbor counts to
-    is_good_coloring and badness."""
-    start = from_list(colors)
-    if not is_good_coloring(g, start):
-        raise EngineInvariantError("the greedy start is not a good coloring")
-    recount = [0] * g.edge_count
-    for e, f in badness(g, start).bad_pairs:
-        recount[e] += 1
-        recount[f] += 1
-    if recount != count:
-        raise EngineInvariantError("greedy's same-colored 2-neighbor counts disagree with badness")
-
-
 def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
     d = max_degree(comp)
     trajectory: list[tuple[int, int]] = []
@@ -764,14 +788,14 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
         strategy, colors = "g_family", list(color_g_family(comp, witness).colors)
     else:
         strategy = "greedy_repair"
-        colors, count = _greedy(comp, d * d - 1)
+        state = _greedy(comp, d * d - 1)
         if debug:
-            _check_start(comp, colors, count)
-        if max(count) > 1:
-            repaired, trace = _repair_engine(comp, edge_lists(comp), from_list(colors, d * d - 1), debug, mode)
+            state.check("the greedy start")
+        if max(state.count) > 1:
+            repaired, trace = _repair_engine(state, debug, mode)
             return list(repaired.colors), trace
         # no bad edge: the start is the repaired coloring, with no engine built
-        trajectory = [(0, sum(count) // 2)]
+        colors, trajectory = state.colors, [(0, sum(state.count) // 2)]
     used = len(set(colors))
     bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
     return colors, ComponentTrace(

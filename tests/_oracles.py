@@ -3,9 +3,9 @@
 Everything here works straight from the definitions (pairwise enumeration,
 induced-subgraph degrees) and deliberately shares no code with the package
 paths it is used to check. The two greedy starts at the end are the
-exception: they read N2 and the forbidden sets from neighborhood.edge_lists,
-which solver.greedy_good_coloring does not use, and share only the
-breadth-first edge order with it.
+exception: they read N2 and the forbidden sets from
+neighborhood.compute_neighborhood, which solver.greedy_good_coloring does not
+use, and share only the breadth-first edge order with it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from itertools import combinations
 
 from semistrong.coloring import Coloring, from_list
 from semistrong.graph import Graph, bfs_edge_order
-from semistrong.neighborhood import EdgeNeighborhood, PairType, edge_lists
+from semistrong.neighborhood import EdgeNeighborhood, PairType, compute_neighborhood
 from semistrong.solver import PaletteExhaustedError
+from semistrong.verify import badness
 
 
 def edge_distance_class(g: Graph, e: int, f: int) -> int:
@@ -160,22 +161,22 @@ def type_class(nb: EdgeNeighborhood, t: PairType) -> frozenset[int]:
 
 
 def _greedy_oracle(g: Graph, palette_size: int, contact_aware: bool) -> tuple[Coloring, int]:
-    """Greedy in breadth-first order over the forbidden sets and N2 lists of
-    edge_lists: the smallest color outside the forbidden set or, contact
+    """Greedy in breadth-first order over the forbidden sets and N2 sets of
+    compute_neighborhood: the smallest color outside the forbidden set or, contact
     aware, the smallest such color whose colored 2-neighbors number 0, or 1
     with no same-colored 2-neighbor of its own yet, and the smallest color
     outside the forbidden set when none qualifies. Returns the coloring and
     how many edges took that fallback."""
-    lists = edge_lists(g)
+    nbs = [compute_neighborhood(g, e) for e in range(g.edge_count)]
     colors = [0] * g.edge_count
     fallbacks = 0
 
     def qualifies(e: int, c: int) -> bool:
-        near = [f for f in lists.n2[e] if colors[f] == c]
-        return not near or (len(near) == 1 and all(colors[h] != c for h in lists.n2[near[0]]))
+        near = [f for f in nbs[e].n2 if colors[f] == c]
+        return not near or (len(near) == 1 and all(colors[h] != c for h in nbs[near[0]].n2))
 
     for e in bfs_edge_order(g):
-        used = {colors[f] for f in lists.f_set[e]}
+        used = {colors[f] for f in nbs[e].f_set}
         allowed = [c for c in range(1, palette_size + 1) if c not in used]
         if not allowed:
             raise PaletteExhaustedError(e, palette_size)
@@ -195,7 +196,20 @@ def smallest_color_start(g: Graph, palette_size: int) -> Coloring:
 
 
 def contact_greedy(g: Graph, palette_size: int) -> tuple[Coloring, int]:
-    """The rule of solver.greedy_good_coloring, re-derived from N2 lists, and
+    """The rule of solver.greedy_good_coloring, re-derived from N2 sets, and
     how many edges fell back to the smallest color outside the forbidden
     set."""
     return _greedy_oracle(g, palette_size, contact_aware=True)
+
+
+def contact_state(g: Graph, colors) -> tuple[list[dict[int, int]], list[int]]:
+    """A good coloring's per-vertex color -> edge maps, and each edge's count
+    of same-colored 2-neighbors, recounted from verify.badness."""
+    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for e, (u, v) in enumerate(g.edges):
+        at[u][colors[e]] = at[v][colors[e]] = e
+    count = [0] * g.edge_count
+    for e, f in badness(g, from_list(colors)).bad_pairs:
+        count[e] += 1
+        count[f] += 1
+    return at, count

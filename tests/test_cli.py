@@ -292,6 +292,26 @@ def test_verify_rejects_a_malformed_coloring_with_exit_2(tmp_path, capsys, text)
     assert err.startswith("error: ") and "colors" in err
 
 
+@pytest.mark.parametrize("text", ['{"colors": [0, 1, 2, 3]}', '{"colors": [1, 2, 3, ' + "9" * 5000 + "]}"])
+def test_verify_rejects_a_color_below_one_or_too_long_with_exit_2(tmp_path, capsys, text):
+    gpath = tmp_path / "c4.txt"
+    gpath.write_text(emit_edge_list(families.cycle(4)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(text)
+    code, out, err = run(capsys, ["verify", "--mode", "strong", "--graph", str(gpath), "--coloring", str(cpath)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_color_rejects_a_vertex_count_beyond_the_graph6_limit_with_exit_2(tmp_path, capsys):
+    # twelve bytes that would otherwise allocate 10^8 adjacency lists
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n")
+    code, out, err = run(capsys, ["color", "--mode", "semistrong", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "258047" in err
+
+
 def test_verify_reports_the_smallest_offending_edge(tmp_path, capsys):
     gpath = tmp_path / "p6.txt"
     gpath.write_text(emit_edge_list(families.path(6)))

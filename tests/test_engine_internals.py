@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import smallest_color_start
+from _oracles import contact_state, smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.formats import parse_edge_list
 from semistrong.graph import build_graph, is_connected, max_degree
-from semistrong.neighborhood import compute_neighborhood, edge_lists
-from semistrong.solver import EngineInvariantError, _Engine, _repair_engine, greedy_good_coloring, solve
+from semistrong.neighborhood import compute_neighborhood
+from semistrong.solver import EngineInvariantError, _Contacts, _Engine, _repair_engine, greedy_good_coloring, solve
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
@@ -51,7 +51,7 @@ def test_schema_generators_yield_wellformed_candidates():
     rng = random.Random(1)
     g = families.prism(5)
     c = bad_state(g, rng)
-    eng = _Engine(g, edge_lists(g), c)
+    eng = _Engine(_Contacts.of(g, c))
     gens = [
         eng._s1_candidates,
         eng._s2_candidates,
@@ -96,7 +96,7 @@ def _pairs_at_distance_two(eng, e):
     ball = sorted({e} | nb.n1 | nb.n2)
     for i, x in enumerate(ball):
         for y in ball[i + 1 :]:
-            if y in eng.n2[x]:
+            if y in eng.nb(x).n2:
                 for ax, ay in itertools.product(range(1, eng.k + 1), repeat=2):
                     if (ax, ay) != (eng.colors[x], eng.colors[y]):
                         yield {x: ax, y: ay}
@@ -119,20 +119,19 @@ def _schema_candidates(eng, e):
 
 def _moved_at_distance_two(eng, cand):
     moved = [edge for edge, color in cand.items() if eng.colors[edge] != color]
-    return any(a in eng.n2[b] for a in moved for b in moved)
+    return any(a in eng.nb(b).n2 for a in moved for b in moved)
 
 
 def _assert_matches_recount(eng):
     g = eng.g
-    for f in range(g.edge_count):
-        assert eng.table[f] == Counter(eng.colors[h] for h in eng.n2[f])
-    rep = badness(g, eng.to_coloring())
+    assert (eng.state.at, eng.state.count) == contact_state(g, eng.colors)
+    rep = badness(g, eng.state.to_coloring())
     assert eng.bad_edges() == list(rep.bad_edges)
     assert eng.potential() == rep.potential
 
 
 def _snapshot(eng):
-    return list(eng.colors), [dict(t) for t in eng.table], set(eng.bad), eng.sum_pairs
+    return list(eng.colors), list(eng.state.count), [dict(a) for a in eng.state.at], set(eng.bad), eng.sum_pairs
 
 
 def test_try_move_matches_full_recount():
@@ -147,10 +146,9 @@ def test_try_move_matches_full_recount():
     scored = Counter()
     close = Counter()
     for g, c in states:
-        lists = edge_lists(g)
-        eng = _Engine(g, lists, c)  # only generates candidates, never moves
+        eng = _Engine(_Contacts.of(g, c))  # only generates candidates, never moves
         before = eng.potential()
-        trial = _Engine(g, lists, c)
+        trial = _Engine(_Contacts.of(g, c))
         for e in eng.bad_edges():
             for name, gen in _schema_candidates(eng, e):
                 for cand in itertools.islice(gen, 5):
@@ -169,7 +167,7 @@ def test_try_move_matches_full_recount():
                         assert trial.colors == new_colors
                         _assert_matches_recount(trial)
                         assert move.predicted_potential == trial.potential() < before
-                        trial = _Engine(g, lists, c)
+                        trial = _Engine(_Contacts.of(g, c))
                     # scored: recolored and its potential read, kept or not
                     scored[name] += good_change
                     close[name] += good_change and _moved_at_distance_two(eng, cand)
@@ -182,7 +180,7 @@ def test_try_move_matches_full_recount():
 def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     g = families.random_max_degree(n, d, seed)
     assert max_degree(g) == d and 200 <= g.edge_count <= 400
-    eng = _Engine(g, edge_lists(g), smallest_color_start(g, d * d - 1))
+    eng = _Engine(_Contacts.of(g, smallest_color_start(g, d * d - 1)))
     _assert_matches_recount(eng)
     moves = 0
     while eng.kappa1 > 0:
@@ -198,7 +196,7 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
 def test_try_move_rejects_noop():
     g = families.prism(5)
     c = random_good_coloring(g, 8, random.Random(3))
-    eng = _Engine(g, edge_lists(g), c)
+    eng = _Engine(_Contacts.of(g, c))
     start = _snapshot(eng)
     assert eng.try_move({0: c.colors[0]}, "S1") is None
     assert _snapshot(eng) == start
@@ -209,7 +207,7 @@ def test_repair_on_cut_gadget():
     g, c = cut_gadget()
     assert is_good_coloring(g, c)
     assert badness(g, c).kappa1 >= 1
-    out, trace = _repair_engine(g, edge_lists(g), c, debug=True, mode="semistrong")
+    out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode="semistrong")
     assert badness(g, out).kappa1 == 0
     assert trace.fallback_f3 == 0
 
@@ -232,7 +230,7 @@ def test_repair_random_good_starts():
         assert is_connected(g) and max_degree(g) >= 3
         for _ in range(25):
             c = random_good_coloring(g, max_degree(g) ** 2 - 1, rng)
-            out, trace = _repair_engine(g, edge_lists(g), c, debug=True, mode="semistrong")
+            out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode="semistrong")
             assert badness(g, out).kappa1 == 0
             assert trace.fallback_f3 == 0
             schemas_seen.update(trace.moves_by_schema)
@@ -248,11 +246,11 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     rng = random.Random(9)
     g = families.prism(5)
     c = bad_state(g, rng)
-    out, trace = _repair_engine(g, edge_lists(g), c, debug=False, mode="semistrong")
+    out, trace = _repair_engine(_Contacts.of(g, c), debug=False, mode="semistrong")
     assert trace.fallback_f3 == 1
     assert verify_semistrong(g, out).ok
 
-    out, trace = _repair_engine(g, edge_lists(g), c, debug=False, mode="relaxed01")
+    out, trace = _repair_engine(_Contacts.of(g, c), debug=False, mode="relaxed01")
     assert trace.fallback_f3 == 1
     assert verify_relaxed(g, out, 0, 1).ok
 
@@ -272,10 +270,10 @@ def test_below_bound_run_ends_in_a_verified_f3_coloring():
     g = build_graph(13, BELOW_BOUND_EDGES)
     stuck = from_list(BELOW_BOUND_STUCK, 6)
     assert is_good_coloring(g, stuck) and badness(g, stuck).potential == (1, 4)
-    assert _Engine(g, edge_lists(g), stuck).find_move() is None
+    assert _Engine(_Contacts.of(g, stuck)).find_move() is None
     start = from_list(BELOW_BOUND_START, 6)
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode=mode)
+        out, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode=mode)
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
         assert trace.kappa_trajectory[-1] == (1, 4)
         assert trace.fallback_f3 == 1
@@ -289,7 +287,7 @@ def test_prism5_fixture_repair_makes_a_two_edge_s2_move():
     g = parse_edge_list((Path(__file__).parent / "data" / "prism5.txt").read_text(encoding="utf-8"))
     start = smallest_color_start(g, 8)
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode=mode)
+        out, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode=mode)
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
         assert trace.kappa_trajectory[0] == (9, 12) and trace.kappa_trajectory[-1] == (0, 1)
         assert trace.fallback_f3 == 0 and verify_semistrong(g, out).ok
@@ -303,7 +301,7 @@ def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
     bad = sorted(badness(g, c).bad_edges)
     for mode in ("semistrong", "relaxed01"):
         with pytest.raises(EngineInvariantError, match=re.escape(f"bad edges {bad}")):
-            _repair_engine(g, edge_lists(g), c, debug=False, mode=mode)
+            _repair_engine(_Contacts.of(g, c), debug=False, mode=mode)
 
 
 def test_deep_schemas_produce_accepted_moves():
@@ -317,11 +315,10 @@ def test_deep_schemas_produce_accepted_moves():
             c = random_good_coloring(g, k, rng)
             if badness(g, c).kappa1 == 0:
                 continue
-            lists = edge_lists(g)
             for e in sorted(badness(g, c).bad_edges):
                 for name in ("S3", "S4", "S6", "S7"):
                     # a fresh engine per schema: an accepted move stays made
-                    eng = _Engine(g, lists, c)
+                    eng = _Engine(_Contacts.of(g, c))
                     gen = getattr(eng, f"_{name.lower()}_candidates")
                     if any(eng.try_move(cand, name) is not None for cand in gen(e)):
                         accepted.add(name)
@@ -330,7 +327,7 @@ def test_deep_schemas_produce_accepted_moves():
 
 def test_on_demand_neighborhood_matches_compute_neighborhood():
     for g in [families.prism(5), families.c7_blowup(), families.h_graph(4), cut_gadget()[0]]:
-        eng = _Engine(g, edge_lists(g), greedy_good_coloring(g, max_degree(g) ** 2 - 1))
+        eng = _Engine(_Contacts.of(g, greedy_good_coloring(g, max_degree(g) ** 2 - 1)))
         assert eng._nbs == {}  # nothing is built up front
         for e in range(g.edge_count):
             nb, one = eng.nb(e), compute_neighborhood(g, e)
@@ -344,7 +341,7 @@ def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
     made = Counter()
     for g in [families.prism(5), families.c7_blowup(), families.random_max_degree(30, 4, 7)]:
         k = max_degree(g) ** 2 - 1
-        eng = _Engine(g, edge_lists(g), random_good_coloring(g, k, rng))
+        eng = _Engine(_Contacts.of(g, random_good_coloring(g, k, rng)))
         for _ in range(400):
             edges = rng.sample(range(g.edge_count), rng.choice((1, 2, 3)))
             move = eng.try_move({e: rng.randint(1, k) for e in edges}, "random")
@@ -352,7 +349,7 @@ def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
             assert eng.smallest_bad() == min(eng.bad, default=None)
             assert eng.bad <= set(eng.heap) and len(eng.heap) <= 2 * g.edge_count
             if not eng.bad:
-                eng = _Engine(g, edge_lists(g), random_good_coloring(g, k, rng))
+                eng = _Engine(_Contacts.of(g, random_good_coloring(g, k, rng)))
     assert made[True] > 0 and made[False] > 0
 
 
@@ -370,7 +367,7 @@ def test_s1_only_repair_never_sorts_the_bad_set(monkeypatch):
     start = smallest_color_start(g, d * d - 1)
     assert badness(g, start).kappa1 > 100
     for debug in (False, True):
-        out, trace = _repair_engine(g, edge_lists(g), start, debug=debug, mode="semistrong")
+        out, trace = _repair_engine(_Contacts.of(g, start), debug=debug, mode="semistrong")
         assert badness(g, out).kappa1 == 0
         assert set(trace.moves_by_schema) == {"S1"} and trace.moves_by_schema["S1"] > 100
     assert sorts == []
@@ -394,18 +391,26 @@ def _hub_graph():
     return build_graph(n + 1, sorted(pairs) + spokes)
 
 
-def test_count_tables_grow_with_n2_not_with_the_palette():
+def test_repair_state_is_linear_in_the_edge_count():
     hub = _hub_graph()
     g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
     assert max_degree(g) == 40 and g.edge_count > 2500
-    lists = edge_lists(g)
-    eng = _Engine(g, lists, smallest_color_start(g, 40 * 40 - 1))
-    n2_total = sum(len(n2) for n2 in lists.n2)
-    assert sum(len(t) for t in eng.table) <= n2_total
-    while eng.find_move() is not None:
-        pass
-    assert eng.kappa1 == 0
-    assert sum(len(t) for t in eng.table) <= n2_total
+    start = smallest_color_start(g, 40 * 40 - 1)
+    # the state and a whole repair: per-edge N2 and forbidden-set lists with
+    # a count table per edge peaked at 2.2 MiB here
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = _Contacts.of(g, start)
+        out, trace = _repair_engine(state, debug=False, mode="semistrong")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert badness(g, out).kappa1 == 0 and trace.moves_by_schema["S1"] > 1000
+    assert peak < 1.5 * 2**20
+    # one map entry per edge end, and no per-edge list or table
+    assert sum(len(colors) for colors in state.at) == 2 * g.edge_count
+    assert (state.at, state.count) == contact_state(g, out.colors)
     # the whole solve: per-edge frozenset neighborhoods peaked at 6.4 MiB
     # here, and a dense palette-sized table per edge at about 38 MiB
     tracemalloc.start()

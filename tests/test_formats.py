@@ -203,6 +203,23 @@ def test_parse_coloring_errors():
         with pytest.raises(FormatError) as exc:
             parse_coloring(text)
         assert exc.value.reason == "bad_coloring"
+    for text in ('{"colors": [0]}', '{"colors": [2, -1]}'):
+        with pytest.raises(FormatError) as exc:
+            parse_coloring(text)
+        assert exc.value.reason == "bad_coloring"
+    # json's own digit limit and nesting limit, neither a JSONDecodeError
+    for text in ('{"colors": [' + "1" * 5000 + "]}", "[" * 100_000):
+        with pytest.raises(FormatError) as exc:
+            parse_coloring(text)
+        assert exc.value.reason == "bad_json"
+
+
+def test_edge_list_header_is_capped_at_the_graph6_vertex_limit():
+    assert parse_edge_list("258047 1\n0 258046\n").vertex_count == 258047
+    for text in ("258048 0\n", "100000000 0\n"):
+        with pytest.raises(FormatError) as exc:
+            parse_edge_list(text)
+        assert exc.value.reason == "too_large"
 
 
 def test_emit_is_byte_stable():
@@ -256,3 +273,32 @@ def test_emitted_documents_match_the_stdlib_indent_encoder(tmp_path, capsys):
         capsys.readouterr()
         cli(["verify", "--mode", "semistrong", "--graph", str(graph), "--coloring", str(coloring)])
         assert _canonical(capsys.readouterr().out)
+
+
+_PARSERS = {"edge_list": parse_edge_list, "graph6": parse_graph6, "coloring": parse_coloring}
+# short inputs drawn mostly from each format's own alphabet, so that fuzzing
+# gets past the first check of each parser
+_HOSTILE_TEXT = (
+    st.text(max_size=40)
+    | st.text(alphabet="0123456789 -+_#\n\t", max_size=40)
+    | st.text(alphabet=[chr(c) for c in range(60, 128)], max_size=24)
+    | _JSON_VALUES.map(json.dumps)
+    | st.lists(st.integers(-3, 10**6) | st.booleans() | st.floats() | st.text(max_size=3), max_size=8).map(
+        lambda colors: json.dumps({"colors": colors})
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_PARSERS)), _HOSTILE_TEXT)
+@example("edge_list", "100000000 0\n")  # 10^8 adjacency lists before a single edge
+@example("coloring", '{"colors": [0]}')  # a color below 1
+@example("coloring", '{"colors": [' + "7" * 5000 + "]}")  # past json's digit limit
+@example("coloring", "[" * 100_000)  # past json's nesting limit
+@example("graph6", "~~??????")  # a 0-vertex graph in the 8-byte size prefix
+@example("graph6", "~~~~~~~~")  # 2^36 - 1 vertices and no payload
+def test_parsers_raise_only_their_own_errors(parser, text):
+    try:
+        _PARSERS[parser](text)
+    except (FormatError, GraphError):
+        pass

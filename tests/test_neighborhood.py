@@ -14,7 +14,9 @@ from _oracles import (
 )
 from semistrong import families
 from semistrong.graph import build_graph, max_degree
-from semistrong.neighborhood import PairType, compute_neighborhood, edge_lists, m_set, observation_bound
+from semistrong.coloring import from_list
+from semistrong.neighborhood import PairType, compute_neighborhood, m_set, observation_bound
+from semistrong.solver import _Contacts
 
 CORPUS = [
     families.cycle(4),
@@ -241,14 +243,19 @@ def _atlas_graphs():
         yield build_graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
 
 
-def test_edge_lists_match_single_edge_builds():
-    # every graph with at most 7 vertices, the corpus, and seeded random graphs
+def test_contact_scan_matches_single_edge_builds():
+    # every graph with at most 7 vertices, the corpus, and seeded random
+    # graphs, each in a rainbow coloring, so that colors name edges
     randoms = [families.random_max_degree(n, d, seed) for seed, (n, d) in enumerate([(30, 3), (40, 5), (60, 6)] * 3)]
     for g in [*_atlas_graphs(), *CORPUS, *randoms]:
-        lists = edge_lists(g)
-        assert len(lists.n2) == len(lists.f_set) == g.edge_count
+        rainbow = from_list(range(1, g.edge_count + 1))
+        state = _Contacts.of(g, rainbow)
+        assert state.count == [0] * g.edge_count
         for e in range(g.edge_count):
             one = compute_neighborhood(g, e)
-            n2, f_set = lists.n2[e], lists.f_set[e]
-            assert len(set(n2)) == len(n2) and len(set(f_set)) == len(f_set)
-            assert (set(n2), set(f_set)) == (one.n2, one.f_set)
+            assert state.lift(e) == []
+            forbidden, contacts = state.scan(e)
+            assert forbidden == {rainbow.colors[f] for f in one.f_set}
+            t6 = [fs for c, fs in contacts.items() if c not in forbidden]
+            assert all(len(fs) == 1 for fs in t6) and {fs[0] for fs in t6} == one.t6
+            state.place(e, e + 1, ())

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import contact_greedy, smallest_color_start
+from _oracles import contact_greedy, contact_state, smallest_color_start
 from semistrong import families
-from semistrong.coloring import from_list
-from semistrong.graph import g_family_witness, max_degree
-from semistrong.neighborhood import compute_neighborhood, edge_lists
-from semistrong.solver import MODES, _greedy, _repair_engine, greedy_good_coloring, solve
+from semistrong.graph import connected_components, g_family_witness, is_complete_bipartite_dd, max_degree
+from semistrong.neighborhood import compute_neighborhood
+from semistrong.solver import MODES, _Contacts, _greedy, _repair_engine, greedy_good_coloring, solve
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
@@ -34,7 +32,7 @@ def test_clean_good_colorings_pass_both_verifiers():
     for g in _qualifying_random_graphs(40, rng):
         d = max_degree(g)
         start = smallest_color_start(g, d * d - 1)
-        coloring, _ = _repair_engine(g, edge_lists(g), start, debug=False, mode="semistrong")
+        coloring, _ = _repair_engine(_Contacts.of(g, start), debug=False, mode="semistrong")
         assert is_good_coloring(g, coloring)
         assert badness(g, coloring).kappa1 == 0
         assert verify_semistrong(g, coloring).ok
@@ -47,7 +45,7 @@ def test_move_count_within_potential_bound():
         d = max_degree(g)
         start = smallest_color_start(g, d * d - 1)
         rep = badness(g, start)
-        _, trace = _repair_engine(g, edge_lists(g), start, debug=False, mode="semistrong")
+        _, trace = _repair_engine(_Contacts.of(g, start), debug=False, mode="semistrong")
         moves = sum(trace.moves_by_schema.values())
         assert moves <= rep.kappa1 * (rep.kappa2 + 1) + rep.kappa2
 
@@ -68,15 +66,14 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
     assume(delta >= 3)
     # from the solver's palette down to one color more than the largest
     # forbidden set, where the contact rule falls back more often
-    enough = 1 + max(len(f) for f in edge_lists(g).f_set)
+    enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
     k = max(enough, delta * delta - 1 - (delta * delta) * tight // 4)
-    colors, count = _greedy(g, k)
-    start = from_list(colors, k)
+    state = _greedy(g, k)
+    start = state.to_coloring()
     oracle, fallbacks = contact_greedy(g, k)
     assert start == oracle and is_good_coloring(g, start)
+    assert (state.at, state.count) == contact_state(g, start.colors)
     rep = badness(g, start)
-    per_edge = Counter(e for pair in rep.bad_pairs for e in pair)
-    assert count == [per_edge[e] for e in range(g.edge_count)]
     # a fallback always leaves a bad edge, and nothing else makes one
     assert (rep.kappa1 == 0) == (fallbacks == 0)
     for mode in MODES:
@@ -87,3 +84,22 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
                 assert not trace.exceeds_bound and trace.fallback_f3 == 0
                 steps = trace.kappa_trajectory
                 assert all(b < a for a, b in zip(steps, steps[1:])) and steps[-1][0] == 0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(6, 30), st.integers(3, 6), st.integers(0, 10**6))
+def test_repair_engine_from_the_smallest_color_start(n, d, seed):
+    whole = families.random_max_degree(n, d, seed)
+    g = max((view.graph for view in connected_components(whole)), key=lambda h: h.edge_count)
+    delta = max_degree(g)
+    assume(delta >= 3 and not is_complete_bipartite_dd(g, delta) and g_family_witness(g) is None)
+    start = smallest_color_start(g, delta * delta - 1)
+    for mode in MODES:
+        state = _Contacts.of(g, start)
+        coloring, trace = _repair_engine(state, debug=True, mode=mode)
+        assert coloring.distinct_colors() <= delta * delta - 1 and trace.fallback_f3 == 0
+        assert verify_semistrong(g, coloring).ok and verify_relaxed(g, coloring, 0, 1).ok
+        steps = trace.kappa_trajectory
+        assert steps[0] == badness(g, start).potential and steps[-1][0] == 0
+        assert all(b < a for a, b in zip(steps, steps[1:]))
+        assert (state.at, state.count) == contact_state(g, coloring.colors)

@@ -8,10 +8,12 @@ from _oracles import contact_greedy, smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.graph import build_graph, g_family_witness, max_degree
-from semistrong.neighborhood import compute_neighborhood, edge_lists
+from semistrong.neighborhood import compute_neighborhood
 from semistrong.solver import (
     EngineInvariantError,
     PaletteExhaustedError,
+    _Contacts,
+    _Engine,
     _repair_engine,
     find_improving_move,
     greedy_good_coloring,
@@ -136,13 +138,13 @@ def test_repair_returns_a_clean_coloring_without_building_the_engine(monkeypatch
     g = petersen()
     clean = repair(g, smallest_color_start(g, 8))
 
-    def failing(graph):
-        raise AssertionError("a clean coloring reached edge_lists")
+    def failing(state, debug=False):
+        raise AssertionError("a clean coloring reached the engine")
 
-    monkeypatch.setattr(solver, "edge_lists", failing)
+    monkeypatch.setattr(solver, "_Engine", failing)
     for mode in ("semistrong", "relaxed01"):
         assert repair(g, clean, debug=True, mode=mode) is clean
-    with pytest.raises(AssertionError, match="edge_lists"):
+    with pytest.raises(AssertionError, match="engine"):
         repair(g, smallest_color_start(g, 8))
 
 
@@ -162,7 +164,7 @@ def test_repair_trajectory_strictly_decreasing():
         if d < 3 or g_family_witness(g) is not None:
             continue
         start = smallest_color_start(g, d * d - 1)
-        coloring, trace = _repair_engine(g, edge_lists(g), start, debug=True, mode="semistrong")
+        coloring, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode="semistrong")
         traj = trace.kappa_trajectory
         for a, b in zip(traj, traj[1:]):
             assert b < a
@@ -267,16 +269,15 @@ def test_solve_path_component():
                 assert res.colors_used == expected
 
 
-def _counting_edge_lists(monkeypatch) -> list:
-    from semistrong import neighborhood
-
+def _counting_engines(monkeypatch) -> list:
+    """The graph of every repair engine built from now on."""
     built = []
 
-    def counting(graph):
-        built.append(graph)
-        return neighborhood.edge_lists(graph)
+    def counting(state, debug=False):
+        built.append(state.g)
+        return _Engine(state, debug)
 
-    monkeypatch.setattr(solver, "edge_lists", counting)
+    monkeypatch.setattr(solver, "_Engine", counting)
     return built
 
 
@@ -284,7 +285,7 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
     from semistrong import neighborhood
     from semistrong.formats import emit_result
 
-    built = _counting_edge_lists(monkeypatch)
+    built = _counting_engines(monkeypatch)
     single = []
 
     def counting_single(graph, e):
@@ -361,7 +362,7 @@ FALLBACK_EDGES = [
 
 
 def test_solve_runs_the_engine_only_when_the_start_has_a_bad_edge(monkeypatch):
-    built = _counting_edge_lists(monkeypatch)
+    built = _counting_engines(monkeypatch)
     fallback = build_graph(10, FALLBACK_EDGES)
     assert contact_greedy(fallback, 8)[1] == 1
     clean = families.hypercube(3)
@@ -389,17 +390,51 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
     greedy = solver._greedy
 
     def miscounted(h, k):
-        colors, count = greedy(h, k)
-        count[0] += 1
-        return colors, count
+        state = greedy(h, k)
+        state.count[0] += 1
+        return state
 
     def not_good(h, k):
-        colors, count = greedy(h, k)
-        colors[1] = colors[0]  # edges 0 and 1 share vertex 0
-        return colors, count
+        state = greedy(h, k)
+        state.colors[1] = state.colors[0]  # edges 0 and 1 share vertex 0
+        return state
+
+    def unmapped(h, k):
+        state = greedy(h, k)
+        del state.at[h.edges[0][0]][state.colors[0]]
+        return state
 
     assert set(g.edges[0]) & set(g.edges[1])
-    for fake, why in ((miscounted, "disagree with badness"), (not_good, "not a good coloring")):
+    for fake, why in (
+        (miscounted, "disagree with a recount"),
+        (not_good, "not a good coloring"),
+        (unmapped, "disagree with a recount"),
+    ):
         monkeypatch.setattr(solver, "_greedy", fake)
         with pytest.raises(EngineInvariantError, match=why):
             solve(g, "semistrong", debug=True)
+
+
+def test_debug_repair_holds_every_move_to_the_checkers(monkeypatch):
+    fallback = build_graph(10, FALLBACK_EDGES)
+    lift, place = _Contacts.lift, _Engine._place
+
+    def forgetful(self, e):  # one contact keeps its count
+        contacts = lift(self, e)
+        for f in contacts[:1]:
+            self.count[f] += 1
+        return contacts
+
+    def overcounted(self, e, c, contacts):  # one pair too many
+        place(self, e, c, contacts)
+        self.sum_pairs += 2
+
+    assert solve(fallback, "semistrong", debug=True).trace[0].moves_by_schema["S1"] == 3
+    for cls, name, fake, why in (
+        (_Contacts, "lift", forgetful, "disagree with a recount"),
+        (_Engine, "_place", overcounted, "disagrees with full recomputation"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, name, fake)
+            with pytest.raises(EngineInvariantError, match=f"move S1 .*{why}"):
+                solve(fallback, "semistrong", debug=True)
