@@ -23,12 +23,16 @@ extension: ending the branch there loses no coloring.
 
 ``exact_index`` walks the color count top-down, from a count that a greedy
 strong coloring always meets, to one less than the colors each found
-coloring used, and stops at the first refutation.
+coloring used, and stops at the first refutation. Before it searches at k it
+tries a counting bound: some class of a k-coloring has q = ⌈m/k⌉ edges, and
+every mode is hereditary (a subset of a valid class is valid), so when no
+valid class of q edges exists, k is refuted without the search.
 
 Budgets are wall-clock and/or node counts; a node is one probe of a color
-on an edge near the last placed one, or one color tried on the chosen edge,
-so node budgets make timeouts reproducible: a node budget b times out at
-exactly b + 1 nodes, and the deadline is read every 1,024 nodes.
+on an edge near the last placed one, one color tried on the chosen edge, or
+one edge tried in the class of the counting bound, so node budgets make
+timeouts reproducible: a node budget b times out at exactly b + 1 nodes, and
+the deadline is read every 1,024 nodes.
 """
 
 from __future__ import annotations
@@ -307,6 +311,15 @@ def _layout(g: Graph, mode: str) -> _Layout:
     return _Layout(order, rank, [a + b for a, b in zip(n1, n2)], n1, n2)
 
 
+def _state(g: Graph, mode: str, k: int, s: int, t: int, layout: _Layout):
+    """An empty k-class state for the mode; strong is relaxed(0,0)."""
+    if mode == "semistrong":
+        return _SemistrongState(g, k)
+    if mode == "strong":
+        s = t = 0
+    return _RelaxedState(layout.n1, layout.n2, s, t)
+
+
 def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: _Layout) -> list[int] | None:
     """Complete fail-first DFS; returns a color list or None when refuted.
     Raises _BudgetExceeded when out of budget.
@@ -342,10 +355,7 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     colors = [0] * m
     if m == 0:
         return colors
-    if mode == "semistrong":
-        state = _SemistrongState(g, k)
-    else:
-        state = _RelaxedState(layout.n1, layout.n2, 0 if mode == "strong" else s, 0 if mode == "strong" else t)
+    state = _state(g, mode, k, s, t, layout)
     order, rank, near = layout.order, layout.rank, layout.near
     fits, try_assign, undo = state.fits, state.try_assign, state.undo
     nodes = clock.nodes
@@ -443,6 +453,44 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
         undo(tokens[pos])
 
 
+def _has_class(g: Graph, mode: str, q: int, clock: _Clock, s: int, t: int, layout: _Layout) -> bool:
+    """Whether some valid class has q edges. Raises _BudgetExceeded when out
+    of budget.
+
+    A DFS over the edges in index order puts each edge in the class when it
+    fits and then leaves it out, and ends a branch once the edges left cannot
+    bring the class to q. Every mode's validity is hereditary, so the search
+    needs only classes that stay valid on the way, and a subset of q edges
+    exists as soon as any larger valid class does. It counts one node per
+    probe on the clock shared with ``_search``.
+    """
+    m = g.edge_count
+    state = _state(g, mode, 1, s, t, layout)
+    try_assign, undo = state.try_assign, state.undo
+    nodes = clock.nodes
+    stop = clock.stop(nodes)
+    tokens: list = []  # the class so far, as try_assign tokens in edge order
+    e = 0  # the next edge to decide
+    while len(tokens) < q:
+        if len(tokens) + (m - e) < q:
+            if not tokens:
+                clock.nodes = nodes
+                return False
+            token = tokens.pop()
+            undo(token)
+            e = token[0] + 1  # the branch that leaves the edge out
+            continue
+        nodes += 1
+        if nodes == stop:
+            stop = clock.check(nodes)
+        token = try_assign(e, 1)
+        if token is not None:
+            tokens.append(token)
+        e += 1
+    clock.nodes = nodes
+    return True
+
+
 def feasibility(
     g: Graph, mode: str, k: int, budget: Budget | None = None, s: int = 0, t: int = 0
 ) -> FeasibilityResult:
@@ -484,16 +532,22 @@ def exact_index(
     strong coloring, valid in every mode, meets that count, and so does
     giving each edge its own color. After each ``sat`` it searches again at
     one less than the colors that coloring used, and it stops at the first
-    ``unsat``, which refutes every smaller count too. The certificate is the
-    first coloring the search finds at the value itself: a search at a
-    larger count walks the same tree, with excursions into the extra
-    colors, so its first coloring that uses only ``value`` colors is that
-    one. ``nodes`` is summed over every count tried.
+    refutation, which refutes every smaller count too. Before that search
+    at k, when the coloring's largest class has fewer than q = ⌈m/k⌉ edges,
+    it looks for one valid class of q edges: with none, k is refuted
+    without the search. (A coloring whose largest class already has q
+    edges shows that such a class exists, so the bound is skipped then.)
+    The certificate is the first coloring the search finds at the value
+    itself: a search at a larger count walks the same tree, with excursions
+    into the extra colors, so its first coloring that uses only ``value``
+    colors is that one. ``nodes`` is summed over every count and class
+    search tried.
 
-    proof='exhausted' certifies that value - 1 was refuted by complete
-    search; value=None then means max_colors itself was refuted. On
-    proof='timeout' the value and certificate are the best upper bound
-    found before the budget ran out, or None when there was none.
+    proof='exhausted' certifies that value - 1 was refuted by a complete
+    search, of the (value - 1)-colorings or of the classes of
+    ⌈m/(value - 1)⌉ edges; value=None then means max_colors itself was
+    refuted. On proof='timeout' the value and certificate are the best upper
+    bound found before the budget ran out, or None when there was none.
     """
     _check_mode(mode, s, t)
     if max_colors < 1:
@@ -507,7 +561,7 @@ def exact_index(
     k = min(max_colors, m, 2 * delta * (delta - 1) + 1)
     best: Coloring | None = None
     proof = "exhausted"
-    while k >= 1:
+    while True:
         res = _feasibility(g, mode, k, clock, s, t, layout)
         if res.status == "timeout":
             proof = "timeout"
@@ -515,6 +569,16 @@ def exact_index(
             break
         best = res.coloring
         k = max(best.colors) - 1
+        if k < 1:
+            break
+        q = -(-m // k)
+        if max(map(len, best.classes().values())) < q:
+            try:
+                if not _has_class(g, mode, q, clock, s, t, layout):
+                    break
+            except _BudgetExceeded:
+                proof = "timeout"
+                break
     if best is None:
         return ExactResult(None, None, proof, clock.nodes)
     value = max(best.colors)

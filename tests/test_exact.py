@@ -6,7 +6,16 @@ import pytest
 from _oracles import naive_verify, one_neighbors, two_neighbors
 
 from semistrong import families
-from semistrong.exact import Budget, _layout, _RelaxedState, _SemistrongState, exact_index, feasibility
+from semistrong.exact import (
+    Budget,
+    _Clock,
+    _has_class,
+    _layout,
+    _RelaxedState,
+    _SemistrongState,
+    exact_index,
+    feasibility,
+)
 from semistrong.graph import build_graph
 from semistrong.verify import verify_relaxed, verify_semistrong, verify_strong
 
@@ -100,28 +109,81 @@ def test_node_budget_timeout_is_deterministic():
     assert full.status == "unsat"
 
 
+# an 8-vertex graph where relaxed(0,1) has a 3-edge class, so the counting
+# bound lets the refutation of 5 colors through to the search
+_BOUND_PASSES = build_graph(
+    8, [(0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 4), (3, 5), (3, 6), (3, 7), (4, 5)]
+)
+
+
+def _class_nodes(g, mode, q, s=0, t=0):
+    """The class search's verdict and node count on a fresh clock."""
+    clock = _Clock(None)
+    found = _has_class(g, mode, q, clock, s, t, _layout(g, mode))
+    return found, clock.nodes
+
+
 def test_exact_index_timeout_proof():
     g = families.prism(5)
     res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=50))
     assert res.proof == "timeout"
     assert res.value is None
-    # the 100-node search at 8 colors fits in the budget, the refutation of 7
-    # does not: the found coloring is kept as an upper bound
-    res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=5000))
-    assert (res.value, res.proof, res.nodes) == (8, "timeout", 5001)
+    # the 100-node search at 8 colors fits in the budget, the 391-node search
+    # for a 3-edge class does not: the found coloring is kept as an upper bound
+    res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=300))
+    assert (res.value, res.proof, res.nodes) == (8, "timeout", 301)
     assert res.certificate.k == 8 and verify_semistrong(g, res.certificate).ok
+    res = exact_index(g, "semistrong", 8, budget=Budget(max_nodes=5000))
+    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 491)
+    # the bound passes 5 colors on to the 446-node refutation, which the
+    # budget cuts after 200 nodes
+    res = exact_index(_BOUND_PASSES, "relaxed", 6, budget=Budget(max_nodes=78 + 85 + 200), s=0, t=1)
+    assert (res.value, res.proof, res.nodes) == (6, "timeout", 364)
+    assert res.certificate.k == 6 and verify_relaxed(_BOUND_PASSES, res.certificate, 0, 1).ok
 
 
 def test_exact_index_walks_down_and_searches_no_count_below_the_refuted_one():
-    # prism5: 100 nodes to color with 8, then the 61,467-node refutation of 7;
-    # K4,4 relaxed(0,1): the same at 8, then the refutation of 7
+    # prism5: 100 nodes to color with 8, then 391 to find no 3-edge
+    # semistrong matching, which refutes 7 = 15 edges / 2 per class, rounded up
     g = families.prism(5)
     res = exact_index(g, "semistrong", 8)
-    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 61567)
-    assert res.nodes == feasibility(g, "semistrong", 8).nodes + feasibility(g, "semistrong", 7).nodes
+    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 491)
+    assert _class_nodes(g, "semistrong", 3) == (False, 391)
+    assert res.nodes == feasibility(g, "semistrong", 8).nodes + 391
+    # K4,4 relaxed(0,1): 125 nodes at 8, then no 3-edge class in 419
     g = families.complete_bipartite(4, 4)
     res = exact_index(g, "relaxed", 8, s=0, t=1)
-    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 36607)
+    assert (res.value, res.proof, res.nodes) == (8, "exhausted", 544)
+    assert _class_nodes(g, "relaxed", 3, 0, 1) == (False, 419)
+    assert res.nodes == feasibility(g, "relaxed", 8, s=0, t=1).nodes + 419
+    # a 3-edge class exists, so the search refutes 5 colors: 72 nodes at 12
+    # colors (6 used), 78 at 6 (6 used), 85 to find the class, 446 to refute 5
+    g = _BOUND_PASSES
+    res = exact_index(g, "relaxed", 12, s=0, t=1)
+    assert (res.value, res.proof, res.nodes) == (6, "exhausted", 681)
+    assert _class_nodes(g, "relaxed", 3, 0, 1) == (True, 85)
+    counts = [feasibility(g, "relaxed", k, s=0, t=1) for k in (12, 6, 5)]
+    assert [r.status for r in counts] == ["sat", "sat", "unsat"]
+    assert res.nodes == sum(r.nodes for r in counts) + 85
+
+
+@pytest.mark.parametrize("mode,s,t", [("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1), ("relaxed", 1, 1)])
+def test_has_class_matches_brute_force(mode, s, t):
+    # a valid class of q edges exists iff some q-subset is valid; the answers
+    # fall as q grows (every mode is hereditary), and q = m + 1 has none
+    rng = random.Random(53 + 2 * s + t + (mode == "strong"))
+    runs = 0
+    while runs < 12:
+        g = _random_graph(rng.randint(4, 8), rng.choice((0.3, 0.45, 0.6)), rng)
+        m = g.edge_count
+        if not 1 <= m <= 11:
+            continue
+        valid = [naive_verify(g, [0 if T >> e & 1 else e + 1 for e in range(m)], mode, s, t) for T in range(1 << m)]
+        expected = [any(valid[T] for T in range(1 << m) if T.bit_count() == q) for q in range(1, m + 2)]
+        assert expected == sorted(expected, reverse=True) and not expected[-1]
+        layout = _layout(g, mode)
+        assert [_has_class(g, mode, q, _Clock(None), s, t, layout) for q in range(1, m + 2)] == expected
+        runs += 1
 
 
 def test_exact_certificate_is_the_first_coloring_at_the_value():
