@@ -60,16 +60,6 @@ def color_cycle(n: int) -> Coloring:
     return from_list(cycle_pattern(n, relaxed=False))
 
 
-def _kdd_bipartition(g: Graph, d: int) -> tuple[list[int], list[int]]:
-    """Sorted sides of a connected bipartite graph known to be K_{d,d}."""
-    side = _bipartition(g) or []
-    left = [v for v, s in enumerate(side) if s == 0]
-    right = [v for v, s in enumerate(side) if s == 1]
-    if len(left) != d or len(right) != d:
-        raise GraphError("not_kdd", f"graph is not a balanced complete bipartite graph of degree {d}")
-    return left, right
-
-
 def color_kdd_semistrong_graph(g: Graph, d: int) -> Coloring:
     """Rainbow: every semistrong class of this graph is a single edge."""
     if not is_complete_bipartite_dd(g, d):
@@ -83,7 +73,10 @@ def color_kdd_relaxed_graph(g: Graph, d: int) -> Coloring:
     allowed at distance 2."""
     if not is_complete_bipartite_dd(g, d):
         raise GraphError("not_kdd", f"graph is not K_{{{d},{d}}}")
-    left, right = _kdd_bipartition(g, d)
+    # is_complete_bipartite_dd has proved both sides hold d vertices
+    side = _bipartition(g)
+    left = [v for v, s in enumerate(side) if s == 0]
+    right = [v for v, s in enumerate(side) if s == 1]
     pair_color: dict[tuple[int, int], int] = {}
     nxt = 1
     for i in range(d):

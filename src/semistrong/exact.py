@@ -52,8 +52,17 @@ MODES = ("semistrong", "strong", "relaxed")
 
 @dataclass(frozen=True)
 class Budget:
+    """Caps on search nodes and wall-clock seconds; None is no cap, and a cap
+    below 0 (or NaN) is a ValueError."""
+
     max_seconds: float | None = None
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        for name in ("max_seconds", "max_nodes"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0 or None, got {value}")
 
 
 class _BudgetExceeded(Exception):
@@ -122,11 +131,11 @@ class _SemistrongState:
 
     For each class c and vertex x: partner[c][x] is x's partner in the class
     matching, -1 when x is not a class vertex; sees[c][x] counts the class
-    vertices adjacent to x; doomed[c][x] marks a class vertex whose partner
-    has a second class neighbor, so x must keep its own partner as its only
-    one; poison[c][x] counts the reasons x cannot be an endpoint of a new
-    class edge: x is a class vertex, x is a common neighbor of a class edge's
-    two ends, or x is next to a doomed class vertex.
+    vertices adjacent to x; poison[c][x] counts the reasons x cannot be an
+    endpoint of a new class edge: x is a class vertex, x is a common neighbor
+    of a class edge's two ends, or x is next to a class vertex w whose
+    partner has a second class neighbor, so w must keep its partner as its
+    only one.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -138,7 +147,6 @@ class _SemistrongState:
         self.partner = [[-1] * n for _ in range(k + 1)]
         self.sees = [[0] * n for _ in range(k + 1)]
         self.poison = [[0] * n for _ in range(k + 1)]
-        self.doomed = [[False] * n for _ in range(k + 1)]
 
     def fits(self, e: int, c: int) -> bool:
         """try_assign's verdict, without changing the state.
@@ -146,8 +154,9 @@ class _SemistrongState:
         Edge uv fits class c when neither end is poisoned and one end sees no
         class vertex: that end has degree 1 among the class vertices, and each
         class vertex w next to the other end gets a second class neighbor,
-        which breaks w's class edge only when w is doomed or uv's end is next
-        to w's partner too.
+        which breaks w's class edge only when w's partner has a second class
+        neighbor already or uv's end is next to w's partner too; either way
+        that end is poisoned.
         """
         u, v = self.edges[e]
         poison = self.poison[c]
@@ -188,9 +197,7 @@ class _SemistrongState:
             sees[x] = s
             if s == 2 and partner[x] != -1:
                 doom.append(partner[x])
-        doomed = self.doomed[c]
         for w in doom:
-            doomed[w] = True
             for x in nbrs[w]:
                 poison[x] += 1
         return (e, c, doom)
@@ -202,12 +209,9 @@ class _SemistrongState:
         sees = self.sees[c]
         poison = self.poison[c]
         nbrs = self.nbrs
-        if doom:
-            doomed = self.doomed[c]
-            for w in doom:
-                doomed[w] = False
-                for x in nbrs[w]:
-                    poison[x] -= 1
+        for w in doom:
+            for x in nbrs[w]:
+                poison[x] -= 1
         for x in nbrs[u]:
             sees[x] -= 1
         for x in nbrs[v]:

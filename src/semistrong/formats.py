@@ -20,7 +20,7 @@ from .coloring import Coloring, from_list
 from .exact import ExactResult
 from .graph import Graph, build_graph
 from .solver import ComponentTrace, SolveResult
-from .verify import BadnessReport, certify
+from .verify import certify
 
 
 # graph6's 4-byte size prefix holds no more; parsers reject a larger header
@@ -104,6 +104,8 @@ def parse_graph6(line: str) -> Graph:
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     n, start = _graph6_size(s)
+    if n > MAX_VERTICES:
+        raise FormatError("too_large", f"size prefix declares {n} vertices; at most {MAX_VERTICES} are supported")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     payload = s[start:]
@@ -183,11 +185,10 @@ def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
     }
 
 
-def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **meta) -> str:
-    """Serialize a solve result, an exact-search result, or a badness audit.
+def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
+    """Serialize a solve result or an exact-search result.
 
-    For exact results pass mode/s/t via meta; for badness audits pass the
-    audited coloring as meta['coloring'].
+    For exact results pass mode/s/t via meta.
     """
     if isinstance(result, SolveResult):
         doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
@@ -205,16 +206,6 @@ def emit_result(g: Graph, result: SolveResult | ExactResult | BadnessReport, **m
         if meta.get("mode") == "relaxed":
             doc["s"] = meta.get("s", 0)
             doc["t"] = meta.get("t", 0)
-    elif isinstance(result, BadnessReport):
-        coloring: Coloring | None = meta.get("coloring")
-        colors = coloring.colors if coloring is not None else None
-        doc = _envelope(g, colors, meta.get("mode"), meta.get("valid"))
-        doc["kappa1"] = result.kappa1
-        doc["kappa2"] = result.kappa2
-        doc["per_color_kappa1"] = {str(k): v for k, v in sorted(result.per_color_kappa1.items())}
-        doc["per_color_kappa2"] = {str(k): v for k, v in sorted(result.per_color_kappa2.items())}
-        doc["bad_edges"] = list(result.bad_edges)
-        doc["bad_pairs"] = [list(p) for p in result.bad_pairs]
     else:
         raise TypeError(f"cannot emit {type(result).__name__}")
     return _dumps(doc) + "\n"

@@ -53,7 +53,6 @@ def build_graph(vertex_count: int, edge_pairs) -> Graph:
     if vertex_count < 0:
         raise GraphError("bad_vertex_count", f"vertex_count must be >= 0, got {vertex_count}")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     pair_to_index: dict[tuple[int, int], int] = {}
     for idx, (u, v) in enumerate(edge_pairs):
@@ -62,9 +61,8 @@ def build_graph(vertex_count: int, edge_pairs) -> Graph:
         if u == v:
             raise GraphError("self_loop", f"edge {idx} is a self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in pair_to_index:
             raise GraphError("duplicate_edge", f"edge {idx} ({u},{v}) duplicates an earlier edge")
-        seen.add(key)
         edges.append((u, v))
         adjacency[u].append((v, idx))
         adjacency[v].append((u, idx))
@@ -87,7 +85,6 @@ def max_degree(g: Graph) -> int:
 class ComponentView:
     """One connected component, re-indexed from 0, with maps back to the parent."""
 
-    parent: Graph
     graph: Graph
     vertex_map: tuple[int, ...]  # component vertex -> parent vertex
     edge_map: tuple[int, ...]  # component edge -> parent edge
@@ -120,7 +117,7 @@ def connected_components(g: Graph) -> list[ComponentView]:
     with no copy built."""
     label, count = _component_labels(g)
     if count == 1:
-        return [ComponentView(g, g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
+        return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
     verts: list[list[int]] = [[] for _ in range(count)]
     local = [0] * g.vertex_count
     for v in range(g.vertex_count):
@@ -135,7 +132,6 @@ def connected_components(g: Graph) -> list[ComponentView]:
         comp_edges = [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in ids]
         views.append(
             ComponentView(
-                parent=g,
                 graph=build_graph(len(part), comp_edges),
                 vertex_map=tuple(part),
                 edge_map=tuple(ids),

@@ -91,7 +91,6 @@ class EngineInvariantError(RuntimeError):
 class MoveProposal:
     assignments: tuple[tuple[int, int], ...]  # (edge, new color), edge-sorted
     schema: str
-    predicted_potential: tuple[int, int]
 
 
 @dataclass
@@ -336,9 +335,8 @@ class _Engine:
             self._place(e, c, contacts)
             placed.append(e)
         else:
-            after = self.potential()
-            if after < before:
-                move = MoveProposal(tuple(sorted(assignments.items())), schema, after)
+            if self.potential() < before:
+                move = MoveProposal(tuple(sorted(assignments.items())), schema)
                 if self.debug:
                     self._debug_check(move)
                 return move

@@ -208,8 +208,6 @@ class BadnessReport:
 
     kappa1: int
     kappa2: int
-    per_color_kappa1: dict[int, int]
-    per_color_kappa2: dict[int, int]
     bad_edges: tuple[int, ...]
     bad_pairs: tuple[tuple[int, int], ...]
 
@@ -221,22 +219,16 @@ class BadnessReport:
 def badness(g: Graph, c: Coloring) -> BadnessReport:
     bad_edges: list[int] = []
     bad_pairs: list[tuple[int, int]] = []
-    per1: dict[int, int] = {}
-    per2: dict[int, int] = {}
-    for e, ce, _, same in _same_colored_contacts(g, c):
+    for e, _, _, same in _same_colored_contacts(g, c):
         if len(same) >= 2:
             bad_edges.append(e)
-            per1[ce] = per1.get(ce, 0) + 1
         for f in same:
             if e < f:
                 bad_pairs.append((e, f))
-                per2[ce] = per2.get(ce, 0) + 1
     bad_pairs.sort()
     return BadnessReport(
         kappa1=len(bad_edges),
         kappa2=len(bad_pairs),
-        per_color_kappa1=per1,
-        per_color_kappa2=per2,
         bad_edges=tuple(bad_edges),
         bad_pairs=tuple(bad_pairs),
     )

@@ -116,6 +116,15 @@ def test_exact_c7(tmp_path, capsys):
     assert json.loads(out)["value"] == 4
 
 
+def test_exact_rejects_a_negative_budget_with_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "c7.txt"
+    gpath.write_text(emit_edge_list(families.cycle(7)))
+    for flag, value in (("--budget-nodes", "-5"), ("--budget-secs", "-1")):
+        code, out, err = run(capsys, ["exact", "--mode", "semistrong", "--max-colors", "6", flag, value, "--input", str(gpath)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
 def test_gen_family_flags(capsys):
     code, out, _ = run(capsys, ["gen", "--family", "complete_bipartite", "--n", "3", "--d", "3"])
     assert code == 0

@@ -166,7 +166,7 @@ def test_try_move_matches_full_recount():
                         assert good_change
                         assert trial.colors == new_colors
                         _assert_matches_recount(trial)
-                        assert move.predicted_potential == trial.potential() < before
+                        assert trial.potential() < before
                         trial = _Engine(_Contacts.of(g, c))
                     # scored: recolored and its potential read, kept or not
                     scored[name] += good_change
@@ -187,7 +187,7 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
         before = eng.potential()
         move = eng.find_move()
         assert move is not None
-        assert eng.potential() == move.predicted_potential < before
+        assert eng.potential() < before
         _assert_matches_recount(eng)
         moves += 1
     assert moves > 0
@@ -302,6 +302,37 @@ def test_f3_fallback_out_of_budget_names_the_bad_edges(monkeypatch):
     for mode in ("semistrong", "relaxed01"):
         with pytest.raises(EngineInvariantError, match=re.escape(f"bad edges {bad}")):
             _repair_engine(_Contacts.of(g, c), debug=False, mode=mode)
+
+
+def test_stage_asserts_raise_on_a_state_whose_schemas_are_not_exhausted():
+    # no real run reaches the stage asserts, so call each one on the bad edges
+    # of a start that S1 can still improve; edge by edge, so that the checks
+    # behind a bad edge's first failure run on the other edges
+    g = families.prism(5)
+    eng = _Engine(_Contacts.of(g, smallest_color_start(g, 8)))
+    bad = eng.bad_edges()
+    assert eng.enforce_invariants and bad == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13]
+
+    def failures(check):
+        found = {}
+        for e in bad:
+            try:
+                check([e])
+            except EngineInvariantError as exc:
+                found.setdefault(re.match(rf"bad edge {e}: (.*) must hold", str(exc)).group(1), []).append(e)
+        return found
+
+    assert failures(eng._assert_stage1) == {
+        "exactly two same-colored contacts, both single-cross": [0, 1, 3, 4, 6, 8],
+        "all forbidden-set edges distinctly colored": [2, 5, 7, 9, 10, 12, 13],
+    }
+    # edges 2, 5, 7 and 9 pass every stage-2 check
+    assert failures(eng._assert_stage2) == {"one same-colored contact on each side": [0, 1, 3, 4, 6, 8, 10, 12, 13]}
+    assert failures(eng._assert_stage3) == {
+        "distinct colors on u-side single-cross contacts": [0, 1, 4, 6, 7, 8, 12, 13],
+        "a full rainbow on N(e) plus either side's 2-neighbors": [2, 5, 9],
+        "distinct colors on v-side single-cross contacts": [3, 10],
+    }
 
 
 def test_deep_schemas_produce_accepted_moves():

@@ -105,6 +105,8 @@ def test_node_budget_timeout_is_deterministic():
     assert res.nodes == 501
     timed = feasibility(g, "semistrong", 7, budget=Budget(max_seconds=600, max_nodes=500))
     assert (timed.status, timed.nodes) == ("timeout", 501)
+    zero = feasibility(g, "semistrong", 7, budget=Budget(max_nodes=0))
+    assert (zero.status, zero.nodes) == ("timeout", 1)
     full = feasibility(g, "semistrong", 7)
     assert full.status == "unsat"
 
@@ -242,6 +244,9 @@ def test_bad_parameters():
         feasibility(g, "semistrong", 0)
     with pytest.raises(ValueError):
         exact_index(g, "relaxed", 3, s=-1)
+    for caps in ({"max_nodes": -1}, {"max_seconds": -1}, {"max_seconds": float("nan")}):
+        with pytest.raises(ValueError):
+            Budget(**caps)
 
 
 def test_h_graph_value():
@@ -289,7 +294,7 @@ def _random_graph(n, density, rng):
 
 def _snapshot(state):
     if isinstance(state, _SemistrongState):
-        return [[row[:] for row in table] for table in (state.partner, state.sees, state.poison, state.doomed)]
+        return [[row[:] for row in table] for table in (state.partner, state.sees, state.poison)]
     return state.colors[:], state.same1[:], state.same2[:]
 
 
@@ -339,17 +344,18 @@ def test_fits_matches_try_assign_then_undo(caps):
 
 
 def _recount(g, partner):
-    """sees, poison and doomed of one class, from the class matching alone."""
+    """sees and poison of one class, from the class matching alone."""
     n = g.vertex_count
     nbrs = [set(g.neighbors(x)) for x in range(n)]
     sees = [sum(partner[w] != -1 for w in nbrs[x]) for x in range(n)]
+    # class vertices whose partner has a second class neighbor
     doomed = [partner[x] != -1 and sees[partner[x]] >= 2 for x in range(n)]
     class_edges = [(a, b) for a, b in enumerate(partner) if a < b]
     poison = [
         (partner[x] != -1) + sum(a in nbrs[x] and b in nbrs[x] for a, b in class_edges) + sum(doomed[w] for w in nbrs[x])
         for x in range(n)
     ]
-    return sees, poison, doomed
+    return sees, poison
 
 
 def test_semistrong_counters_match_their_definitions():
@@ -368,7 +374,7 @@ def test_semistrong_counters_match_their_definitions():
                 if token is not None:
                     tokens.append(token)
             for c in range(1, k + 1):
-                counters = (state.sees[c], state.poison[c], state.doomed[c])
+                counters = (state.sees[c], state.poison[c])
                 assert counters == _recount(g, state.partner[c])
 
 

@@ -72,7 +72,6 @@ def test_components_single():
     assert len(views) == 1
     # a connected graph is its own component, so caches keyed on it are shared
     assert views[0].graph is g
-    assert views[0].parent is g
     assert views[0].vertex_map == (0, 1, 2, 3)
     assert views[0].edge_map == (0, 1, 2, 3)
 

@@ -106,7 +106,9 @@ def test_find_improving_move_progresses():
         assert is_good_coloring(g, c2)
         rep2 = badness(g, c2)
         assert rep2.potential < rep.potential
-        assert rep2.potential == move.predicted_potential
+        eng = _Engine(_Contacts.of(g, c))
+        assert eng.find_move() == move
+        assert rep2.potential == eng.potential()
     assert found >= 3  # the corpus really exercises the engine
 
 
