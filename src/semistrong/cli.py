@@ -69,7 +69,22 @@ def _load_graph(text: str, fmt: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("truncated_graph6", "no graph6 line found")
+    if len(lines) > 1:
+        raise FormatError("usage", f"{len(lines)} graph6 lines found where one graph is read; `batch` takes many")
     return parse_graph6(lines[0])
+
+
+def _at_least(low: int, kind=int):
+    """An argparse type for numbers >= low (not NaN), so errors name the flag."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # as in "invalid int value"
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,19 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a coloring against a graph")
     p_verify.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
-    p_verify.add_argument("--s", type=int, default=0)
-    p_verify.add_argument("--t", type=int, default=0)
+    p_verify.add_argument("--s", type=_at_least(0), default=0)
+    p_verify.add_argument("--t", type=_at_least(0), default=0)
     p_verify.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--coloring", required=True, help="JSON file with a 'colors' field")
 
     p_exact = sub.add_parser("exact", help="exact minimum color count by complete search")
     p_exact.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
-    p_exact.add_argument("--s", type=int, default=0)
-    p_exact.add_argument("--t", type=int, default=0)
-    p_exact.add_argument("--max-colors", type=int, required=True)
-    p_exact.add_argument("--budget-secs", type=float, default=None)
-    p_exact.add_argument("--budget-nodes", type=int, default=None)
+    p_exact.add_argument("--s", type=_at_least(0), default=0)
+    p_exact.add_argument("--t", type=_at_least(0), default=0)
+    p_exact.add_argument("--max-colors", type=_at_least(1), required=True)
+    p_exact.add_argument("--budget-secs", type=_at_least(0, float), default=None)
+    p_exact.add_argument("--budget-nodes", type=_at_least(0), default=None)
     p_exact.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
     p_exact.add_argument("--input", default=None)
     p_exact.add_argument("--output", default=None)
@@ -142,19 +157,14 @@ def _cmd_verify(args) -> int:
     coloring = parse_coloring(_read_text(args.coloring))
     if len(coloring.colors) != g.edge_count:
         raise FormatError("bad_coloring", f"coloring has {len(coloring.colors)} colors for {g.edge_count} edges")
-    cert = certify(g, coloring)
-    if args.mode == "semistrong":
-        res = cert.semistrong
-    elif args.mode == "relaxed" and (args.s, args.t) == (0, 1):
-        res = cert.relaxed01
-    else:
-        res = verify_mode(g, coloring, args.mode, args.s, args.t)
+    res = verify_mode(g, coloring, args.mode, args.s, args.t)
+    kappa1, kappa2 = certify(g, coloring).kappa
     doc = {
         "mode": args.mode if args.mode != "relaxed" else f"relaxed({args.s},{args.t})",
         "valid": res.ok,
         "witness": None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]},
-        "kappa1": cert.kappa[0],
-        "kappa2": cert.kappa[1],
+        "kappa1": kappa1,
+        "kappa2": kappa2,
     }
     sys.stdout.write(_dumps(doc) + "\n")
     return EXIT_OK if res.ok else EXIT_INVALID
@@ -162,9 +172,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_graph(_read_text(args.input), args.format)
-    budget = None
-    if args.budget_secs is not None or args.budget_nodes is not None:
-        budget = Budget(max_seconds=args.budget_secs, max_nodes=args.budget_nodes)
+    budget = Budget(max_seconds=args.budget_secs, max_nodes=args.budget_nodes)  # None is no cap
     result = exact_index(g, args.mode, args.max_colors, budget=budget, s=args.s, t=args.t)
     _write_text(args.output, emit_result(g, result, mode=args.mode, s=args.s, t=args.t))
     return EXIT_OK

@@ -21,11 +21,8 @@ in a fixed order:
   S2  recolor a 1-neighbor, then give the bad edge that neighbor's old color
   S4  swap the bad edge's color with a 1-neighbor's
   S3  shift colors along an induced path rooted at the bad edge
-  S5  the two-pendant + displaced-edge rewrite (edge-cut pair shape)
-  S6  the four/five-edge rewrites around a non-adjacent pendant pair
-  S7  the five-edge rewrite with two singleton pendant contacts
 
-These are the recolorings of the paper's proof. Every candidate is
+These are recolorings of the paper's proof. Every candidate is
 exact-checked: it is accepted only if it preserves goodness and strictly
 lowers (kappa1, kappa2) lexicographically, so imperfect schema contexts
 degrade into skipped candidates, never into bad moves. When no schema yields
@@ -40,11 +37,11 @@ the counts of its same-colored 2-neighbors, found in O(Delta); S1 and S2 read
 forbidden colors and per-color contacts from one O(Delta^2) scan. A candidate
 is scored by making it and undone when the potential does not fall.
 
-The engine builds an EdgeNeighborhood for an edge only when S2-S7 or a stage
+The engine builds an EdgeNeighborhood for an edge only when S2-S4 or a stage
 assert first asks for it, and keeps it. A lazy min-heap beside the bad set
 gives the smallest bad edge. Each move first tries S1 on it, the first
 candidate the full search would try; the bad set is sorted only when that
-fails, and the sorted list then drives S1-S7 and the stage asserts.
+fails, and the sorted list then drives S1-S4 and the stage asserts.
 """
 
 from __future__ import annotations
@@ -398,8 +395,7 @@ class _Engine:
             yield {e: self.colors[h], h: self.colors[e]}
 
     def _s3_candidates(self, e: int):
-        g = self.g
-        u, v = g.edges[e]
+        u, v = self.g.edges[e]
         for path in ([u, v], [v, u]):
             yield from self._s3_grow(path, [e])
 
@@ -424,145 +420,6 @@ class _Engine:
             nxt = g.edge_between(tip, w)
             assert nxt is not None
             yield from self._s3_grow(path + [w], edges + [nxt])
-
-    def _same_colored_pair(self, e: int):
-        """The two same-colored 2-neighbors split by side, or None when the
-        shape does not match (one per side, single cross vertex each)."""
-        g = self.g
-        nb = self.nb(e)
-        same = [f for f in sorted(nb.n2) if self.colors[f] == self.colors[e]]
-        if len(same) != 2:
-            return None
-        sides = []
-        for f in same:
-            near = [
-                (w, x)
-                for x in g.edges[f]
-                for w in (nb.u, nb.v)
-                if g.has_edge(w, x)
-            ]
-            if len(near) != 1:
-                return None  # not a single-cross-edge contact
-            sides.append((near[0][0], near[0][1], f))
-        (w1, x1, f1), (w2, x2, f2) = sides
-        if {w1, w2} != {nb.u, nb.v}:
-            return None
-        if w1 == nb.u:
-            return (x1, f1, x2, f2)  # (u-side cross vertex, edge, v-side cross vertex, edge)
-        return (x2, f2, x1, f1)
-
-    def _s5_candidates(self, e: int):
-        g = self.g
-        nb = self.nb(e)
-        pair = self._same_colored_pair(e)
-        if pair is None:
-            return
-        u1, e1, v1, e2 = pair
-        if nb.t6 != {e1, e2}:
-            return
-        f1 = g.edge_between(nb.u, u1)
-        f2 = g.edge_between(nb.v, v1)
-        if f1 is None or f2 is None:
-            return
-        alpha1 = self.colors[f1]
-        alpha2 = self.colors[f2]
-        x1 = next(x for x in g.edges[e1] if x != u1)
-        y1 = next(x for x in g.edges[e2] if x != v1)
-        blocked = {alpha1, alpha2}.union(self.state.at[x1], self.state.at[y1])  # colors at x1 and y1
-        for alpha in range(1, self.k + 1):
-            if alpha in blocked:
-                continue
-            for gedge in sorted(nb.f_set):
-                if self.colors[gedge] != alpha:
-                    continue
-                if e1 not in self.nb(gedge).n1:
-                    yield {f1: alpha, f2: alpha, gedge: alpha2, e: alpha1}
-                if e2 not in self.nb(gedge).n1:
-                    yield {f1: alpha, f2: alpha, gedge: alpha1, e: alpha2}
-
-    def _t6_through(self, e: int, w: int) -> list[int]:
-        """T6 contacts of e whose cross vertex is w."""
-        return [f for f in sorted(self.nb(e).t6) if w in self.g.edges[f]]
-
-    def _s6_candidates(self, e: int):
-        g = self.g
-        nb = self.nb(e)
-        for a, b in ((nb.u, nb.v), (nb.v, nb.u)):
-            for a1 in sorted(w for w in g.neighbors(a) if w != b):
-                g1 = g.edge_between(a, a1)
-                for b1 in sorted(w for w in g.neighbors(b) if w != a):
-                    if g.has_edge(a1, b1):
-                        continue
-                    through_b1 = self._t6_through(e, b1)
-                    if len(through_b1) < 2:
-                        continue
-                    g2 = g.edge_between(b, b1)
-                    beta1 = self.colors[g1]
-                    beta2 = self.colors[g2]
-                    if beta1 == beta2:
-                        continue
-                    h1s = [h for h in sorted(self.nb(g1).side_n2(a1)) if self.colors[h] == beta2]
-                    h2s = [h for h in sorted(self.nb(g2).side_n2(b1)) if self.colors[h] == beta1]
-                    if len(h1s) != 1 or len(h2s) != 1:
-                        continue
-                    h1 = h1s[0]
-                    h2 = h2s[0]
-                    s1 = next((x for x in g.edges[h1] if g.has_edge(a1, x)), None)
-                    s2 = next((x for x in g.edges[h2] if g.has_edge(b1, x)), None)
-                    if s1 is None or s2 is None:
-                        continue
-                    t1 = next(x for x in g.edges[h1] if x != s1)
-                    f2 = g.edge_between(b1, s2)
-                    if f2 is None or f2 == g2 or f2 not in nb.t6:
-                        continue
-                    alpha2 = self.colors[f2]
-                    for f3 in through_b1:
-                        if f3 == f2:
-                            continue
-                        s3 = next(x for x in g.edges[f3] if x != b1)
-                        p1s = [h for h in sorted(self.nb(f2).side_n2(s2)) if self.colors[h] == beta2]
-                        p2s = [h for h in sorted(self.nb(f3).side_n2(s3)) if self.colors[h] == beta2]
-                        if p1s != [h1]:
-                            yield {g1: beta2, f2: beta2, g2: beta1, e: alpha2}
-                        if p2s != [h1]:
-                            yield {g1: beta2, f3: beta2, g2: beta1, e: self.colors[f3]}
-                        if p1s == [h1] and p2s == [h1]:
-                            st = g.edge_between(s3, t1)
-                            if st is not None:
-                                yield {g1: beta2, g2: beta1, e: alpha2, st: alpha2, f2: self.colors[st]}
-
-    def _s7_candidates(self, e: int):
-        g = self.g
-        nb = self.nb(e)
-        pair = self._same_colored_pair(e)
-        if pair is None:
-            return
-        u1, e1, v1, e2 = pair
-        for a, b, a1, ea in ((nb.u, nb.v, u1, e1), (nb.v, nb.u, v1, e2)):
-            fa1 = g.edge_between(a, a1)
-            if fa1 is None or self._t6_through(e, a1) != [ea]:
-                continue
-            alpha1 = self.colors[fa1]
-            for a2 in sorted(w for w in g.neighbors(a) if w not in (b, a1)):
-                if len(self._t6_through(e, a2)) != 1:
-                    continue
-                aa2 = g.edge_between(a, a2)
-                for b2 in sorted(w for w in g.neighbors(b) if w != a):
-                    if g.has_edge(a2, b2) or len(self._t6_through(e, b2)) != 1:
-                        continue
-                    bb2 = g.edge_between(b, b2)
-                    for b3 in sorted(w for w in g.neighbors(b) if w not in (a, b2)):
-                        if g.has_edge(a1, b3) or len(self._t6_through(e, b3)) != 1:
-                            continue
-                        bb3 = g.edge_between(b, b3)
-                        alpha5 = self.colors[bb3]
-                        yield {
-                            e: alpha1,
-                            aa2: alpha5,
-                            bb2: alpha5,
-                            fa1: self.colors[aa2],
-                            bb3: self.colors[bb2],
-                        }
 
     # -- schema-exhaustion invariants --------------------------------------
 
@@ -624,6 +481,15 @@ class _Engine:
 
     # -- search -------------------------------------------------------------
 
+    def ladder(self):
+        """(schema, candidates at a bad edge, assert once it has no move) in search order."""
+        return [
+            ("S1", self._s1_candidates, self._assert_stage1),
+            ("S2", self._s2_candidates, self._assert_stage2),
+            ("S4", self._s4_candidates, self._assert_stage3),
+            ("S3", self._s3_candidates, None),
+        ]
+
     def find_move(self) -> MoveProposal | None:
         """Make the first accepted candidate of the first schema that has
         one, and return it; None, with nothing changed, when none has."""
@@ -636,16 +502,7 @@ class _Engine:
             if move is not None:
                 return move
         bad = self.bad_edges()
-        per_edge = [
-            ("S1", self._s1_candidates, self._assert_stage1),
-            ("S2", self._s2_candidates, self._assert_stage2),
-            ("S4", self._s4_candidates, self._assert_stage3),
-            ("S3", self._s3_candidates, None),
-            ("S5", self._s5_candidates, None),
-            ("S6", self._s6_candidates, None),
-            ("S7", self._s7_candidates, None),
-        ]
-        for schema, gen, post_assert in per_edge:
+        for schema, gen, post_assert in self.ladder():
             for e in bad:
                 for assignments in gen(e):
                     move = self.try_move(assignments, schema)
@@ -658,8 +515,8 @@ class _Engine:
 
 def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
     """One strictly-improving move for a good coloring with bad edges, from
-    the first of S1, S2, S4, S3, S5, S6, S7 that yields one, or None when all
-    seven come up empty (repair then runs the budgeted exact search)."""
+    the first of S1, S2, S4, S3 that yields one, or None when all four come
+    up empty (repair then runs the budgeted exact search)."""
     if not is_good_coloring(g, c):
         raise ValueError("find_improving_move requires a good coloring")
     engine = _Engine(_Contacts.of(g, c))

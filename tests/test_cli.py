@@ -64,6 +64,21 @@ def test_color_graph6_input(tmp_path, capsys):
     assert json.loads(out)["colors_used"] == 2
 
 
+def test_single_graph_commands_reject_a_second_graph6_line(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_text("Dhc\nBw\n")
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"colors": [1] * 5}))
+    for argv in (
+        ["color", "--mode", "semistrong", "--input", str(path)],
+        ["verify", "--mode", "semistrong", "--graph", str(path), "--coloring", str(coloring)],
+        ["exact", "--mode", "semistrong", "--max-colors", "4", "--input", str(path)],
+    ):
+        code, out, err = run(capsys, [*argv, "--format", "graph6"])
+        assert code == 2 and out == ""
+        assert "batch" in err
+
+
 def test_verify_valid_and_tampered(tmp_path, capsys):
     g = families.cycle(7)
     gpath = tmp_path / "c7.txt"
@@ -119,10 +134,18 @@ def test_exact_c7(tmp_path, capsys):
 def test_exact_rejects_a_negative_budget_with_exit_2(tmp_path, capsys):
     gpath = tmp_path / "c7.txt"
     gpath.write_text(emit_edge_list(families.cycle(7)))
-    for flag, value in (("--budget-nodes", "-5"), ("--budget-secs", "-1")):
+    for flag, value in (
+        ("--budget-nodes", "-5"),
+        ("--budget-secs", "-1"),
+        ("--budget-secs", "nan"),
+        ("--s", "-1"),
+        ("--t", "-1"),
+        ("--max-colors", "0"),
+    ):
         code, out, err = run(capsys, ["exact", "--mode", "semistrong", "--max-colors", "6", flag, value, "--input", str(gpath)])
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+        assert flag in err
 
 
 def test_gen_family_flags(capsys):

@@ -57,9 +57,6 @@ def test_schema_generators_yield_wellformed_candidates():
         eng._s2_candidates,
         eng._s3_candidates,
         eng._s4_candidates,
-        eng._s5_candidates,
-        eng._s6_candidates,
-        eng._s7_candidates,
     ]
     for e in eng.bad_edges():
         for gen in gens:
@@ -110,9 +107,6 @@ def _schema_candidates(eng, e):
         ("S2", eng._s2_candidates(e)),
         ("S3", eng._s3_candidates(e)),
         ("S4", eng._s4_candidates(e)),
-        ("S5", eng._s5_candidates(e)),
-        ("S6", eng._s6_candidates(e)),
-        ("S7", eng._s7_candidates(e)),
         ("pair", _pairs_at_distance_two(eng, e)),
     ]
 
@@ -171,9 +165,9 @@ def test_try_move_matches_full_recount():
                     # scored: recolored and its potential read, kept or not
                     scored[name] += good_change
                     close[name] += good_change and _moved_at_distance_two(eng, cand)
-    assert set(+scored) == {"S1", "S2", "S3", "S4", "S5", "S6", "S7", "pair"}
+    assert set(+scored) == {"S1", "S2", "S3", "S4", "pair"}
     # moves whose edges lie in each other's N2 change each other's counts
-    assert all(close[name] > 0 for name in ("S3", "S5", "S6", "S7", "pair"))
+    assert all(close[name] > 0 for name in ("S3", "pair"))
 
 
 @pytest.mark.parametrize("n,d,seed", [(110, 4, 1), (120, 5, 2), (130, 6, 3)])
@@ -213,7 +207,7 @@ def test_repair_on_cut_gadget():
 
 
 def test_repair_random_good_starts():
-    # at the Delta^2 - 1 palette, S1-S7 alone clean every start
+    # at the Delta^2 - 1 palette, S1-S4 alone clean every start
     rng = random.Random(4)
     schemas_seen = set()
     graphs = [
@@ -347,13 +341,48 @@ def test_deep_schemas_produce_accepted_moves():
             if badness(g, c).kappa1 == 0:
                 continue
             for e in sorted(badness(g, c).bad_edges):
-                for name in ("S3", "S4", "S6", "S7"):
+                for name in ("S3", "S4"):
                     # a fresh engine per schema: an accepted move stays made
                     eng = _Engine(_Contacts.of(g, c))
                     gen = getattr(eng, f"_{name.lower()}_candidates")
                     if any(eng.try_move(cand, name) is not None for cand in gen(e)):
                         accepted.add(name)
-    assert {"S3", "S4", "S6", "S7"} <= accepted
+    assert {"S3", "S4"} <= accepted
+
+
+# Good colorings at k = Delta^2 - 1 where S3, or S4, is the first schema with
+# a move for any bad edge; found by tools/schema_witnesses.py
+S3_WITNESS = [3, 1, 6, 4, 2, 7, 1, 2, 7, 5, 6, 3, 1, 4, 8, 5, 4, 3, 8, 5, 6]  # prism(7)
+S4_WITNESS = [5, 6, 1, 7, 1, 5, 4, 7, 8, 4, 5, 3, 2, 8, 1, 3, 2, 8, 6, 7, 6]  # prism(7)
+S3_WITNESS_DELTA4 = [15, 9, 1, 5, 11, 12, 4, 13, 14, 8, 2, 3, 15, 9, 5, 1, 12, 13, 11, 4, 3, 8, 2, 14, 6, 7, 4, 10]
+STAGE_ASSERTS = ("_assert_stage1", "_assert_stage2", "_assert_stage3")
+
+
+@pytest.mark.parametrize(
+    "g,colors,schema,move,stages",
+    [
+        (families.prism(7), S3_WITNESS, "S3", ((0, 1), (1, 2), (6, 3)), 3),
+        (families.prism(7), S4_WITNESS, "S4", ((8, 3), (15, 8)), 2),
+        (families.c7_blowup(), S3_WITNESS_DELTA4, "S3", ((0, 11), (4, 6), (26, 15)), 3),
+    ],
+    ids=["S3-prism7", "S4-prism7", "S3-c7_blowup"],
+)
+def test_schema_fires_first_on_its_witness(monkeypatch, g, colors, schema, move, stages):
+    c = from_list(colors, max_degree(g) ** 2 - 1)
+    assert is_good_coloring(g, c) and badness(g, c).kappa1 > 0
+    ran = []
+    for name in STAGE_ASSERTS:
+        check = getattr(_Engine, name)
+        # each assert that runs must hold: a failure raises out of find_move
+        monkeypatch.setattr(_Engine, name, lambda self, bad, name=name, check=check: (ran.append(name), check(self, bad)))
+    eng = _Engine(_Contacts.of(g, c))
+    assert eng.enforce_invariants
+    assert eng.find_move() == solver.MoveProposal(move, schema)
+    assert ran == list(STAGE_ASSERTS[:stages])
+    for mode in ("semistrong", "relaxed01"):
+        out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode=mode)
+        assert badness(g, out).kappa1 == 0 and trace.fallback_f3 == 0
+        assert trace.moves_by_schema == {schema: 1}
 
 
 def test_on_demand_neighborhood_matches_compute_neighborhood():
