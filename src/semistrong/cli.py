@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--dir", required=True)
     p_batch.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
     p_batch.add_argument("--report", required=True)
-    p_batch.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU (default 1)")
+    p_batch.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes, at most one per CPU (default 1)")
     return parser
 
 
@@ -155,8 +155,6 @@ def _cmd_color(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(_read_text(args.graph), args.format)
     coloring = parse_coloring(_read_text(args.coloring))
-    if len(coloring.colors) != g.edge_count:
-        raise FormatError("bad_coloring", f"coloring has {len(coloring.colors)} colors for {g.edge_count} edges")
     res = verify_mode(g, coloring, args.mode, args.s, args.t)
     kappa1, kappa2 = certify(g, coloring).kappa
     doc = {
@@ -266,8 +264,6 @@ def _cmd_batch(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise FormatError("usage", f"--dir {args.dir} is not a directory")
-    if args.jobs < 1:
-        raise FormatError("usage", f"--jobs must be at least 1, got {args.jobs}")
     inputs = list(_batch_inputs(root))
     work = partial(_batch_work, mode=args.mode)
     # never more workers than CPUs or graphs: each one is a process

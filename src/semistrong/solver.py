@@ -10,9 +10,11 @@ it takes the smallest color outside the forbidden set whose colored
 2-neighbors number 0, or 1 that has no same-colored 2-neighbor yet, and only
 when no color qualifies the smallest color outside the forbidden set. Its
 state, a _Contacts, keeps per vertex a map from color to edge and per edge
-its count of same-colored 2-neighbors: O(m) memory, built in O(m * Delta^2)
-time. When no count exceeds one, the start has no bad edge and is the
-component's coloring, and no engine is built.
+its count of same-colored 2-neighbors: O(m) memory. Greedy builds it in
+O(Delta) per edge plus O(1) for most colors tried, reading per-vertex tallies
+of its neighbors' colors instead of every colored edge around the edge. When
+no count exceeds one, the start has no bad edge and is the component's
+coloring, and no engine is built.
 
 Otherwise the repair engine removes the bad edges by searching move schemas
 in a fixed order:
@@ -132,7 +134,9 @@ class _Contacts:
     Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so it
     is ``at[w][colors[e]]`` for exactly one w of e's ring, the neighbors of u
     and v other than u and v. ``contacts``, ``place`` and ``lift`` read one
-    color over the ring, in O(Delta); ``scan`` reads all of ``at`` over it.
+    color over the ring, in O(Delta); ``scan`` reads all of ``at`` over it,
+    in O(Delta^2), and in the package only the engine's S1 and S2 call it:
+    greedy reads its own per-vertex tallies instead.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -232,28 +236,62 @@ class _Contacts:
 
 
 def _greedy(g: Graph, palette_size: int) -> _Contacts:
-    """greedy_good_coloring's coloring, with its contact counts."""
+    """greedy_good_coloring's coloring, with its contact counts.
+
+    In place of scan's ring walk, ``near[x]`` maps each color to the one
+    neighbor of x with an edge of that color, or to -1 when two or more have
+    one; x keeps it only while it has an uncolored edge. For a color c at
+    neither end of e = uv, the ring walk meets c nowhere when neither near[u]
+    nor near[v] holds it; once when one of them maps it to a neighbor w, whose
+    edge at[w][c] is the contact; otherwise two or more times, as two contacts
+    or as one edge met twice, which contacts tells apart. So a color costs
+    O(1) to try but in that last case, and placing an edge O(Delta)."""
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     state = _Contacts(g, palette_size)
-    count, scan, place = state.count, state.scan, state.place
+    at, count, contacts, place = state.at, state.count, state.contacts, state.place
+    adjacency = g.adjacency
+    left = [len(nbrs) for nbrs in adjacency]  # uncolored edges per vertex
+    near: dict[int, dict[int, int]] = {}
     for e in bfs_edge_order(g):
-        forbidden, contacts = scan(e)
-        chosen = fallback = 0
+        u, v = g.edges[e]
+        at_u, at_v = at[u], at[v]
+        near_u, near_v = near.get(u, {}), near.get(v, {})
+        fallback = 0
         for c in range(1, palette_size + 1):
-            if c in forbidden:
+            if c in at_u or c in at_v:
                 continue
-            fs = contacts.get(c)
-            if fs is None or (len(fs) == 1 and count[fs[0]] == 0):
-                chosen = c
+            a, b = near_u.get(c), near_v.get(c)
+            if a is None and b is None:
+                found = ()
                 break
+            w = b if a is None else a if b is None else -1
+            if w >= 0:
+                found = [at[w][c]]
+                if not count[found[0]]:
+                    break
+            elif fallback:
+                continue
+            else:
+                found = contacts(e, c)
+                if found is None:
+                    continue
             if not fallback:
-                fallback = c
+                fallback, fallback_found = c, found
         else:
             if not fallback:
                 raise PaletteExhaustedError(e, palette_size)
-            chosen = fallback
-        place(e, chosen, contacts.get(chosen, ()))
+            c, found = fallback, fallback_found
+        place(e, c, found)
+        for x in (u, v):
+            left[x] -= 1
+            if not left[x]:
+                near.pop(x, None)
+        for x in (u, v):
+            for w, _ in adjacency[x]:
+                if left[w]:
+                    tally = near.setdefault(w, {})
+                    tally[c] = -1 if c in tally else x
     return state
 
 

@@ -335,6 +335,17 @@ def test_verify_rejects_a_color_below_one_or_too_long_with_exit_2(tmp_path, caps
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["semistrong", "strong", "relaxed"])
+def test_verify_rejects_a_coloring_one_entry_short_with_exit_2(tmp_path, capsys, mode):
+    gpath = tmp_path / "c4.txt"
+    gpath.write_text(emit_edge_list(families.cycle(4)))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"colors": [1, 2, 3]}))
+    code, out, err = run(capsys, ["verify", "--mode", mode, "--graph", str(gpath), "--coloring", str(cpath)])
+    assert code == 2 and out == ""
+    assert err == "error: coloring has 3 entries for 4 edges\n"
+
+
 def test_color_rejects_a_vertex_count_beyond_the_graph6_limit_with_exit_2(tmp_path, capsys):
     # twelve bytes that would otherwise allocate 10^8 adjacency lists
     path = tmp_path / "huge.txt"
@@ -399,7 +410,7 @@ def test_batch_rejects_jobs_below_one(tmp_path, capsys):
         code, _, err = run(capsys, ["batch", "--dir", str(d), "--mode", "semistrong",
                                     "--report", str(tmp_path / "r.csv"), "--jobs", jobs])
         assert code == 2
-        assert "--jobs must be at least 1" in err
+        assert "--jobs" in err and "must be >= 1" in err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -451,6 +451,22 @@ def _hub_graph():
     return build_graph(n + 1, sorted(pairs) + spokes)
 
 
+def test_greedy_tallies_are_dropped_with_their_vertex():
+    hub = _hub_graph()
+    g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = solver._greedy(g, 40 * 40 - 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (state.at, state.count) == contact_state(g, state.colors)
+    # about 710 KiB here, 510 KiB of it the state; with every vertex's
+    # tallies kept to the end instead of dropped with its last edge, 1,096 KiB
+    assert peak < 2**20
+
+
 def test_repair_state_is_linear_in_the_edge_count():
     hub = _hub_graph()
     g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)

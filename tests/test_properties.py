@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import contact_greedy, contact_state, smallest_color_start
 from semistrong import families
 from semistrong.graph import connected_components, g_family_witness, is_complete_bipartite_dd, max_degree
 from semistrong.neighborhood import compute_neighborhood
-from semistrong.solver import MODES, _Contacts, _greedy, _repair_engine, greedy_good_coloring, solve
+from semistrong.solver import MODES, PaletteExhaustedError, _Contacts, _greedy, _repair_engine, greedy_good_coloring, solve
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
@@ -84,6 +84,46 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
                 assert not trace.exceeds_bound and trace.fallback_f3 == 0
                 steps = trace.kappa_trajectory
                 assert all(b < a for a, b in zip(steps, steps[1:])) and steps[-1][0] == 0
+
+
+def _greedy_outcome(g, k, greedy):
+    """The coloring, at maps and counts greedy builds, or the edge it got
+    stuck on."""
+    try:
+        return greedy(g, k)
+    except PaletteExhaustedError as exc:
+        return exc.edge
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.builds(families.random_max_degree, st.integers(8, 40), st.integers(3, 8), st.integers(0, 10**6)))
+@example(families.c7_blowup())
+@example(families.blowup(5, 2))
+@example(families.hypercube(4))
+@example(families.prism(7))
+def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
+    # greedy reads a ring edge met twice (a common neighbor of the edge's
+    # ends, or a 4-cycle through it) off its tallies as two or more meets:
+    # the blow-ups, the hypercube and the prism are full of 4-cycles, and
+    # dense random graphs of triangles
+    assume(g.edge_count > 0)
+    enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
+
+    def ours(g, k):
+        state = _greedy(g, k)
+        return state.to_coloring(), state.at, state.count
+
+    def oracle(g, k):
+        coloring = contact_greedy(g, k)[0]
+        return (coloring, *contact_state(g, coloring.colors))
+
+    # from 3/8 of one color more than the largest forbidden set, where greedy
+    # mostly runs out of colors, through palettes where it falls back, up to
+    # that bound, where it never runs out
+    for k in sorted({max(1, enough * eighths // 8) for eighths in range(3, 9)}):
+        got = _greedy_outcome(g, k, ours)
+        assert got == _greedy_outcome(g, k, oracle)
+        assert k < enough or not isinstance(got, int)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
