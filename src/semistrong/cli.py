@@ -19,6 +19,7 @@ from pathlib import Path
 from . import families
 from .exact import Budget, exact_index
 from .formats import (
+    MAX_VERTICES,
     FormatError,
     _dumps,
     emit_edge_list,
@@ -177,7 +178,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = families.make(args.family, **_gen_params(args))
+    params = _gen_params(args)
+    # refused before building: a short command line can ask for 2^64 vertices
+    if families.vertex_count(args.family, **params) > MAX_VERTICES:
+        given = ", ".join(f"{name}={value}" for name, value in params.items())
+        message = f"family {args.family} with {given} has more than the {MAX_VERTICES} vertices the formats support"
+        raise FormatError("too_large", message)
+    g = families.make(args.family, **params)
     text = emit_edge_list(g) if args.format == "edgelist" else emit_graph6(g) + "\n"
     _write_text(args.output, text)
     return EXIT_OK

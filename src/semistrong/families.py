@@ -121,16 +121,20 @@ def random_max_degree(n: int, d: int, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+# per family: the builder, its parameter names, and its vertex count from
+# the parameters alone, so a caller can refuse a size before building it
 _FAMILIES = {
-    "path": (path, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "complete_bipartite": (complete_bipartite, ("a", "b")),
-    "prism": (prism, ("n",)),
-    "hypercube": (hypercube, ("n",)),
-    "blowup": (blowup, ("cycle_len", "part_size")),
-    "c7_blowup": (c7_blowup, ()),
-    "h_graph": (h_graph, ("d",)),
-    "random_max_degree": (random_max_degree, ("n", "d", "seed")),
+    "path": (path, ("n",), lambda n: n),
+    "cycle": (cycle, ("n",), lambda n: n),
+    "complete_bipartite": (complete_bipartite, ("a", "b"), lambda a, b: a + b),
+    "prism": (prism, ("n",), lambda n: 2 * n),
+    # min: 2^64 is past any vertex limit, and a huge n must not build a huge int
+    "hypercube": (hypercube, ("n",), lambda n: 2 ** min(n, 64)),
+    # max: two negative parameters are blowup's own error, not a large graph
+    "blowup": (blowup, ("cycle_len", "part_size"), lambda cycle_len, part_size: cycle_len * max(part_size, 0)),
+    "c7_blowup": (c7_blowup, (), lambda: 14),
+    "h_graph": (h_graph, ("d",), lambda d: 4 * d - 2),
+    "random_max_degree": (random_max_degree, ("n", "d", "seed"), lambda n, d, seed: n),
 }
 
 
@@ -147,9 +151,15 @@ def make(family: str, **params) -> Graph:
     """Dispatch by family name; rejects unknown names and parameter sets."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(family_names())}")
-    fn, argnames = _FAMILIES[family]
+    fn, argnames, _ = _FAMILIES[family]
     missing = [a for a in argnames if a not in params]
     extra = [k for k in params if k not in argnames]
     if missing or extra:
         raise ValueError(f"family {family!r} takes {argnames}; missing {missing}, unexpected {extra}")
     return fn(**{a: params[a] for a in argnames})
+
+
+def vertex_count(family: str, **params) -> int:
+    """The vertex count of make(family, **params) for valid parameters,
+    computed without building the graph."""
+    return _FAMILIES[family][2](**params)

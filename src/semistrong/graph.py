@@ -20,7 +20,7 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph. Immutable; safe to share across threads.
+    """Simple undirected graph. Immutable.
 
     adjacency[v] lists (neighbor, incident edge index) sorted by neighbor.
     """

@@ -23,9 +23,9 @@ from the adjacency (see verify.py).
 An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built from one
 ``rings`` walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
 1-neighbors c_delta, the pair types type_of and t6 are derived on first use.
-The repair engine builds one only for the few edges that its deeper schemas
-(S2-S4) or its stage asserts look at; m_set and observation_bound take one
-too.
+The repair engine builds one only for the few edges that its path-shift
+schema (S3) or its stage asserts look at; m_set and observation_bound take
+one too.
 """
 
 from __future__ import annotations

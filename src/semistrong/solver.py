@@ -35,11 +35,12 @@ the bad edges no schema could fix.
 
 The engine takes greedy's state over as it is and keeps beside it the set of
 bad edges and the sum of the counts. Lifting or placing an edge changes only
-the counts of its same-colored 2-neighbors, found in O(Delta); S1 and S2 read
-forbidden colors and per-color contacts from one O(Delta^2) scan. A candidate
-is scored by making it and undone when the potential does not fall.
+the counts of its same-colored 2-neighbors, found in O(Delta); S1 and S2 try
+one color at a time, reading its contacts in O(Delta), and S2 and S4 take the
+1-neighbors from the adjacency. A candidate is scored by making it and undone
+when the potential does not fall.
 
-The engine builds an EdgeNeighborhood for an edge only when S2-S4 or a stage
+The engine builds an EdgeNeighborhood for an edge only when S3 or a stage
 assert first asks for it, and keeps it. A lazy min-heap beside the bad set
 gives the smallest bad edge. Each move first tries S1 on it, the first
 candidate the full search would try; the bad set is sorted only when that
@@ -134,9 +135,8 @@ class _Contacts:
     Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so it
     is ``at[w][colors[e]]`` for exactly one w of e's ring, the neighbors of u
     and v other than u and v. ``contacts``, ``place`` and ``lift`` read one
-    color over the ring, in O(Delta); ``scan`` reads all of ``at`` over it,
-    in O(Delta^2), and in the package only the engine's S1 and S2 call it:
-    greedy reads its own per-vertex tallies instead.
+    color over the ring, in O(Delta); ``contacts`` is the one statement of
+    the forbidden-set and contact rule that greedy and the engine share.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -157,32 +157,9 @@ class _Contacts:
     def to_coloring(self) -> Coloring:
         return from_list(self.colors, self.k)
 
-    def scan(self, e: int) -> tuple[set[int], dict[int, list[int]]]:
-        """The colors e may not take, and per color the colored 2-neighbors
-        joined to e by one cross edge. The walk meets every colored
-        2-neighbor once per edge joining it to e; an edge met twice is in e's
-        forbidden set, as are the colors at e's ends (edges there are met
-        too, but their colors are forbidden anyway)."""
-        u, v = self.g.edges[e]
-        at, colors = self.at, self.colors
-        met: dict[int, int] = {}
-        for a, b in ((u, v), (v, u)):
-            for w, _ in self.g.adjacency[a]:
-                if w != b:
-                    for f in at[w].values():
-                        met[f] = met.get(f, 0) + 1
-        forbidden = set(at[u]).union(at[v])
-        contacts: dict[int, list[int]] = {}
-        for f, times in met.items():
-            if times > 1:
-                forbidden.add(colors[f])
-            else:
-                contacts.setdefault(colors[f], []).append(f)
-        return forbidden, contacts
-
     def place(self, e: int, c: int, contacts) -> None:
         """Color the uncolored edge e with c, outside its forbidden set, given
-        its colored 2-neighbors of color c as scan or contacts found them."""
+        its colored 2-neighbors of color c as contacts found them."""
         u, v = self.g.edges[e]
         at, count = self.at, self.count
         self.colors[e] = c
@@ -238,14 +215,14 @@ class _Contacts:
 def _greedy(g: Graph, palette_size: int) -> _Contacts:
     """greedy_good_coloring's coloring, with its contact counts.
 
-    In place of scan's ring walk, ``near[x]`` maps each color to the one
-    neighbor of x with an edge of that color, or to -1 when two or more have
-    one; x keeps it only while it has an uncolored edge. For a color c at
-    neither end of e = uv, the ring walk meets c nowhere when neither near[u]
-    nor near[v] holds it; once when one of them maps it to a neighbor w, whose
-    edge at[w][c] is the contact; otherwise two or more times, as two contacts
-    or as one edge met twice, which contacts tells apart. So a color costs
-    O(1) to try but in that last case, and placing an edge O(Delta)."""
+    ``near[x]`` maps each color to the one neighbor of x with an edge of that
+    color, or to -1 when two or more have one; x keeps it only while it has
+    an uncolored edge. For a color c at neither end of e = uv, contacts' walk
+    over e's ring meets c nowhere when neither near[u] nor near[v] holds it;
+    once when one of them maps it to a neighbor w, whose edge at[w][c] is the
+    contact; otherwise two or more times, as two contacts or as one edge met
+    twice, which only contacts tells apart. So a color costs O(1) to try but
+    in that last case, and placing an edge O(Delta)."""
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     state = _Contacts(g, palette_size)
@@ -412,24 +389,31 @@ class _Engine:
     # -- schema candidate generators --------------------------------------
 
     def _free_colors(self, e: int):
-        """Colors outside e's forbidden set that at most one 2-neighbor of e
-        carries, in increasing order; for such a color every contact is T6."""
-        forbidden, contacts = self.state.scan(e)
-        return (a for a in range(1, self.k + 1) if a not in forbidden and len(contacts.get(a, ())) <= 1)
+        """The colors outside e's forbidden set on at most one 2-neighbor of e,
+        all T6 contacts, in increasing order and each read when asked for."""
+        contacts = self.state.contacts
+        for a in range(1, self.k + 1):
+            found = contacts(e, a)
+            if found is not None and len(found) <= 1:
+                yield a
+
+    def _n1(self, e: int) -> list[int]:
+        """e's 1-neighbors, the edges at its ends, in increasing order."""
+        return sorted(h for x in self.g.edges[e] for _, h in self.g.adjacency[x] if h != e)
 
     def _s1_candidates(self, e: int):
         for alpha in self._free_colors(e):
             yield {e: alpha}
 
     def _s2_candidates(self, e: int):
-        for f in sorted(self.nb(e).n1):
+        for f in self._n1(e):
             alpha1 = self.colors[f]
             # f's own color is forbidden to it, so it is never offered
             for alpha in self._free_colors(f):
                 yield {f: alpha, e: alpha1}
 
     def _s4_candidates(self, e: int):
-        for h in sorted(self.nb(e).n1):
+        for h in self._n1(e):
             yield {e: self.colors[h], h: self.colors[e]}
 
     def _s3_candidates(self, e: int):
@@ -595,17 +579,25 @@ def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, 
         trajectory.append(after)
     else:
         result = state.to_coloring()
-    used = result.distinct_colors()
-    return result, ComponentTrace(
-        strategy="greedy_repair",
+    return result, _trace(
+        "greedy_repair", g, engine.delta, result.colors, trajectory, moves_by_schema=moves, fallback_f3=fallback_f3
+    )
+
+
+def _trace(strategy: str, g: Graph, d: int, colors, trajectory, **engine_fields) -> ComponentTrace:
+    """A component's trace; exceeds_bound holds the count of colors to the
+    bound for maximum degree d: 1, 3 or d^2 - 1."""
+    used = len(set(colors))
+    bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
+    return ComponentTrace(
+        strategy=strategy,
         vertices=g.vertex_count,
         edges=g.edge_count,
-        delta=engine.delta,
+        delta=d,
         colors_used=used,
-        exceeds_bound=used > engine.delta * engine.delta - 1,
-        moves_by_schema=moves,
-        fallback_f3=fallback_f3,
+        exceeds_bound=used > bound,
         kappa_trajectory=trajectory,
+        **engine_fields,
     )
 
 
@@ -689,17 +681,7 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
             return list(repaired.colors), trace
         # no bad edge: the start is the repaired coloring, with no engine built
         colors, trajectory = state.colors, [(0, sum(state.count) // 2)]
-    used = len(set(colors))
-    bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
-    return colors, ComponentTrace(
-        strategy=strategy,
-        vertices=comp.vertex_count,
-        edges=comp.edge_count,
-        delta=d,
-        colors_used=used,
-        exceeds_bound=used > bound,
-        kappa_trajectory=trajectory,
-    )
+    return colors, _trace(strategy, comp, d, colors, trajectory)
 
 
 def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:

@@ -15,7 +15,7 @@ from semistrong import families
 from semistrong.cli import cli
 from semistrong.coloring import from_list
 from semistrong.exact import Budget, exact_index
-from semistrong.formats import _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
+from semistrong.formats import MAX_VERTICES, _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
 from semistrong.solver import solve
 from semistrong.verify import badness, verify_mode
 
@@ -164,6 +164,22 @@ def test_gen_rejects_random_max_degree_above_its_cap(capsys):
     code, out, err = run(capsys, ["gen", "--family", "random_max_degree", "--n", str(n), "--d", "4", "--seed", "1"])
     assert code == 2 and out == ""
     assert f"n = {n} is above its cap" in err
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+@pytest.mark.parametrize("family,n", [("path", MAX_VERTICES + 1), ("hypercube", 64), ("prism", 200_000)])
+def test_gen_refuses_a_family_above_the_vertex_limit_before_building_it(capsys, family, n, fmt):
+    # hypercube 64 would loop over 2^64 vertices if gen built it first
+    code, out, err = run(capsys, ["gen", "--family", family, "--n", str(n), "--format", fmt])
+    assert code == 2 and out == ""
+    assert f"more than the {MAX_VERTICES} vertices" in err
+
+
+def test_gen_builds_a_path_at_the_vertex_limit(capsys):
+    code, out, _ = run(capsys, ["gen", "--family", "path", "--n", str(MAX_VERTICES)])
+    assert code == 0
+    assert out.splitlines()[0] == f"{MAX_VERTICES} {MAX_VERTICES - 1}"
+    assert parse_edge_list(out).vertex_count == MAX_VERTICES
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

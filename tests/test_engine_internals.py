@@ -396,6 +396,23 @@ def test_on_demand_neighborhood_matches_compute_neighborhood():
             assert (nb.t6, nb.n2_u, nb.n2_v, nb.c_delta, nb.type_of) == (one.t6, one.n2_u, one.n2_v, one.c_delta, one.type_of)
 
 
+def test_free_colors_and_one_neighbors_match_the_neighborhood_oracle():
+    # free: outside the forbidden set and e's own color, on at most one T6 contact
+    rng = random.Random(5)
+    twice = 0  # free-looking colors that two T6 contacts rule out
+    for g in [families.prism(5), families.c7_blowup(), families.random_max_degree(30, 4, 7)]:
+        eng = _Engine(_Contacts.of(g, bad_state(g, rng)))
+        colors = eng.colors
+        for e in range(g.edge_count):
+            nb = compute_neighborhood(g, e)
+            taken = {colors[f] for f in nb.f_set} | {colors[e]}
+            t6 = Counter(colors[f] for f in nb.t6)
+            assert list(eng._free_colors(e)) == [a for a in range(1, eng.k + 1) if a not in taken and t6[a] <= 1]
+            assert eng._n1(e) == sorted(nb.n1)
+            twice += sum(1 for a, n in t6.items() if n > 1 and a not in taken)
+    assert twice > 0
+
+
 def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
     rng = random.Random(31)
     made = Counter()

@@ -100,3 +100,17 @@ def test_make_dispatch():
         families.make("prism", n=5, d=2)
     with pytest.raises(ValueError):
         families.make("prism")
+
+
+@pytest.mark.parametrize("family", families.family_names())
+def test_vertex_count_matches_the_built_graph(family):
+    sizes = {
+        "n": [3, 4, 7], "a": [1, 3], "b": [2, 5], "d": [2, 3, 5],
+        "cycle_len": [3, 5], "part_size": [1, 2], "seed": [1],
+    }
+    names = families.family_params(family)
+    grid = [{}]
+    for name in names:
+        grid = [{**params, name: value} for params in grid for value in sizes[name]]
+    for params in grid:
+        assert families.vertex_count(family, **params) == families.make(family, **params).vertex_count

@@ -243,7 +243,7 @@ def _atlas_graphs():
         yield build_graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
 
 
-def test_contact_scan_matches_single_edge_builds():
+def test_contacts_match_single_edge_builds():
     # every graph with at most 7 vertices, the corpus, and seeded random
     # graphs, each in a rainbow coloring, so that colors name edges
     randoms = [families.random_max_degree(n, d, seed) for seed, (n, d) in enumerate([(30, 3), (40, 5), (60, 6)] * 3)]
@@ -254,8 +254,9 @@ def test_contact_scan_matches_single_edge_builds():
         for e in range(g.edge_count):
             one = compute_neighborhood(g, e)
             assert state.lift(e) == []
-            forbidden, contacts = state.scan(e)
-            assert forbidden == {rainbow.colors[f] for f in one.f_set}
-            t6 = [fs for c, fs in contacts.items() if c not in forbidden]
-            assert all(len(fs) == 1 for fs in t6) and {fs[0] for fs in t6} == one.t6
+            for f in range(g.edge_count):
+                if f != e:
+                    found = state.contacts(e, rainbow.colors[f])
+                    assert (found is None) == (f in one.f_set)
+                    assert (found == [f]) == (f in one.t6)
             state.place(e, e + 1, ())

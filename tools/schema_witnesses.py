@@ -97,12 +97,12 @@ def random_start(g, k: int, rng: random.Random) -> _Engine | None:
         order = list(range(g.edge_count))
         rng.shuffle(order)
         for e in order:
-            forbidden, contacts = state.scan(e)
-            free = [c for c in range(1, k + 1) if c not in forbidden]
+            found = {c: state.contacts(e, c) for c in range(1, k + 1)}
+            free = [c for c, contacts in found.items() if contacts is not None]
             if not free:
                 break
             c = rng.choice(free)
-            state.place(e, c, contacts.get(c, ()))
+            state.place(e, c, found[c])
         else:
             if max(state.count) >= 2:
                 return _Engine(state)
