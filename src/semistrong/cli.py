@@ -177,13 +177,21 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
+# a 500,000-edge complete_bipartite(500, 1000) build peaks at about 250 MiB, so a
+# graph at this cap needs about 0.5 GiB
+MAX_EDGES = 1_000_000
+
+
 def _cmd_gen(args) -> int:
     params = _gen_params(args)
     # refused before building: a short command line can ask for 2^64 vertices
+    # or 10^10 edges
+    given = ", ".join(f"{name}={value}" for name, value in params.items())
     if families.vertex_count(args.family, **params) > MAX_VERTICES:
-        given = ", ".join(f"{name}={value}" for name, value in params.items())
         message = f"family {args.family} with {given} has more than the {MAX_VERTICES} vertices the formats support"
         raise FormatError("too_large", message)
+    if families.edge_count(args.family, **params) > MAX_EDGES:
+        raise FormatError("too_large", f"family {args.family} with {given} has more than the {MAX_EDGES} edges gen builds")
     g = families.make(args.family, **params)
     text = emit_edge_list(g) if args.format == "edgelist" else emit_graph6(g) + "\n"
     _write_text(args.output, text)

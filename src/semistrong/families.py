@@ -121,20 +121,23 @@ def random_max_degree(n: int, d: int, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-# per family: the builder, its parameter names, and its vertex count from
-# the parameters alone, so a caller can refuse a size before building it
+# per family: the builder, its parameter names, and its vertex and edge
+# counts from the parameters alone, so a caller can refuse a size before
+# building it. min(n, 64): 2^64 is past any limit, and a huge n must not build
+# a huge int; max(..., 0): negative parameters are the builder's own error.
 _FAMILIES = {
-    "path": (path, ("n",), lambda n: n),
-    "cycle": (cycle, ("n",), lambda n: n),
-    "complete_bipartite": (complete_bipartite, ("a", "b"), lambda a, b: a + b),
-    "prism": (prism, ("n",), lambda n: 2 * n),
-    # min: 2^64 is past any vertex limit, and a huge n must not build a huge int
-    "hypercube": (hypercube, ("n",), lambda n: 2 ** min(n, 64)),
-    # max: two negative parameters are blowup's own error, not a large graph
-    "blowup": (blowup, ("cycle_len", "part_size"), lambda cycle_len, part_size: cycle_len * max(part_size, 0)),
-    "c7_blowup": (c7_blowup, (), lambda: 14),
-    "h_graph": (h_graph, ("d",), lambda d: 4 * d - 2),
-    "random_max_degree": (random_max_degree, ("n", "d", "seed"), lambda n, d, seed: n),
+    "path": (path, ("n",), lambda n: n, lambda n: n - 1),
+    "cycle": (cycle, ("n",), lambda n: n, lambda n: n),
+    "complete_bipartite": (complete_bipartite, ("a", "b"), lambda a, b: a + b, lambda a, b: max(a, 0) * max(b, 0)),
+    "prism": (prism, ("n",), lambda n: 2 * n, lambda n: 3 * n),
+    "hypercube": (hypercube, ("n",), lambda n: 2 ** min(n, 64), lambda n: (k := min(n, 64)) * 2 ** (k - 1) if n >= 1 else 0),
+    "blowup": (blowup, ("cycle_len", "part_size"), lambda cycle_len, part_size: cycle_len * max(part_size, 0),
+               lambda cycle_len, part_size: cycle_len * max(part_size, 0) ** 2),
+    "c7_blowup": (c7_blowup, (), lambda: 14, lambda: 28),
+    "h_graph": (h_graph, ("d",), lambda d: 4 * d - 2, lambda d: 2 * d * (d - 1) + 1),
+    # an upper bound: the degree cap may leave pairs unused
+    "random_max_degree": (random_max_degree, ("n", "d", "seed"), lambda n, d, seed: n,
+                          lambda n, d, seed: n * min(n - 1, d) // 2),
 }
 
 
@@ -151,7 +154,7 @@ def make(family: str, **params) -> Graph:
     """Dispatch by family name; rejects unknown names and parameter sets."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(family_names())}")
-    fn, argnames, _ = _FAMILIES[family]
+    fn, argnames, _, _ = _FAMILIES[family]
     missing = [a for a in argnames if a not in params]
     extra = [k for k in params if k not in argnames]
     if missing or extra:
@@ -163,3 +166,9 @@ def vertex_count(family: str, **params) -> int:
     """The vertex count of make(family, **params) for valid parameters,
     computed without building the graph."""
     return _FAMILIES[family][2](**params)
+
+
+def edge_count(family: str, **params) -> int:
+    """The edge count of make(family, **params) for valid parameters (at most
+    that many for random_max_degree), computed without building the graph."""
+    return _FAMILIES[family][3](**params)

@@ -165,7 +165,7 @@ def _trace_json(trace: ComponentTrace) -> dict[str, Any]:
         "delta": trace.delta,
         "colors_used": trace.colors_used,
         "exceeds_bound": trace.exceeds_bound,
-        "moves_by_schema": dict(sorted(trace.moves_by_schema.items())),
+        "moves_by_schema": trace.moves_by_schema,
         "fallback_f3": trace.fallback_f3,
         "kappa_trajectory_len": len(trace.kappa_trajectory),
     }
@@ -174,7 +174,7 @@ def _trace_json(trace: ComponentTrace) -> dict[str, Any]:
 def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
     return {
         "n": g.vertex_count,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": g.edges,
         "colors": list(colors) if colors is not None else None,
         "colors_used": len(set(colors)) if colors else (0 if colors is not None else None),
         "mode": mode,
@@ -194,7 +194,7 @@ def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
         doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
         doc["kappa1"], doc["kappa2"] = result.kappa
         doc["trace"] = [_trace_json(t) for t in result.trace]
-        doc["certificates"] = dict(sorted(result.certificates.items()))
+        doc["certificates"] = result.certificates
     elif isinstance(result, ExactResult):
         colors = result.certificate.colors if result.certificate is not None else None
         doc = _envelope(g, colors, meta.get("mode"), result.value is not None)
@@ -212,6 +212,8 @@ def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+# the scalars json writes without recursion, keyed by exact type
+_INLINE = {int: str, str: _quote, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 
 
 def _dumps(obj) -> str:
@@ -219,7 +221,9 @@ def _dumps(obj) -> str:
     whose dicts have str keys.
 
     With an indent CPython's json falls back to its pure-Python encoder; this
-    writer dispatches on exact type and joins an all-int list in one call.
+    writer dispatches on exact type, writes a dict's scalar values in line,
+    joins an all-int list in one call and fills one row template per pair of
+    a list of int pairs (the edges).
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -228,10 +232,9 @@ def _dumps(obj) -> str:
 
 def _write(obj, newline: str, out: list[str]) -> None:
     kind = type(obj)
-    if kind is str:
-        out.append(_quote(obj))
-    elif kind is int:
-        out.append(str(obj))
+    inline = _INLINE.get(kind)
+    if inline is not None:
+        out.append(inline(obj))
     elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
@@ -239,6 +242,10 @@ def _write(obj, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         if all(type(x) is int for x in obj):
             out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        if all(type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int for x in obj):
+            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            out.append("[" + inner + ("," + inner).join([row % x for x in obj]) + newline + "]")
             return
         sep = "[" + inner
         for x in obj:
@@ -253,16 +260,15 @@ def _write(obj, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):
-            out.append(sep + _quote(key) + ": ")
-            _write(obj[key], inner, out)
+            value = obj[key]
+            inline = _INLINE.get(type(value))
+            if inline is not None:
+                out.append(sep + _quote(key) + ": " + inline(value))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
     else:  # floats, subclasses: the stdlib encoder, re-indented to this depth
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 

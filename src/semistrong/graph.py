@@ -76,9 +76,7 @@ def build_graph(vertex_count: int, edge_pairs) -> Graph:
 
 
 def max_degree(g: Graph) -> int:
-    if g.vertex_count == 0:
-        return 0
-    return max(g.degree(v) for v in range(g.vertex_count))
+    return max(map(len, g.adjacency), default=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,23 +118,30 @@ def connected_components(g: Graph) -> list[ComponentView]:
         return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
     verts: list[list[int]] = [[] for _ in range(count)]
     local = [0] * g.vertex_count
-    for v in range(g.vertex_count):
-        part = verts[label[v]]
+    for v, c in enumerate(label):
+        part = verts[c]
         local[v] = len(part)
         part.append(v)
     edge_ids: list[list[int]] = [[] for _ in range(count)]
+    local_edge = [0] * g.edge_count
     for i, (u, _) in enumerate(g.edges):
-        edge_ids[label[u]].append(i)
+        ids = edge_ids[label[u]]
+        local_edge[i] = len(ids)
+        ids.append(i)
+    # the parent's adjacency is validated and neighbor-sorted, and local
+    # labels keep the parent's vertex order, so it is relabelled, not rebuilt
+    pairs = [(local[u], local[v]) for u, v in g.edges]
+    rows = [tuple([(local[w], local_edge[e]) for w, e in nbrs]) for nbrs in g.adjacency]
     views: list[ComponentView] = []
     for part, ids in zip(verts, edge_ids):
-        comp_edges = [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in ids]
-        views.append(
-            ComponentView(
-                graph=build_graph(len(part), comp_edges),
-                vertex_map=tuple(part),
-                edge_map=tuple(ids),
-            )
+        edges = tuple(map(pairs.__getitem__, ids))
+        comp = Graph(
+            vertex_count=len(part),
+            edges=edges,
+            adjacency=tuple(map(rows.__getitem__, part)),
+            _pair_to_index={p if p[0] < p[1] else (p[1], p[0]): i for i, p in enumerate(edges)},
         )
+        views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views
 
 

@@ -637,20 +637,19 @@ def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
     """Walk the path from its smallest end, or the cycle from vertex 0 to
     its smaller neighbor, and lay the closed-form pattern along the walk."""
     n = comp.vertex_count
-    ends = [v for v in range(n) if comp.degree(v) == 1]
-    seq, prev = [ends[0] if ends else 0], -1
-    while len(seq) < n:
-        nxt = min(w for w in comp.neighbors(seq[-1]) if w != prev)
-        prev = seq[-1]
-        seq.append(nxt)
-    if ends:
-        pattern = color_path(n).colors
-    else:
-        seq.append(seq[0])
-        pattern = cycle_pattern(n, relaxed=(mode == "relaxed01"))
+    adjacency = comp.adjacency
+    ends = [v for v in range(n) if len(adjacency[v]) == 1]
+    v, prev = (ends[0] if ends else 0), -1
+    walk = []  # edge ids in walk order; neighbor-sorted, so the first entry off prev is the smaller
+    for _ in range(comp.edge_count):
+        first, second = adjacency[v][0], adjacency[v][-1]
+        w, e = first if first[0] != prev else second
+        walk.append(e)
+        prev, v = v, w
+    pattern = color_path(n).colors if ends else cycle_pattern(n, relaxed=(mode == "relaxed01"))
     colors = [0] * comp.edge_count
-    for i, c in enumerate(pattern):
-        colors[comp.edge_between(seq[i], seq[i + 1])] = c
+    for e, c in zip(walk, pattern):
+        colors[e] = c
     return colors
 
 

@@ -1,7 +1,7 @@
 """Ground-truth checkers for the matching and coloring notions, plus the
 bad-edge / bad-pair accounting that drives the repair engine.
 
-Every checker reads one color index (per vertex, its edges by color) and
+Every checker reads a color index (per vertex, its edges by color) and
 applies its rule edge by edge, in O(m·Δ); a witness is always the smallest
 offending (color, edge). All functions are pure and share no data with the
 neighborhoods that greedy and the repair engine build, so they are an
@@ -161,25 +161,38 @@ def certify(g: Graph, c: Coloring) -> Certificate:
     For e = uv of color c with no other color-c edge at u or v, every color-c
     edge at a neighbor w of u (resp. v) is a same-colored 2-neighbor, and e
     breaks the semistrong rule iff both u and v have such a neighbor.
+
+    The index keeps one edge per (vertex, color); ``more`` lists all the
+    edges of the pairs that hold two or more, which a proper coloring has none of.
     """
-    at = _color_index(g, c)
     colors = c.colors
     edges = g.edges
+    if len(colors) != len(edges):
+        raise ValueError(f"coloring has {len(colors)} entries for {len(edges)} edges")
+    first: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    more: dict[tuple[int, int], list[int]] = {}
+    for e, (u, v) in enumerate(edges):
+        ce = colors[e]
+        for x in (u, v):
+            f = first[x].setdefault(ce, e)
+            if f != e:
+                more.setdefault((x, ce), [f]).append(e)
     adjacency = g.adjacency
     semistrong: tuple[int, int] | None = None
     relaxed: tuple[int, int] | None = None
     kappa1 = contacts = 0
     for e, (u, v) in enumerate(edges):
         ce = colors[e]
-        clash = len(at[u][ce]) + len(at[v][ce]) > 2
+        clash = bool(more) and ((u, ce) in more or (v, ce) in more)
         same: set[int] = set()
         sides = 0
         for a, b in ((u, v), (v, u)):
             hit = False
             for w, _ in adjacency[a]:
-                fs = at[w].get(ce)
-                if fs and w != b:
+                f = first[w].get(ce)
+                if f is not None and w != b:
                     hit = True
+                    fs = more.get((w, ce), (f,)) if more else (f,)
                     if clash:
                         same.update(f for f in fs if a not in edges[f] and b not in edges[f])
                     else:

@@ -5,15 +5,18 @@ induced-subgraph degrees) and deliberately shares no code with the package
 paths it is used to check. The two greedy starts at the end are the
 exception: they read N2 and the forbidden sets from
 neighborhood.compute_neighborhood, which solver.greedy_good_coloring does not
-use, and share only the breadth-first edge order with it.
+use, and share only the breadth-first edge order with it. The last helper
+builds random many-component inputs from the named families.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
+from semistrong import families
 from semistrong.coloring import Coloring, from_list
-from semistrong.graph import Graph, bfs_edge_order
+from semistrong.graph import Graph, bfs_edge_order, build_graph
 from semistrong.neighborhood import EdgeNeighborhood, PairType, compute_neighborhood
 from semistrong.solver import PaletteExhaustedError
 from semistrong.verify import badness
@@ -213,3 +216,29 @@ def contact_state(g: Graph, colors) -> tuple[list[dict[int, int]], list[int]]:
         count[e] += 1
         count[f] += 1
     return at, count
+
+
+def random_union(rng: random.Random) -> Graph:
+    """A disjoint union of 0-3 isolated vertices, 0-3 K2s and 2-5 components
+    drawn from paths, cycles, K_{3,3}, K_{4,4}, prisms and random graphs of
+    max degree 3-5, with vertex labels, edge order and edge orientations
+    shuffled."""
+    draws = [
+        lambda: families.path(rng.randint(3, 9)),
+        lambda: families.cycle(rng.randint(3, 9)),
+        lambda: families.complete_bipartite(3, 3),
+        lambda: families.complete_bipartite(4, 4),
+        lambda: families.prism(rng.randint(3, 6)),
+        lambda: families.random_max_degree(rng.randint(4, 12), rng.randint(3, 5), rng.randrange(10**6)),
+    ]
+    parts = [families.path(1)] * rng.randint(0, 3) + [families.path(2)] * rng.randint(0, 3)
+    parts += [rng.choice(draws)() for _ in range(rng.randint(2, 5))]
+    n = sum(p.vertex_count for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs, offset = [], 0
+    for p in parts:
+        pairs += [(label[u + offset], label[v + offset]) for u, v in p.edges]
+        offset += p.vertex_count
+    rng.shuffle(pairs)
+    return build_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])

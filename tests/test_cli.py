@@ -12,7 +12,7 @@ import pytest
 
 import semistrong
 from semistrong import families
-from semistrong.cli import cli
+from semistrong.cli import MAX_EDGES, cli
 from semistrong.coloring import from_list
 from semistrong.exact import Budget, exact_index
 from semistrong.formats import MAX_VERTICES, _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
@@ -173,6 +173,33 @@ def test_gen_refuses_a_family_above_the_vertex_limit_before_building_it(capsys, 
     code, out, err = run(capsys, ["gen", "--family", family, "--n", str(n), "--format", fmt])
     assert code == 2 and out == ""
     assert f"more than the {MAX_VERTICES} vertices" in err
+
+
+def _refuse_to_build(family, **params):
+    raise AssertionError(f"gen built {family} {params} past its size caps")
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+@pytest.mark.parametrize(
+    "family,n,d",
+    [("complete_bipartite", 129_023, 129_024), ("blowup", 3, 86_015), ("hypercube", 17, None), ("complete_bipartite", 1000, 1001)],
+)
+def test_gen_refuses_a_family_above_the_edge_limit_before_building_it(capsys, monkeypatch, family, n, d, fmt):
+    # within the vertex limit, but 1.66e10, 2.2e10, 1,114,112 and 1,001,000 edges;
+    # a regression fails on the patched builder instead of exhausting memory
+    monkeypatch.setattr(families, "make", _refuse_to_build)
+    argv = ["gen", "--family", family, "--n", str(n), "--format", fmt] + ([] if d is None else ["--d", str(d)])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"more than the {MAX_EDGES} edges" in err
+
+
+def test_gen_passes_a_family_at_the_edge_limit_to_its_builder(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(families, "make", lambda family, **params: built.append(params) or families.path(2))
+    code, out, _ = run(capsys, ["gen", "--family", "complete_bipartite", "--n", "1000", "--d", "1000"])
+    assert code == 0 and built == [{"a": 1000, "b": 1000}]
+    assert families.edge_count("complete_bipartite", a=1000, b=1000) == MAX_EDGES
 
 
 def test_gen_builds_a_path_at_the_vertex_limit(capsys):

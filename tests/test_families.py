@@ -102,15 +102,31 @@ def test_make_dispatch():
         families.make("prism")
 
 
-@pytest.mark.parametrize("family", families.family_names())
-def test_vertex_count_matches_the_built_graph(family):
+def _small_params(family):
+    """Every combination of a few valid sizes for the family's parameters."""
     sizes = {
         "n": [3, 4, 7], "a": [1, 3], "b": [2, 5], "d": [2, 3, 5],
         "cycle_len": [3, 5], "part_size": [1, 2], "seed": [1],
     }
-    names = families.family_params(family)
     grid = [{}]
-    for name in names:
+    for name in families.family_params(family):
         grid = [{**params, name: value} for params in grid for value in sizes[name]]
-    for params in grid:
+    return grid
+
+
+@pytest.mark.parametrize("family", families.family_names())
+def test_vertex_count_matches_the_built_graph(family):
+    for params in _small_params(family):
         assert families.vertex_count(family, **params) == families.make(family, **params).vertex_count
+
+
+@pytest.mark.parametrize("family", families.family_names())
+def test_edge_count_matches_the_built_graph(family):
+    for params in _small_params(family):
+        count, g = families.edge_count(family, **params), families.make(family, **params)
+        if family == "random_max_degree":  # an upper bound: the degree cap may leave pairs unused
+            assert count >= g.edge_count
+        else:
+            assert count == g.edge_count
+    if family == "hypercube":
+        assert families.edge_count(family, n=17) == 1_114_112

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from _oracles import naive_graph6_payload
+from _oracles import naive_graph6_payload, random_union
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -228,18 +228,24 @@ def test_five_vertex_code_round_trip():
     assert emit_graph6(g) == "DQc"
 
 
+# a list of int pairs takes the writer's row template (a bool or a one-tuple
+# among them sends it down the general path), and a dict's scalar values are
+# written in line
+_INT_PAIRS = st.tuples(st.integers(), st.integers())
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(_INT_PAIRS, max_size=5),
     lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
     max_leaves=25,
 )
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 @example([[], {}, [[]], {"": {}}, [[], [{}]]])
 @example([True, 1, False, 0, None, -7, [0, False], [1, 2, True]])
 @example({"\u00e9\u2028": "\"\\\x00\t\U0001f600", "b": [-1, 2**70], "a": {"z": None, "": -0.0}})
+@example({"edges": ((0, 1), (1, 2)), "n": 3, "s": "\u00e9", "ok": True, "no": None, "x": 0.5, "e": [], "d": {}})
+@example([[(1, 2), (3, True)], [(-1, 2**70)], ((4, 5),), [(6,)], [(7, 8), [9, 10]], {"k": [(11, 12)]}])
 def test_dumps_matches_the_stdlib_indent_encoder(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -265,6 +271,14 @@ def test_emitted_documents_match_the_stdlib_indent_encoder(tmp_path, capsys):
         capsys.readouterr()
         cli(["verify", "--mode", "semistrong", "--graph", str(graph), "--coloring", str(coloring)])
         assert _canonical(capsys.readouterr().out)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_emitted_solve_results_on_many_components_match_the_stdlib_indent_encoder(seed):
+    g = random_union(random.Random(seed))
+    for mode in ("semistrong", "relaxed01"):
+        assert _canonical(emit_result(g, solve(g, mode)))
 
 
 _PARSERS = {"edge_list": parse_edge_list, "graph6": parse_graph6, "coloring": parse_coloring}

@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from _oracles import random_union
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistrong import families
 from semistrong.graph import (
@@ -116,6 +119,24 @@ def test_components_disjoint_union():
         for le, pe in enumerate(view.edge_map):
             lu, lv = view.graph.edges[le]
             assert {view.vertex_map[lu], view.vertex_map[lv]} == set(g.edges[pe])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_each_component_equals_build_graph_of_its_local_edges(seed):
+    # components are relabelled from the parent's adjacency, not rebuilt
+    g = random_union(random.Random(seed))
+    views = connected_components(g)
+    assert len(views) > 1
+    for view in views:
+        comp = view.graph
+        local = {pv: lv for lv, pv in enumerate(view.vertex_map)}
+        built = build_graph(len(view.vertex_map), [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in view.edge_map])
+        assert (comp.vertex_count, comp.edges, comp.adjacency) == (built.vertex_count, built.edges, built.adjacency)
+        for u in range(comp.vertex_count):
+            for v in range(comp.vertex_count):
+                assert comp.edge_between(u, v) == built.edge_between(u, v)
+        assert max_degree(comp) == max((comp.degree(v) for v in range(comp.vertex_count)), default=0)
 
 
 def test_components_edgeless():

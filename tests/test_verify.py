@@ -420,6 +420,27 @@ def test_certify_matches_the_checkers_on_random_colorings():
         assert oks.count(True) >= 300 and oks.count(False) >= 300
 
 
+@pytest.mark.parametrize(
+    "n,pairs,colors",
+    [
+        # two color-1 edges at vertex 1, inside a 5-cycle with a pendant edge
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5)], [1, 1, 2, 1, 3, 2]),
+        # three color-1 edges at vertex 0 of K_{1,3}, whose leaves reach a 4-path
+        (7, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (5, 6), (2, 6)], [1, 1, 1, 2, 1, 3, 1]),
+        # e = (0, 1) has no other color-1 edge at 0 or 1, but ring vertex 2 holds two
+        (6, [(0, 1), (0, 2), (2, 3), (2, 4), (1, 5)], [1, 2, 1, 1, 3]),
+        # the same clash at a ring vertex reached from both ends of e
+        (6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5)], [1, 2, 3, 1, 1, 2]),
+    ],
+)
+def test_certify_reads_the_overflow_of_same_colored_edges_at_one_vertex(n, pairs, colors):
+    # certify indexes one edge per (vertex, color) and lists the rest apart
+    g = build_graph(n, pairs)
+    cert = _assert_certify_agrees(g, from_list(colors))
+    assert not cert.semistrong.ok and not cert.relaxed01.ok
+    assert cert.kappa == naive_badness(g, colors)[:2]
+
+
 def test_certify_on_disconnected_and_empty_graphs():
     pairs, n = [], 0
     for part in (families.prism(5), families.cycle(7), families.path(2)):
