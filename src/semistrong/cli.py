@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import families
@@ -88,11 +89,14 @@ def _at_least(low: int, kind=int):
     return convert
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a build takes ~1 ms and leaves reference cycles."""
     parser = _CliParser(prog="semistrong", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_color = sub.add_parser("color", help="construct a coloring meeting the degree-squared bound")
+    p_color.set_defaults(run=_cmd_color)
     p_color.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
     p_color.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
     p_color.add_argument("--input", default=None, help="graph file (default/- : stdin)")
@@ -100,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--debug", action="store_true", help="cross-check incremental potentials")
 
     p_verify = sub.add_parser("verify", help="check a coloring against a graph")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
     p_verify.add_argument("--s", type=_at_least(0), default=0)
     p_verify.add_argument("--t", type=_at_least(0), default=0)
@@ -108,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--coloring", required=True, help="JSON file with a 'colors' field")
 
     p_exact = sub.add_parser("exact", help="exact minimum color count by complete search")
+    p_exact.set_defaults(run=_cmd_exact)
     p_exact.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
     p_exact.add_argument("--s", type=_at_least(0), default=0)
     p_exact.add_argument("--t", type=_at_least(0), default=0)
@@ -119,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--output", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a named graph")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--family", required=True, choices=families.family_names())
     p_gen.add_argument("--n", type=int, default=None, help="size parameter (also the left part / cycle length)")
     p_gen.add_argument("--d", type=int, default=None, help="degree parameter (also the right part / part size)")
@@ -127,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--output", default=None)
 
     p_batch = sub.add_parser("batch", help="color every graph in a directory, write a CSV report")
+    p_batch.set_defaults(run=_cmd_batch)
     p_batch.add_argument("--dir", required=True)
     p_batch.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
     p_batch.add_argument("--report", required=True)
@@ -300,17 +308,13 @@ def _cmd_batch(args) -> int:
 
 
 def cli(argv: list[str]) -> int:
-    parser = build_parser()
+    # the commands make no reference cycles, so the cyclic collector would only
+    # rescan the graph's per-edge tuples: paused, then the caller's state restored
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "color": _cmd_color,
-            "verify": _cmd_verify,
-            "exact": _cmd_exact,
-            "gen": _cmd_gen,
-            "batch": _cmd_batch,
-        }[args.command]
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except (FormatError, GraphError, ValueError, OSError) as exc:
@@ -320,6 +324,9 @@ def cli(argv: list[str]) -> int:
         detail = _one_line(exc)
         print(f"internal error: {type(exc).__name__}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main():

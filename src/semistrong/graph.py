@@ -6,8 +6,9 @@ Edge indices are stable and equal to input order; everything downstream
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -18,7 +19,7 @@ class GraphError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Graph:
     """Simple undirected graph. Immutable.
 
@@ -28,7 +29,6 @@ class Graph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    _pair_to_index: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
 
     @property
     def edge_count(self) -> int:
@@ -44,8 +44,12 @@ class Graph:
         return self.edge_between(u, v) is not None
 
     def edge_between(self, u: int, v: int) -> int | None:
-        """Index of the edge uv; build_graph keys each edge as (min, max)."""
-        return self._pair_to_index.get((u, v) if u < v else (v, u))
+        """Index of the edge uv, or None; bisects u's neighbor-sorted row."""
+        if not 0 <= u < self.vertex_count:
+            return None
+        row = self.adjacency[u]
+        i = bisect_left(row, (v,))  # (v,) sorts just before every (v, e)
+        return row[i][1] if i < len(row) and row[i][0] == v else None
 
 
 def build_graph(vertex_count: int, edge_pairs) -> Graph:
@@ -54,32 +58,27 @@ def build_graph(vertex_count: int, edge_pairs) -> Graph:
         raise GraphError("bad_vertex_count", f"vertex_count must be >= 0, got {vertex_count}")
     edges: list[tuple[int, int]] = []
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    pair_to_index: dict[tuple[int, int], int] = {}
+    seen: set[int] = set()  # min * n + max per edge
     for idx, (u, v) in enumerate(edge_pairs):
         if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
             raise GraphError("endpoint_out_of_range", f"edge {idx} ({u},{v}) has an endpoint outside [0,{vertex_count})")
         if u == v:
             raise GraphError("self_loop", f"edge {idx} is a self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in pair_to_index:
+        key = u * vertex_count + v if u < v else v * vertex_count + u
+        if key in seen:
             raise GraphError("duplicate_edge", f"edge {idx} ({u},{v}) duplicates an earlier edge")
         edges.append((u, v))
         adjacency[u].append((v, idx))
         adjacency[v].append((u, idx))
-        pair_to_index[key] = idx
-    return Graph(
-        vertex_count=vertex_count,
-        edges=tuple(edges),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        _pair_to_index=pair_to_index,
-    )
+        seen.add(key)
+    return Graph(vertex_count, tuple(edges), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
 
 def max_degree(g: Graph) -> int:
     return max(map(len, g.adjacency), default=0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ComponentView:
     """One connected component, re-indexed from 0, with maps back to the parent."""
 
@@ -134,13 +133,7 @@ def connected_components(g: Graph) -> list[ComponentView]:
     rows = [tuple([(local[w], local_edge[e]) for w, e in nbrs]) for nbrs in g.adjacency]
     views: list[ComponentView] = []
     for part, ids in zip(verts, edge_ids):
-        edges = tuple(map(pairs.__getitem__, ids))
-        comp = Graph(
-            vertex_count=len(part),
-            edges=edges,
-            adjacency=tuple(map(rows.__getitem__, part)),
-            _pair_to_index={p if p[0] < p[1] else (p[1], p[0]): i for i, p in enumerate(edges)},
-        )
+        comp = Graph(len(part), tuple(map(pairs.__getitem__, ids)), tuple(map(rows.__getitem__, part)))
         views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import random
@@ -490,6 +491,99 @@ def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: synthetic failure\n"
+
+
+def test_commands_pause_the_collector_and_leave_no_cycles(tmp_path, capsys, monkeypatch):
+    """cli() runs every command with the cyclic collector paused and gives the
+    caller back its own setting on each exit code (0/1/2/3). The commands make
+    no reference cycles, so a caller that keeps the collector off is left no
+    garbage to collect."""
+    import semistrong.cli as cli_mod
+
+    g = families.prism(5)
+    gpath = tmp_path / "prism5.txt"
+    gpath.write_text(emit_edge_list(g))
+    c7 = tmp_path / "c7.txt"
+    c7.write_text(emit_edge_list(families.cycle(7)))
+    loop = tmp_path / "loop.txt"
+    loop.write_text("2 1\n0 0\n")
+    good = tmp_path / "good.json"
+    good.write_text(emit_result(g, solve(g, "semistrong")))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"colors": [1] * g.edge_count}))
+    d = _batch_dir(tmp_path)
+    report = tmp_path / "report.csv"
+
+    paused = []
+
+    def boom(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("synthetic")
+
+    def failing_solve(argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "solve", boom)
+            return cli(argv)
+
+    color = ["color", "--input", str(gpath), "--mode"]
+    batch = ["batch", "--dir", str(d), "--mode", "relaxed01", "--report", str(report), "--jobs"]
+    calls = [
+        (0, cli, [*color, "semistrong"]),
+        (0, cli, [*color, "relaxed01"]),
+        (0, cli, [*color, "semistrong", "--debug"]),
+        (0, cli, [*color, "relaxed01", "--debug"]),
+        (0, cli, ["verify", "--mode", "semistrong", "--graph", str(gpath), "--coloring", str(good)]),
+        (1, cli, ["verify", "--mode", "semistrong", "--graph", str(gpath), "--coloring", str(bad)]),
+        (0, cli, ["exact", "--mode", "semistrong", "--max-colors", "5", "--input", str(c7)]),
+        (0, cli, ["gen", "--family", "prism", "--n", "4"]),
+        (0, cli, [*batch, "1"]),
+        (0, cli, [*batch, "2"]),
+        (2, cli, ["color", "--mode", "bogus"]),
+        (2, cli, ["color", "--mode", "semistrong", "--input", str(loop)]),
+        (3, failing_solve, [*color, "semistrong"]),
+    ]
+    # one pass first: it builds the cached parser, and the first pool imports
+    # signal and socket, whose enum classes leave one-time garbage
+    for want, call, argv in calls:
+        assert call(argv) == want
+    caller = gc.isenabled()
+    try:
+        for collecting in (True, False):
+            for want, call, argv in calls:
+                (gc.enable if collecting else gc.disable)()
+                gc.collect()
+                assert call(argv) == want, argv
+                assert gc.isenabled() is collecting, argv
+                if not collecting:
+                    assert gc.collect() == 0, argv
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert paused == [True] * 3  # the collector is off inside the command
+    capsys.readouterr()
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    import semistrong.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    g = families.cycle(7)
+    gpath = tmp_path / "c7.txt"
+    gpath.write_text(emit_edge_list(g))
+    cpath = tmp_path / "c7.json"
+    cpath.write_text(emit_result(g, solve(g, "semistrong")))
+    sequence = [
+        ["color", "--mode", "bogus"],
+        ["gen", "--family", "prism", "--n", "4"],
+        ["color", "--mode", "semistrong", "--input", str(gpath)],
+        ["--help"],
+        ["verify", "--mode", "semistrong", "--graph", str(gpath), "--coloring", str(cpath)],
+    ]
+    cached = [(cli(argv), *capsys.readouterr()) for argv in sequence]
+    # every call below builds its own parser
+    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    fresh = [(cli(argv), *capsys.readouterr()) for argv in sequence]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -49,6 +52,99 @@ def test_build_rejections(n, pairs, reason):
     with pytest.raises(GraphError) as exc:
         build_graph(n, pairs)
     assert exc.value.reason == reason
+
+
+@pytest.mark.parametrize(
+    "n,pairs,reason,message",
+    [
+        (3, [(0, 1), (1, 0), (2, 2)], "duplicate_edge", "edge 1 (1,0) duplicates an earlier edge"),
+        (4, [(0, 1), (3, 3), (1, 0)], "self_loop", "edge 1 is a self-loop at vertex 3"),
+        (3, [(0, 1), (3, 3), (1, 0)], "endpoint_out_of_range", "edge 1 (3,3) has an endpoint outside [0,3)"),
+        (3, [(2, 2), (0, -1)], "self_loop", "edge 0 is a self-loop at vertex 2"),
+        (3, [(0, 2), (1, 2), (2, 0), (0, 3)], "duplicate_edge", "edge 2 (2,0) duplicates an earlier edge"),
+        (3, [(0, 1), (1, 2), (-1, 1), (1, 1)], "endpoint_out_of_range", "edge 2 (-1,1) has an endpoint outside [0,3)"),
+    ],
+)
+def test_build_reports_the_first_offending_edge_in_input_order(n, pairs, reason, message):
+    with pytest.raises(GraphError) as exc:
+        build_graph(n, pairs)
+    assert (exc.value.reason, str(exc.value)) == (reason, message)
+
+
+def _first_offence(n, pairs):
+    """(reason, edge index) of the first pair build_graph must reject, or None."""
+    seen = set()
+    for idx, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            return "endpoint_out_of_range", idx
+        if u == v:
+            return "self_loop", idx
+        if frozenset((u, v)) in seen:
+            return "duplicate_edge", idx
+        seen.add(frozenset((u, v)))
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=10))))
+def test_build_rejects_exactly_the_first_offending_pair(case):
+    n, pairs = case
+    want = _first_offence(n, pairs)
+    if want is None:
+        assert build_graph(n, pairs).edges == tuple(pairs)
+        return
+    with pytest.raises(GraphError) as exc:
+        build_graph(n, pairs)
+    assert exc.value.reason == want[0]
+    assert str(exc.value).startswith(f"edge {want[1]} ")
+
+
+def _random_simple_graph(rng: random.Random):
+    n = rng.randint(0, 12)
+    p = rng.random()
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    return build_graph(n, pairs)
+
+
+def _assert_edge_between_matches_pairs(g, pairs):
+    index = {frozenset(p): i for i, p in enumerate(pairs)}
+    # u == v, negative and out-of-range vertices included: none has an edge
+    for u in range(-3, g.vertex_count + 3):
+        for v in range(-3, g.vertex_count + 3):
+            want = index.get(frozenset((u, v)))
+            assert g.edge_between(u, v) == want, (u, v)
+            assert g.has_edge(u, v) is (want is not None)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_edge_between_matches_a_brute_force_pair_set(seed):
+    rng = random.Random(seed)
+    for g in (_random_simple_graph(rng), random_union(rng)):
+        _assert_edge_between_matches_pairs(g, g.edges)
+        for view in connected_components(g):
+            local = {pv: lv for lv, pv in enumerate(view.vertex_map)}
+            pairs = [(local[g.edges[pe][0]], local[g.edges[pe][1]]) for pe in view.edge_map]
+            _assert_edge_between_matches_pairs(view.graph, pairs)
+
+
+def test_graph_and_component_view_survive_pickle_and_deepcopy():
+    g = build_graph(6, [(0, 1), (4, 2), (2, 3), (3, 4)])
+    view = connected_components(g)[1]
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        h = clone(g)
+        assert (h.vertex_count, h.edges, h.adjacency) == (g.vertex_count, g.edges, g.adjacency)
+        assert [h.edge_between(2, w) for w in range(6)] == [None, None, None, 2, 1, None]
+        w = clone(view)
+        assert (w.vertex_map, w.edge_map) == (view.vertex_map, view.edge_map) == ((2, 3, 4), (1, 2, 3))
+        assert (w.graph.edges, w.graph.adjacency) == (view.graph.edges, view.graph.adjacency)
+        assert w.graph.edge_between(2, 0) == 0
+    # slots and frozen: no per-instance dict, no assignment
+    assert not hasattr(g, "__dict__") and not hasattr(view, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.vertex_count = 7
 
 
 def test_adjacency_consistency():
