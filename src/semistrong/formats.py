@@ -35,14 +35,14 @@ class FormatError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    rows: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
+    """Parse an edge list and build its Graph. Every edge line is checked
+    before build_graph sees one, holding only the stripped lines and a flat
+    list of endpoints, so a malformed line is reported before any graph
+    error."""
+    lines = [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
         raise FormatError("malformed_header", "empty input; expected a 'n m' header line")
-    header = rows[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise FormatError("malformed_header", f"header must be 'n m', got {' '.join(header)!r}")
     try:
@@ -51,18 +51,20 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError("malformed_header", f"header must be two integers, got {' '.join(header)!r}") from exc
     if n > MAX_VERTICES:
         raise FormatError("too_large", f"header declares {n} vertices; at most {MAX_VERTICES} are supported")
-    body = rows[1:]
-    if len(body) != m:
-        raise FormatError("count_mismatch", f"header declares {m} edges but {len(body)} edge lines follow")
-    pairs = []
-    for row in body:
+    if len(lines) - 1 != m:
+        raise FormatError("count_mismatch", f"header declares {m} edges but {len(lines) - 1} edge lines follow")
+    ends: list[int] = []
+    for i in range(1, len(lines)):
+        row = lines[i].split()
         if len(row) != 2:
             raise FormatError("bad_edge_line", f"edge lines must be 'u v', got {' '.join(row)!r}")
         try:
-            pairs.append((int(row[0]), int(row[1])))
+            ends += int(row[0]), int(row[1])
         except ValueError as exc:
             raise FormatError("bad_edge_line", f"edge endpoints must be integers, got {' '.join(row)!r}") from exc
-    return build_graph(n, pairs)
+    del lines
+    pairs = iter(ends)
+    return build_graph(n, zip(pairs, pairs))
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -11,10 +11,11 @@ it takes the smallest color outside the forbidden set whose colored
 when no color qualifies the smallest color outside the forbidden set. Its
 state, a _Contacts, keeps per vertex a map from color to edge and per edge
 its count of same-colored 2-neighbors: O(m) memory. Greedy builds it in
-O(Delta) per edge plus O(1) for most colors tried, reading per-vertex tallies
-of its neighbors' colors instead of every colored edge around the edge. When
-no count exceeds one, the start has no bad edge and is the component's
-coloring, and no engine is built.
+O(Delta) per edge: it keeps each vertex's colors as an int bitmask, and the
+masks of the neighbors of the edge's ends, ORed together, give the colors met
+once and twice or more around the edge, so a few int operations find the
+color instead of one trial per color. When no count exceeds one, the start
+has no bad edge and is the component's coloring, and no engine is built.
 
 Otherwise the repair engine removes the bad edges by searching move schemas
 in a fixed order:
@@ -135,8 +136,9 @@ class _Contacts:
     Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so it
     is ``at[w][colors[e]]`` for exactly one w of e's ring, the neighbors of u
     and v other than u and v. ``contacts``, ``place`` and ``lift`` read one
-    color over the ring, in O(Delta); ``contacts`` is the one statement of
-    the forbidden-set and contact rule that greedy and the engine share.
+    color over the ring, in O(Delta); ``contacts`` is the engine's statement
+    of the forbidden-set and contact rule, which greedy reads off its color
+    masks and asks contacts only where they cannot tell.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -215,60 +217,64 @@ class _Contacts:
 def _greedy(g: Graph, palette_size: int) -> _Contacts:
     """greedy_good_coloring's coloring, with its contact counts.
 
-    ``near[x]`` maps each color to the one neighbor of x with an edge of that
-    color, or to -1 when two or more have one; x keeps it only while it has
-    an uncolored edge. For a color c at neither end of e = uv, contacts' walk
-    over e's ring meets c nowhere when neither near[u] nor near[v] holds it;
-    once when one of them maps it to a neighbor w, whose edge at[w][c] is the
-    contact; otherwise two or more times, as two contacts or as one edge met
-    twice, which only contacts tells apart. So a color costs O(1) to try but
-    in that last case, and placing an edge O(Delta)."""
+    ``held[x]`` is a bitmask of the colors at vertex x, bit c for color c, and
+    ``hot[x]`` the part of it whose edge already has a same-colored
+    2-neighbor. For e = uv, ORing the masks of u's and v's neighbors, a common
+    neighbor twice, gives the colors met once and the colors met twice or
+    more. A color at neither end of e met nowhere has no contact; met once,
+    its one contact is the edge at the neighbor holding it, and qualifies
+    unless hot there. So the smallest qualifying color is the lowest zero bit
+    of one int, and placing an edge costs O(Delta). Only when no color
+    qualifies does greedy walk the colors outside e's ends, where one met
+    twice or more is two contacts or one edge met twice, which only contacts
+    tells apart."""
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
     state = _Contacts(g, palette_size)
-    at, count, contacts, place = state.at, state.count, state.contacts, state.place
-    adjacency = g.adjacency
-    left = [len(nbrs) for nbrs in adjacency]  # uncolored edges per vertex
-    near: dict[int, dict[int, int]] = {}
+    at, contacts, place = state.at, state.contacts, state.place
+    edges, adjacency = g.edges, g.adjacency
+    held = [0] * g.vertex_count
+    hot = [0] * g.vertex_count
+    top = 1 << palette_size
     for e in bfs_edge_order(g):
-        u, v = g.edges[e]
-        at_u, at_v = at[u], at[v]
-        near_u, near_v = near.get(u, {}), near.get(v, {})
-        fallback = 0
-        for c in range(1, palette_size + 1):
-            if c in at_u or c in at_v:
-                continue
-            a, b = near_u.get(c), near_v.get(c)
-            if a is None and b is None:
-                found = ()
-                break
-            w = b if a is None else a if b is None else -1
-            if w >= 0:
-                found = [at[w][c]]
-                if not count[found[0]]:
+        u, v = edges[e]
+        # u and v are on each other's rows; their colors are taken anyway
+        ring = adjacency[u] + adjacency[v]
+        once = twice = warm = 0
+        for w, _ in ring:
+            mask = held[w]
+            twice |= once & mask
+            once |= mask
+            warm |= hot[w]
+        taken = held[u] | held[v] | 1  # bit 0 is no color
+        y = taken | twice | (once & warm)
+        bit = ~y & (y + 1)  # y's lowest zero bit: the smallest color that qualifies
+        found = None
+        if bit > top:
+            # none does: the smallest color outside the forbidden set, met on
+            # the ring once (a hot contact) or more (ask contacts)
+            y = taken
+            while found is None:
+                bit = ~y & (y + 1)
+                if bit > top:
+                    raise PaletteExhaustedError(e, palette_size)
+                if not twice & bit:
                     break
-            elif fallback:
-                continue
-            else:
-                found = contacts(e, c)
-                if found is None:
-                    continue
-            if not fallback:
-                fallback, fallback_found = c, found
-        else:
-            if not fallback:
-                raise PaletteExhaustedError(e, palette_size)
-            c, found = fallback, fallback_found
+                found = contacts(e, bit.bit_length() - 1)
+                y |= bit
+        c = bit.bit_length() - 1
+        if found is None:
+            found = [at[w][c] for w, _ in ring if held[w] & bit] if once & bit else ()
         place(e, c, found)
-        for x in (u, v):
-            left[x] -= 1
-            if not left[x]:
-                near.pop(x, None)
-        for x in (u, v):
-            for w, _ in adjacency[x]:
-                if left[w]:
-                    tally = near.setdefault(w, {})
-                    tally[c] = -1 if c in tally else x
+        held[u] |= bit
+        held[v] |= bit
+        if found:
+            hot[u] |= bit
+            hot[v] |= bit
+            for f in found:
+                a, b = edges[f]
+                hot[a] |= bit
+                hot[b] |= bit
     return state
 
 

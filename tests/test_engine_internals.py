@@ -9,13 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import contact_state, smallest_color_start
+from _oracles import contact_greedy, contact_state, smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.formats import parse_edge_list
 from semistrong.graph import build_graph, is_connected, max_degree
 from semistrong.neighborhood import compute_neighborhood
-from semistrong.solver import EngineInvariantError, _Contacts, _Engine, _repair_engine, greedy_good_coloring, solve
+from semistrong.solver import (
+    EngineInvariantError,
+    PaletteExhaustedError,
+    _Contacts,
+    _Engine,
+    _repair_engine,
+    greedy_good_coloring,
+    solve,
+)
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
 
 
@@ -468,7 +476,7 @@ def _hub_graph():
     return build_graph(n + 1, sorted(pairs) + spokes)
 
 
-def test_greedy_tallies_are_dropped_with_their_vertex():
+def test_greedy_color_masks_stay_small_on_a_hub_graph():
     hub = _hub_graph()
     g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
     tracemalloc.start()
@@ -479,9 +487,62 @@ def test_greedy_tallies_are_dropped_with_their_vertex():
     finally:
         tracemalloc.stop()
     assert (state.at, state.count) == contact_state(g, state.colors)
-    # about 710 KiB here, 510 KiB of it the state; with every vertex's
-    # tallies kept to the end instead of dropped with its last edge, 1,096 KiB
+    # about 540 KiB here, 490 KiB of it the state; per-vertex tallies (per
+    # color, the one neighbor carrying it) peaked at 710 KiB, and at 1,096 KiB
+    # when every vertex's were kept to the end
     assert peak < 2**20
+
+
+def _counting_contacts(monkeypatch) -> list:
+    """What every _Contacts.contacts call returns, in call order."""
+    calls = []
+    contacts = _Contacts.contacts
+
+    def counting(self, e, c):
+        found = contacts(self, e, c)
+        calls.append(found)
+        return found
+
+    monkeypatch.setattr(_Contacts, "contacts", counting)
+    return calls
+
+
+def test_greedy_asks_contacts_nothing_on_a_wheel(monkeypatch):
+    calls = _counting_contacts(monkeypatch)
+    n = 1000  # W_1000: hub 0 joined to the cycle 1..n
+    g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
+    state = solver._greedy(g, n * n - 1)
+    # each rim edge met every spoke color twice, at the hub, and per-color
+    # tallies asked contacts about each: 998,000 calls
+    assert len(calls) <= g.edge_count
+    assert (state.at, state.count) == contact_state(g, state.colors)
+
+
+def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
+    # the palettes where no color qualifies for some edge, so greedy takes the
+    # smallest color outside the forbidden set, or runs out
+    calls = _counting_contacts(monkeypatch)
+    rng = random.Random(22)
+    fallbacks = stuck = 0
+    for _ in range(100):
+        g = families.random_max_degree(rng.randint(8, 30), rng.randint(3, 6), rng.randrange(10**6))
+        d = max_degree(g)
+        for k in sorted({d + 1, 2 * d - 1, d * d - 1}):
+            try:
+                oracle, fell = contact_greedy(g, k)
+            except PaletteExhaustedError as exc:
+                with pytest.raises(PaletteExhaustedError) as ours:
+                    solver._greedy(g, k)
+                assert (ours.value.edge, ours.value.palette_size) == (exc.edge, k)
+                stuck += 1
+                continue
+            state = solver._greedy(g, k)
+            assert state.to_coloring() == oracle
+            assert (state.at, state.count) == contact_state(g, state.colors)
+            fallbacks += fell
+    assert fallbacks > 0 and stuck > 0
+    # contacts ruled a color met twice forbidden, and gave one as the fallback
+    assert None in calls and any(found is not None for found in calls)
 
 
 def test_repair_state_is_linear_in_the_edge_count():

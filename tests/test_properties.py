@@ -103,7 +103,7 @@ def _greedy_outcome(g, k, greedy):
 @example(families.prism(7))
 def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
     # greedy reads a ring edge met twice (a common neighbor of the edge's
-    # ends, or a 4-cycle through it) off its tallies as two or more meets:
+    # ends, or a 4-cycle through it) off its masks as a color met twice:
     # the blow-ups, the hypercube and the prism are full of 4-cycles, and
     # dense random graphs of triangles
     assume(g.edge_count > 0)
