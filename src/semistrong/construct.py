@@ -13,16 +13,11 @@ from .coloring import Coloring, from_list
 from .graph import (
     Graph,
     GraphError,
-    _bipartition,
     connected_components,
     g_family_witness,
     is_complete_bipartite_dd,
     max_degree,
 )
-
-# the repeating 3-color pattern, with the wrap-around patch for cycles whose
-# length is 1 mod 3; raw symbol 0 maps to palette color 3
-_REMAP = {0: 3, 1: 1, 2: 2}
 
 
 def color_path(n: int) -> Coloring:
@@ -48,11 +43,8 @@ def cycle_pattern(n: int, relaxed: bool = False) -> list[int]:
     if n == 7:
         return [1, 2, 3, 1, 2, 3, 4]
     if n % 3 == 1:
-        colors = [_REMAP[i % 3] for i in range(1, n - 3)]
-        colors += [_REMAP[2], _REMAP[1], _REMAP[0], _REMAP[2]]
-    else:
-        colors = [_REMAP[i % 3] for i in range(1, n + 1)]
-    return colors
+        return [i % 3 + 1 for i in range(n - 4)] + [2, 1, 3, 2]
+    return [i % 3 + 1 for i in range(n)]
 
 
 def color_cycle(n: int) -> Coloring:
@@ -60,23 +52,13 @@ def color_cycle(n: int) -> Coloring:
     return from_list(cycle_pattern(n, relaxed=False))
 
 
-def color_kdd_semistrong_graph(g: Graph, d: int) -> Coloring:
-    """Rainbow: every semistrong class of this graph is a single edge."""
-    if not is_complete_bipartite_dd(g, d):
-        raise GraphError("not_kdd", f"graph is not K_{{{d},{d}}}")
-    return from_list(range(1, g.edge_count + 1))
-
-
-def color_kdd_relaxed_graph(g: Graph, d: int) -> Coloring:
+def kdd_relaxed_colors(g: Graph, side: list[int]) -> list[int]:
     """Pair opposite edges u_i v_j / u_j v_i, and pair consecutive diagonal
     edges u_i v_i; ceil(d^2/2) colors, valid with one same-colored edge
-    allowed at distance 2."""
-    if not is_complete_bipartite_dd(g, d):
-        raise GraphError("not_kdd", f"graph is not K_{{{d},{d}}}")
-    # is_complete_bipartite_dd has proved both sides hold d vertices
-    side = _bipartition(g)
+    allowed at distance 2. Unchecked: g is K_{d,d} and side its 2-coloring."""
     left = [v for v, s in enumerate(side) if s == 0]
     right = [v for v, s in enumerate(side) if s == 1]
+    d = len(left)
     pair_color: dict[tuple[int, int], int] = {}
     nxt = 1
     for i in range(d):
@@ -93,21 +75,39 @@ def color_kdd_relaxed_graph(g: Graph, d: int) -> Coloring:
                 colors[e] = diag_base + (i // 2) + 1
             else:
                 colors[e] = pair_color[(min(i, j), max(i, j))]
-    return from_list(colors, diag_base + (d + 1) // 2)
+    return colors
 
 
 def color_kdd_semistrong(d: int) -> Coloring:
-    """Rainbow coloring of the canonical K_{d,d}; d^2 colors, none to spare."""
+    """Rainbow coloring of the canonical K_{d,d}; d^2 colors, none to spare:
+    every semistrong class of K_{d,d} is a single edge."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return color_kdd_semistrong_graph(families.complete_bipartite(d, d), d)
+    return from_list(range(1, d * d + 1))
 
 
 def color_kdd_relaxed(d: int) -> Coloring:
     """ceil(d^2/2)-coloring of the canonical K_{d,d}, (0,1)-relaxed valid."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return color_kdd_relaxed_graph(families.complete_bipartite(d, d), d)
+    # the canonical left part is 0..d-1
+    return from_list(kdd_relaxed_colors(families.complete_bipartite(d, d), [0] * d + [1] * d))
+
+
+def g_family_colors(g: Graph, witness: int) -> list[int]:
+    """color_g_family's colors, unchecked: g is in the covering-edge family
+    and not K_{d,d}, and witness is one of its covering edges."""
+    u, v = g.edges[witness]
+    # neighbor-sorted, so the first free pair is the smallest; N(u) and N(v)
+    # are disjoint, so a and b below always differ
+    ends_u = [w for w in g.neighbors(u) if w != v]
+    ends_v = [w for w in g.neighbors(v) if w != u]
+    chosen = next(((a, b) for a in ends_u for b in ends_v if not g.has_edge(a, b)), None)
+    if chosen is None:
+        raise GraphError("no_free_pair", "no non-adjacent pendant pair exists (graph must be K_{d,d})")
+    pair = (g.edge_between(u, chosen[0]), g.edge_between(v, chosen[1]))
+    rest = iter(range(2, g.edge_count))
+    return [1 if e in pair else next(rest) for e in range(g.edge_count)]
 
 
 def color_g_family(g: Graph, witness: int) -> Coloring:
@@ -132,24 +132,4 @@ def color_g_family(g: Graph, witness: int) -> Coloring:
     cover = set(g.neighbors(u)) | set(g.neighbors(v))
     if len(cover) != g.vertex_count:
         raise GraphError("bad_witness", f"edge {witness} does not cover all vertices")
-    chosen: tuple[int, int] | None = None
-    for u2 in sorted(w for w in g.neighbors(u) if w != v):
-        for v2 in sorted(w for w in g.neighbors(v) if w != u):
-            if u2 != v2 and not g.has_edge(u2, v2):
-                chosen = (u2, v2)
-                break
-        if chosen:
-            break
-    if chosen is None:
-        raise GraphError("no_free_pair", "no non-adjacent pendant pair exists (graph must be K_{d,d})")
-    e1 = g.edge_between(u, chosen[0])
-    e2 = g.edge_between(v, chosen[1])
-    assert e1 is not None and e2 is not None
-    colors = [0] * g.edge_count
-    colors[e1] = colors[e2] = 1
-    nxt = 2
-    for e in range(g.edge_count):
-        if colors[e] == 0:
-            colors[e] = nxt
-            nxt += 1
-    return from_list(colors, d * d - 1)
+    return from_list(g_family_colors(g, witness), d * d - 1)

@@ -55,16 +55,8 @@ from dataclasses import dataclass, field
 
 from . import exact
 from .coloring import Coloring, from_list
-from .construct import color_g_family, color_kdd_relaxed_graph, color_kdd_semistrong_graph, color_path, cycle_pattern
-from .graph import (
-    Graph,
-    GraphError,
-    bfs_edge_order,
-    connected_components,
-    g_family_witness,
-    is_complete_bipartite_dd,
-    max_degree,
-)
+from .construct import color_path, cycle_pattern, g_family_colors, kdd_relaxed_colors
+from .graph import Graph, GraphError, _bipartition, bfs_edge_order, connected_components, g_family_witness, max_degree
 from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, shift_forbidden
 from .verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
@@ -553,17 +545,6 @@ def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
     return engine.find_move()
 
 
-def _check_repair_preconditions(g: Graph, c: Coloring):
-    if not is_good_coloring(g, c):
-        raise ValueError("repair requires a good coloring")
-    if len(connected_components(g)) != 1:
-        raise GraphError("disconnected", "repair runs on one connected component at a time")
-    if max_degree(g) < 3:
-        raise ValueError("repair requires maximum degree >= 3")
-    if g_family_witness(g) is not None:
-        raise GraphError("g_family", "covering-edge family graphs take the dedicated construction")
-
-
 def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, ComponentTrace]:
     """Repair the coloring of state, moving it; the trace is that of a
     greedy_repair component."""
@@ -631,7 +612,14 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     maximum degree >= 3 outside the covering-edge family. The palette is
     kept; an already-clean coloring is returned unchanged, with no engine
     built."""
-    _check_repair_preconditions(g, c)
+    if not is_good_coloring(g, c):
+        raise ValueError("repair requires a good coloring")
+    if len(connected_components(g)) != 1:
+        raise GraphError("disconnected", "repair runs on one connected component at a time")
+    if max_degree(g) < 3:
+        raise ValueError("repair requires maximum degree >= 3")
+    if g_family_witness(g) is not None:
+        raise GraphError("g_family", "covering-edge family graphs take the dedicated construction")
     state = _Contacts.of(g, c)
     if max(state.count) < 2:
         return c
@@ -668,14 +656,16 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
         strategy, colors = "trivial", [1]
     elif d == 2:
         strategy, colors = "delta2", _color_delta2_component(comp, mode)
-    elif is_complete_bipartite_dd(comp, d):
-        strategy = "kdd"
-        if mode == "semistrong":
-            colors = list(color_kdd_semistrong_graph(comp, d).colors)
-        else:
-            colors = list(color_kdd_relaxed_graph(comp, d).colors)
     elif (witness := g_family_witness(comp)) is not None:
-        strategy, colors = "g_family", list(color_g_family(comp, witness).colors)
+        # d-regular on 2d vertices with a covering edge: connected, and
+        # bipartite only as K_{d,d}, every edge of which covers
+        side = _bipartition(comp)
+        if side is None:
+            strategy, colors = "g_family", g_family_colors(comp, witness)
+        elif mode == "semistrong":
+            strategy, colors = "kdd", list(range(1, comp.edge_count + 1))
+        else:
+            strategy, colors = "kdd", kdd_relaxed_colors(comp, side)
     else:
         strategy = "greedy_repair"
         state = _greedy(comp, d * d - 1)

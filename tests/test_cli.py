@@ -589,14 +589,17 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5"])
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special"])
 @pytest.mark.parametrize("mode", ["semistrong", "relaxed01"])
 def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
     # an edge and an isolated vertex; random_d4: random_max_degree(40, 4, 11);
     # prism5: the 5-prism with shuffled labels, edge order and endpoint order,
     # whose greedy start has one bad edge, so its repair makes one S1 move;
-    # random_d4's start has none, so that solve builds no repair engine
+    # random_d4's start has none, so that solve builds no repair engine;
+    # special: a shuffled union of K4,4, K5,5, the 3-prism,
+    # random_max_degree(8, 4, 1) and random_max_degree(10, 5, 0), the last
+    # three covering-edge members that are not bipartite
     out_path = tmp_path / "out.json"
     argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
     assert run(capsys, argv)[0] == 0

@@ -41,6 +41,35 @@ def test_cycle_patterns():
         color_cycle(2)
 
 
+# cycle_pattern(n) at n = 3..20; relaxed mode differs only at n = 4
+CYCLE_PATTERNS = {
+    3: [1, 2, 3],
+    4: [1, 2, 3, 4],
+    5: [1, 2, 3, 1, 2],
+    6: [1, 2, 3, 1, 2, 3],
+    7: [1, 2, 3, 1, 2, 3, 4],
+    8: [1, 2, 3, 1, 2, 3, 1, 2],
+    9: [1, 2, 3, 1, 2, 3, 1, 2, 3],
+    10: [1, 2, 3, 1, 2, 3, 2, 1, 3, 2],
+    11: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2],
+    12: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3],
+    13: [1, 2, 3, 1, 2, 3, 1, 2, 3, 2, 1, 3, 2],
+    14: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2],
+    15: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3],
+    16: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 2, 1, 3, 2],
+    17: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2],
+    18: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3],
+    19: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 2, 1, 3, 2],
+    20: [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2],
+}
+
+
+def test_cycle_pattern_is_pinned():
+    for n, pattern in CYCLE_PATTERNS.items():
+        assert cycle_pattern(n) == pattern
+        assert cycle_pattern(n, relaxed=True) == ([1, 2, 1, 2] if n == 4 else pattern)
+
+
 def test_cycles_all_sizes():
     for n in range(3, 61):
         g = families.cycle(n)

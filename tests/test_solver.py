@@ -5,9 +5,9 @@ import random
 import pytest
 
 from _oracles import contact_greedy, smallest_color_start
-from semistrong import families, solver
+from semistrong import construct, families, graph, solver
 from semistrong.coloring import from_list
-from semistrong.graph import build_graph, g_family_witness, max_degree
+from semistrong.graph import build_graph, g_family_witness, is_complete_bipartite_dd, max_degree
 from semistrong.neighborhood import compute_neighborhood
 from semistrong.solver import (
     EngineInvariantError,
@@ -216,6 +216,78 @@ def test_solve_prism3_uses_family_branch():
     assert res.certificates["semistrong"] and res.certificates["relaxed01"]
 
 
+def _shuffled_union(parts, seed):
+    """The disjoint union of parts, its vertices relabelled and its edges
+    reordered from the seed."""
+    rng = random.Random(seed)
+    n = sum(p.vertex_count for p in parts)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs, offset = [], 0
+    for p in parts:
+        pairs += [(label[u + offset], label[v + offset]) for u, v in p.edges]
+        offset += p.vertex_count
+    rng.shuffle(pairs)
+    return build_graph(n, pairs)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of graph.<name> wherever graph, solver or construct
+    bind it; the list holds one entry per call."""
+    fn = getattr(graph, name)
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in (graph, solver, construct):
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_solve_recognizes_each_special_component_once(monkeypatch):
+    # K_{3,3} and the 3-prism are 3-regular on 6 vertices; the 4-prism is not
+    parts = [families.complete_bipartite(3, 3)] * 10 + [families.prism(3)] * 10 + [families.prism(4)] * 10
+    g = _shuffled_union(parts, 23)
+    labels = _count_calls(monkeypatch, "_component_labels")
+    kdd = _count_calls(monkeypatch, "is_complete_bipartite_dd")
+    bipartitions = _count_calls(monkeypatch, "_bipartition")
+    for mode in ("semistrong", "relaxed01"):
+        labels.clear()
+        bipartitions.clear()
+        res = solve(g, mode)
+        assert sorted(t.strategy for t in res.trace) == ["g_family"] * 10 + ["greedy_repair"] * 10 + ["kdd"] * 10
+        assert len(labels) == 1
+        assert len(bipartitions) == 20
+        assert not kdd
+
+
+def test_solve_dispatch_matches_the_public_recognizers():
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for G in nx.graph_atlas_g():
+        n = G.number_of_nodes()
+        if n and nx.is_connected(G):
+            g = build_graph(n, [tuple(e) for e in G.edges()])
+            if max_degree(g) >= 3:
+                graphs.append(g)
+    graphs += [_shuffled_union([families.complete_bipartite(d, d)], d) for d in range(3, 7)]
+    # two covering-edge-family members that are not bipartite
+    graphs += [families.random_max_degree(8, 4, 1), families.random_max_degree(10, 5, 0)]
+    seen = set()
+    for g in graphs:
+        d = max_degree(g)
+        kdd = is_complete_bipartite_dd(g, d)
+        member = g_family_witness(g) is not None and not kdd
+        strategy = solve(g, "semistrong").trace[0].strategy
+        assert (strategy == "kdd") == kdd
+        assert (strategy == "g_family") == member
+        seen.add(strategy)
+    assert seen == {"kdd", "g_family", "greedy_repair"}
+
+
 def test_solve_c7_blowup():
     res = solve(families.c7_blowup(), "semistrong", debug=True)
     assert res.trace[0].strategy == "greedy_repair"
@@ -295,17 +367,8 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
         return neighborhood.compute_neighborhood(graph, e)
 
     monkeypatch.setattr(solver, "compute_neighborhood", counting_single)
-    rng = random.Random(12)
     parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
-    n = sum(p.vertex_count for p in parts)
-    label = list(range(n))
-    rng.shuffle(label)
-    pairs, offset = [], 0
-    for p in parts:
-        pairs += [(label[u + offset], label[v + offset]) for u, v in p.edges]
-        offset += p.vertex_count
-    rng.shuffle(pairs)
-    g = build_graph(n, pairs)
+    g = _shuffled_union(parts, 12)
     for mode in ("semistrong", "relaxed01"):
         built.clear()
         single.clear()
