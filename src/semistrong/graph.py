@@ -71,7 +71,12 @@ def build_graph(vertex_count: int, edge_pairs) -> Graph:
         adjacency[u].append((v, idx))
         adjacency[v].append((u, idx))
         seen.add(key)
-    return Graph(vertex_count, tuple(edges), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+    del seen
+    # each row becomes its tuple in turn, so one list at a time is copied
+    for v, nbrs in enumerate(adjacency):
+        nbrs.sort()
+        adjacency[v] = tuple(nbrs)
+    return Graph(vertex_count, tuple(edges), tuple(adjacency))
 
 
 def max_degree(g: Graph) -> int:

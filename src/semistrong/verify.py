@@ -7,15 +7,21 @@ offending (color, edge). All functions are pure and share no data with the
 neighborhoods that greedy and the repair engine build, so they are an
 independent check of the engine's own tables.
 
-``certify`` is the solve-time pass: one index and one contact walk give both
-of the theorem's certificates (semistrong and (0,1)-relaxed) and (κ₁, κ₂).
+``certify`` is the solve-time pass: it gives both of the theorem's
+certificates (semistrong and (0,1)-relaxed) and (κ₁, κ₂) from the cross
+edges, in O(m + contacts) for a proper coloring. Per vertex it keeps a
+bitmask of the colors held, and an edge xy whose ends hold a common color
+other than its own joins a same-colored edge at x to one at y. An edge that
+shares its color with another edge at one of its ends (a clash) fails both
+certificates.
 ``verify_semistrong``, ``verify_relaxed`` and ``badness`` are the independent
-checkers, each with its own walk; tests and ``solve(debug=True)`` hold
-``certify`` to them.
+checkers, each with its own walk over the rows; tests and
+``solve(debug=True)`` hold ``certify`` to them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -156,62 +162,96 @@ class Certificate(NamedTuple):
 
 def certify(g: Graph, c: Coloring) -> Certificate:
     """verify_semistrong, verify_relaxed(g, c, 0, 1) and badness(g, c).potential
-    in one walk over the same-colored contacts of every edge.
+    from one pass over the cross edges: O(m + contacts) for a proper coloring
+    whose palette is narrower than ``span``.
 
-    For e = uv of color c with no other color-c edge at u or v, every color-c
-    edge at a neighbor w of u (resp. v) is a same-colored 2-neighbor, and e
-    breaks the semistrong rule iff both u and v have such a neighbor.
+    Edges e and f of one color are same-colored 2-neighbors exactly when they
+    share no vertex and some edge xy, other than both, has e at x and f at y.
+    Each vertex keeps a bitmask of the colors it holds, so for each edge xy
+    only the bits of held[x] & held[y], less xy's own, are looked up in the
+    per-vertex index; no row is walked.
 
-    The index keeps one edge per (vertex, color); ``more`` lists all the
-    edges of the pairs that hold two or more, which a proper coloring has none of.
+    An edge with a same-colored edge at one of its ends (a clash) fails both
+    certificates; its 2-neighbors still count toward (κ₁, κ₂), with the
+    partners that touch it left out. Any other edge fails the semistrong
+    certificate iff it meets 2-neighbors across both of its ends, and the
+    relaxed one iff it has two or more.
+
+    The index keeps one edge per (vertex, bit); ``more`` lists all the edges of
+    the pairs that hold two or more. A palette reaching ``span`` is ranked,
+    leaving out colors used once, and folded into ``span`` bits, so the n masks
+    take O(n + m) space; a bit may then stand for several colors, so each
+    meeting compares the two colors.
     """
     colors = c.colors
     edges = g.edges
-    if len(colors) != len(edges):
-        raise ValueError(f"coloring has {len(colors)} entries for {len(edges)} edges")
+    m = len(edges)
+    if len(colors) != m:
+        raise ValueError(f"coloring has {len(colors)} entries for {m} edges")
+    span = 64 + 128 * m // max(g.vertex_count, 1)
+    pos = colors
+    if colors and max(colors) >= span:
+        uses = Counter(colors)
+        rank = {x: i % span for i, x in enumerate(sorted(x for x in uses if uses[x] > 1))}
+        pos = [rank.get(x, -1) for x in colors]  # -1: a color used once meets no other
+    held = [0] * g.vertex_count
     first: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     more: dict[tuple[int, int], list[int]] = {}
     for e, (u, v) in enumerate(edges):
-        ce = colors[e]
-        for x in (u, v):
-            f = first[x].setdefault(ce, e)
-            if f != e:
-                more.setdefault((x, ce), [f]).append(e)
-    adjacency = g.adjacency
-    semistrong: tuple[int, int] | None = None
-    relaxed: tuple[int, int] | None = None
-    kappa1 = contacts = 0
-    for e, (u, v) in enumerate(edges):
-        ce = colors[e]
-        clash = bool(more) and ((u, ce) in more or (v, ce) in more)
-        same: set[int] = set()
-        sides = 0
-        for a, b in ((u, v), (v, u)):
-            hit = False
-            for w, _ in adjacency[a]:
-                f = first[w].get(ce)
-                if f is not None and w != b:
-                    hit = True
-                    fs = more.get((w, ce), (f,)) if more else (f,)
-                    if clash:
-                        same.update(f for f in fs if a not in edges[f] and b not in edges[f])
-                    else:
-                        same.update(fs)
-            sides += hit
-        n2 = len(same)
-        contacts += n2
-        if n2 >= 2:
-            kappa1 += 1
-        if (clash or sides == 2) and (semistrong is None or (ce, e) < semistrong):
-            semistrong = (ce, e)
-        if (clash or n2 > 1) and (relaxed is None or (ce, e) < relaxed):
-            relaxed = (ce, e)
-    # the 2-neighbor relation is symmetric, so each bad pair was met from both ends
-    return Certificate(
-        VerifyResult(semistrong is None, semistrong),
-        VerifyResult(relaxed is None, relaxed),
-        (kappa1, contacts // 2),
-    )
+        p = pos[e]
+        if p < 0:
+            continue
+        held[u] |= 1 << p
+        held[v] |= 1 << p
+        if first[u].setdefault(p, e) != e:
+            more.setdefault((u, p), [first[u][p]]).append(e)
+        if first[v].setdefault(p, e) != e:
+            more.setdefault((v, p), [first[v][p]]).append(e)
+    pairs: set[int] = set()  # e * m + f for each same-colored 2-neighbor pair e < f
+    end: dict[int, int] = {}  # edge -> the end at which it first met a 2-neighbor
+    partner: dict[int, int] = {}  # edge -> the first 2-neighbor it met
+    two_sided: set[int] = set()
+    multi: set[int] = set()  # the edges with two or more 2-neighbors
+    for i, (x, y) in enumerate(edges):
+        common = held[x] & held[y]
+        p = pos[i]
+        if p >= 0 and not (more and (x, p) in more and (y, p) in more):
+            common ^= 1 << p  # a pair through i on its own bit needs a second edge at x and y
+        while common:
+            low = common & -common
+            common ^= low
+            q = low.bit_length() - 1
+            if more:
+                met = [
+                    (e, f)
+                    for e in more.get((x, q), (first[x][q],))
+                    for f in more.get((y, q), (first[y][q],))
+                    if set(edges[e]).isdisjoint(edges[f])  # so neither is edge i
+                ]
+            else:
+                met = ((first[x][q], first[y][q]),)
+            for e, f in met:
+                if colors[e] != colors[f]:
+                    continue
+                pairs.add(e * m + f if e < f else f * m + e)
+                if end.setdefault(e, x) != x:
+                    two_sided.add(e)
+                if end.setdefault(f, y) != y:
+                    two_sided.add(f)
+                if partner.setdefault(e, f) != f:
+                    multi.add(e)
+                if partner.setdefault(f, e) != e:
+                    multi.add(f)
+    clash: set[int] = set()
+    for group in more.values():
+        count = Counter(colors[e] for e in group)
+        clash.update(e for e in group if count[colors[e]] > 1)
+
+    def smallest(flagged: set[int]) -> VerifyResult:
+        witness = min(((colors[e], e) for e in flagged), default=None)
+        return VerifyResult(witness is None, witness)
+
+    return Certificate(smallest(clash | two_sided), smallest(clash | multi), (len(multi), len(pairs)))
 
 
 @dataclass(frozen=True)

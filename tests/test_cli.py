@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -653,3 +654,29 @@ def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys
         doc = json.loads(emit_result(g, res, mode=mode, s=s, t=t))
         if res.certificate is not None:
             assert (doc["kappa1"], doc["kappa2"]) == badness(g, res.certificate).potential
+
+
+def test_verify_ranks_a_huge_palette_and_names_the_checkers_witness(tmp_path, capsys):
+    g = families.random_max_degree(400, 4, 3)
+    colors = [c * 2**64 for c in solve(g, "semistrong").coloring.colors]
+    row = max(g.adjacency, key=len)
+    colors[row[0][1]] = colors[row[1][1]] = 2**200  # two edges of one color at a vertex
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(emit_edge_list(g))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"colors": colors}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", "--mode", "semistrong", "--graph", str(gpath), "--coloring", str(cpath)])
+    # one bit per color value would ask for masks of 2^64 bits and more
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    coloring = from_list(colors)
+    witness = verify_mode(g, coloring, "semistrong").witness
+    kappa = badness(g, coloring).potential
+    assert json.loads(out) == {
+        "mode": "semistrong",
+        "valid": False,
+        "witness": {"color": witness[0], "edge": witness[1]},
+        "kappa1": kappa[0],
+        "kappa2": kappa[1],
+    }

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     cross_edges,
@@ -17,8 +19,8 @@ from _oracles import (
 )
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
-from semistrong.graph import build_graph
-from semistrong.solver import solve
+from semistrong.graph import Graph, build_graph
+from semistrong.solver import _greedy, solve
 from semistrong.verify import (
     badness,
     certify,
@@ -452,3 +454,81 @@ def test_certify_on_disconnected_and_empty_graphs():
     _assert_certify_agrees(g, from_list([1 + e % 3 for e in range(g.edge_count)]))
     for n in (0, 3):
         assert certify(build_graph(n, []), from_list([])) == ((True, None), (True, None), (0, 0))
+
+
+def _counting_rows(g):
+    """g with adjacency rows that count the entries iterated out of them."""
+    read = [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            for item in tuple.__iter__(self):
+                read[0] += 1
+                yield item
+
+    return Graph(g.vertex_count, g.edges, tuple(Row(row) for row in g.adjacency)), read
+
+
+def test_certify_reads_no_row_per_spoke_on_a_wheel():
+    n = 1000  # W_1000: hub 0 joined to the cycle 1..n
+    g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
+    c = _greedy(g, n * n - 1).to_coloring()
+    counted, read = _counting_rows(g)
+    cert = certify(counted, c)
+    # a walk of both ends' rows per edge reads the hub's row once per spoke:
+    # about 10^6 entries
+    assert read[0] <= 4 * g.edge_count
+    assert cert == (verify_semistrong(g, c), verify_relaxed(g, c, 0, 1), badness(g, c).potential)
+
+
+def test_certify_folds_a_palette_wider_than_its_masks():
+    # 570 to 1,170 colors, most far above the edge count, and 240 to 450 of
+    # them used twice or more: more than the masks' bits, so ranks share
+    # bits, an end can hold two colors on one bit and one bit can stand for
+    # different colors at an edge's two ends
+    rng = random.Random(29)
+    for d in (2, 3, 4):
+        g = families.random_max_degree(900, d, rng.randrange(10**6))
+        base = [rng.choice((1, 2**64, 2**90)) + rng.randrange(g.edge_count // 3) for _ in range(g.edge_count)]
+        for proper in (True, False):
+            colors = base[:]
+            if not proper:
+                for _ in range(5):
+                    row = g.adjacency[rng.randrange(g.vertex_count)]
+                    if len(row) > 1:
+                        colors[row[1][1]] = colors[row[0][1]]
+            _assert_certify_agrees(g, from_list(colors))
+
+
+@st.composite
+def _colored_graphs(draw):
+    """A small graph, often with a hub, colored from a small or a sparse huge
+    palette, sometimes with a color repeated at a vertex of largest degree."""
+    n = draw(st.integers(2, 14))
+    pairs = set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)))
+    if draw(st.booleans()):
+        pairs |= {(0, v) for v in range(1, n)}
+    pairs = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    palette = draw(
+        st.one_of(
+            st.just((1, 7, 10**18, 2**70)),
+            st.lists(st.integers(1, 4), min_size=1, max_size=4),
+            st.lists(st.one_of(st.integers(1, 8), st.integers(2**64, 2**80)), min_size=1, max_size=5),
+        )
+    )
+    colors = draw(st.lists(st.sampled_from(palette), min_size=len(pairs), max_size=len(pairs)))
+    if pairs and draw(st.booleans()):
+        g = build_graph(n, pairs)
+        row = max(g.adjacency, key=len)
+        for _, e in row[1 : draw(st.integers(2, max(2, len(row))))]:
+            colors[e] = colors[row[0][1]]
+    return n, pairs, colors
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_colored_graphs())
+@example((5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)], [2**70, 2**70, 7, 2**70, 10**18, 7]))
+@example((6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (4, 5)], [1, 10**18, 7, 1, 1, 1, 7]))
+def test_certify_equals_the_checkers_on_clashes_and_huge_palettes(case):
+    n, pairs, colors = case
+    _assert_certify_agrees(build_graph(n, pairs), from_list(colors))
