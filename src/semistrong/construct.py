@@ -20,12 +20,17 @@ from .graph import (
 )
 
 
-def color_path(n: int) -> Coloring:
-    """3-color pattern 1,2,3,1,2,3,... along a path with n vertices."""
+def path_pattern(n: int) -> list[int]:
+    """Color sequence 1,2,3,1,2,3,... for the path with n vertices (edge i =
+    v_i v_{i+1})."""
     if n < 2:
         raise ValueError(f"path coloring needs n >= 2, got {n}")
-    colors = [(i % 3) + 1 for i in range(n - 1)]
-    return from_list(colors)
+    return [(i % 3) + 1 for i in range(n - 1)]
+
+
+def color_path(n: int) -> Coloring:
+    """3-color pattern 1,2,3,1,2,3,... along a path with n vertices."""
+    return from_list(path_pattern(n))
 
 
 def cycle_pattern(n: int, relaxed: bool = False) -> list[int]:

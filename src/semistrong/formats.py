@@ -159,20 +159,6 @@ def emit_graph6(g: Graph) -> str:
     return prefix + payload
 
 
-def _trace_json(trace: ComponentTrace) -> dict[str, Any]:
-    return {
-        "strategy": trace.strategy,
-        "vertices": trace.vertices,
-        "edges": trace.edges,
-        "delta": trace.delta,
-        "colors_used": trace.colors_used,
-        "exceeds_bound": trace.exceeds_bound,
-        "moves_by_schema": trace.moves_by_schema,
-        "fallback_f3": trace.fallback_f3,
-        "kappa_trajectory_len": len(trace.kappa_trajectory),
-    }
-
-
 def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
     return {
         "n": g.vertex_count,
@@ -195,7 +181,7 @@ def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
     if isinstance(result, SolveResult):
         doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
         doc["kappa1"], doc["kappa2"] = result.kappa
-        doc["trace"] = [_trace_json(t) for t in result.trace]
+        doc["trace"] = _Text(_trace_text(result.trace))
         doc["certificates"] = result.certificates
     elif isinstance(result, ExactResult):
         colors = result.certificate.colors if result.certificate is not None else None
@@ -213,9 +199,46 @@ def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
     return _dumps(doc) + "\n"
 
 
+class _Text(str):
+    """JSON text that emit_result rendered itself; _write copies it as it is."""
+
+
 _quote = json.encoder.encode_basestring_ascii
+_BOOL = {True: "true", False: "false"}
 # the scalars json writes without recursion, keyed by exact type
-_INLINE = {int: str, str: _quote, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+_INLINE = {int: str, str: _quote, bool: _BOOL.get, type(None): lambda _: "null", _Text: str}
+
+# one solve trace entry, as _write writes its dict (keys sorted) in the list
+# under a top-level key; a non-empty moves_by_schema is written at _TRACE_KEY
+_TRACE_KEY = "\n      "
+_TRACE_ROW = """{
+      "colors_used": %d,
+      "delta": %d,
+      "edges": %d,
+      "exceeds_bound": %s,
+      "fallback_f3": %d,
+      "kappa_trajectory_len": %d,
+      "moves_by_schema": %s,
+      "strategy": %s,
+      "vertices": %d
+    }"""
+
+
+def _trace_text(traces: list[ComponentTrace]) -> str:
+    """The value of a solve result's top-level "trace" key, one row template
+    per trace; only a non-empty moves_by_schema goes through _write."""
+    if not traces:
+        return "[]"
+    rows = []
+    for t in traces:
+        moves = "{}"
+        if t.moves_by_schema:
+            out: list[str] = []
+            _write(t.moves_by_schema, _TRACE_KEY, out)
+            moves = "".join(out)
+        fields = (t.colors_used, t.delta, t.edges, _BOOL[t.exceeds_bound], t.fallback_f3, len(t.kappa_trajectory))
+        rows.append(_TRACE_ROW % (*fields, moves, _quote(t.strategy), t.vertices))
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _dumps(obj) -> str:

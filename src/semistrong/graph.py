@@ -112,33 +112,44 @@ def _component_labels(g: Graph) -> tuple[list[int], int]:
     return label, count
 
 
+def _component_parts(g: Graph) -> list[range] | list[list[int]]:
+    """Each component's vertices in increasing order, components ordered by
+    smallest vertex; a connected graph's one part is range(n)."""
+    label, count = _component_labels(g)
+    if count == 1:
+        return [range(g.vertex_count)]
+    parts: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(label):
+        parts[c].append(v)
+    return parts
+
+
+def _induced(g: Graph, part: list[int]) -> tuple[Graph, list[int]]:
+    """The component of g on part (its vertices, increasing), re-indexed from
+    0, and its parent edge ids, increasing.
+
+    The parent's adjacency is validated and neighbor-sorted, and local labels
+    keep the parent's vertex and edge order, so it is relabelled, not rebuilt."""
+    adjacency = g.adjacency
+    local = {v: i for i, v in enumerate(part)}
+    ids = sorted([e for v in part for w, e in adjacency[v] if v < w])
+    local_edge = {e: i for i, e in enumerate(ids)}
+    edges = tuple([(local[u], local[v]) for u, v in map(g.edges.__getitem__, ids)])
+    rows = tuple([tuple([(local[w], local_edge[e]) for w, e in adjacency[v]]) for v in part])
+    return Graph(len(part), edges, rows), ids
+
+
 def connected_components(g: Graph) -> list[ComponentView]:
     """Components ordered by smallest parent vertex; maps are index-sorted.
 
     A connected graph is returned as its own only component (identity maps),
     with no copy built."""
-    label, count = _component_labels(g)
-    if count == 1:
+    parts = _component_parts(g)
+    if len(parts) == 1:
         return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
-    verts: list[list[int]] = [[] for _ in range(count)]
-    local = [0] * g.vertex_count
-    for v, c in enumerate(label):
-        part = verts[c]
-        local[v] = len(part)
-        part.append(v)
-    edge_ids: list[list[int]] = [[] for _ in range(count)]
-    local_edge = [0] * g.edge_count
-    for i, (u, _) in enumerate(g.edges):
-        ids = edge_ids[label[u]]
-        local_edge[i] = len(ids)
-        ids.append(i)
-    # the parent's adjacency is validated and neighbor-sorted, and local
-    # labels keep the parent's vertex order, so it is relabelled, not rebuilt
-    pairs = [(local[u], local[v]) for u, v in g.edges]
-    rows = [tuple([(local[w], local_edge[e]) for w, e in nbrs]) for nbrs in g.adjacency]
     views: list[ComponentView] = []
-    for part, ids in zip(verts, edge_ids):
-        comp = Graph(len(part), tuple(map(pairs.__getitem__, ids)), tuple(map(rows.__getitem__, part)))
+    for part in parts:
+        comp, ids = _induced(g, part)
         views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views
 

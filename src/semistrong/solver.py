@@ -55,8 +55,18 @@ from dataclasses import dataclass, field
 
 from . import exact
 from .coloring import Coloring, from_list
-from .construct import color_path, cycle_pattern, g_family_colors, kdd_relaxed_colors
-from .graph import Graph, GraphError, _bipartition, bfs_edge_order, connected_components, g_family_witness, max_degree
+from .construct import cycle_pattern, g_family_colors, kdd_relaxed_colors, path_pattern
+from .graph import (
+    Graph,
+    GraphError,
+    _bipartition,
+    _component_parts,
+    _induced,
+    bfs_edge_order,
+    connected_components,
+    g_family_witness,
+    max_degree,
+)
 from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, shift_forbidden
 from .verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
@@ -567,19 +577,26 @@ def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, 
     else:
         result = state.to_coloring()
     return result, _trace(
-        "greedy_repair", g, engine.delta, result.colors, trajectory, moves_by_schema=moves, fallback_f3=fallback_f3
+        "greedy_repair",
+        g.vertex_count,
+        g.edge_count,
+        engine.delta,
+        result.colors,
+        trajectory,
+        moves_by_schema=moves,
+        fallback_f3=fallback_f3,
     )
 
 
-def _trace(strategy: str, g: Graph, d: int, colors, trajectory, **engine_fields) -> ComponentTrace:
+def _trace(strategy: str, vertices: int, edges: int, d: int, colors, trajectory, **engine_fields) -> ComponentTrace:
     """A component's trace; exceeds_bound holds the count of colors to the
     bound for maximum degree d: 1, 3 or d^2 - 1."""
     used = len(set(colors))
     bound = 1 if d <= 1 else (3 if d == 2 else d * d - 1)
     return ComponentTrace(
         strategy=strategy,
-        vertices=g.vertex_count,
-        edges=g.edge_count,
+        vertices=vertices,
+        edges=edges,
         delta=d,
         colors_used=used,
         exceeds_bound=used > bound,
@@ -627,36 +644,35 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     return result
 
 
-def _color_delta2_component(comp: Graph, mode: str) -> list[int]:
-    """Walk the path from its smallest end, or the cycle from vertex 0 to
-    its smaller neighbor, and lay the closed-form pattern along the walk."""
-    n = comp.vertex_count
-    adjacency = comp.adjacency
-    ends = [v for v in range(n) if len(adjacency[v]) == 1]
-    v, prev = (ends[0] if ends else 0), -1
-    walk = []  # edge ids in walk order; neighbor-sorted, so the first entry off prev is the smaller
-    for _ in range(comp.edge_count):
+def _color_path_or_cycle(g: Graph, part, d: int, mode: str, colors: list[int]) -> ComponentTrace:
+    """Color the component of g on part (its vertices, increasing), of
+    maximum degree d <= 2, into colors on g's own rows: walk the path from its
+    smallest end, or the cycle from its smallest vertex to that vertex's
+    smaller neighbor, and lay the closed-form pattern along the walk."""
+    if d == 0:
+        return _trace("trivial", 1, 0, 0, (), [])
+    adjacency = g.adjacency
+    n = len(part)
+    v = next((x for x in part if len(adjacency[x]) == 1), None)
+    if v is None:
+        v, pattern = part[0], cycle_pattern(n, relaxed=(mode == "relaxed01"))
+    else:
+        pattern = path_pattern(n)
+    # one color per edge; rows are neighbor-sorted, so the first entry off
+    # prev is the smaller neighbor
+    prev = -1
+    for c in pattern:
         first, second = adjacency[v][0], adjacency[v][-1]
         w, e = first if first[0] != prev else second
-        walk.append(e)
-        prev, v = v, w
-    pattern = color_path(n).colors if ends else cycle_pattern(n, relaxed=(mode == "relaxed01"))
-    colors = [0] * comp.edge_count
-    for e, c in zip(walk, pattern):
         colors[e] = c
-    return colors
+        prev, v = v, w
+    return _trace("trivial" if d == 1 else "delta2", n, len(pattern), d, pattern, [])
 
 
-def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
-    d = max_degree(comp)
+def _solve_component(comp: Graph, d: int, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
+    """Color a connected graph of maximum degree d >= 3."""
     trajectory: list[tuple[int, int]] = []
-    if comp.edge_count == 0:
-        strategy, colors = "trivial", []
-    elif d <= 1:
-        strategy, colors = "trivial", [1]
-    elif d == 2:
-        strategy, colors = "delta2", _color_delta2_component(comp, mode)
-    elif (witness := g_family_witness(comp)) is not None:
+    if (witness := g_family_witness(comp)) is not None:
         # d-regular on 2d vertices with a covering edge: connected, and
         # bipartite only as K_{d,d}, every edge of which covers
         side = _bipartition(comp)
@@ -676,23 +692,33 @@ def _solve_component(comp: Graph, mode: str, debug: bool) -> tuple[list[int], Co
             return list(repaired.colors), trace
         # no bad edge: the start is the repaired coloring, with no engine built
         colors, trajectory = state.colors, [(0, sum(state.count) // 2)]
-    return colors, _trace(strategy, comp, d, colors, trajectory)
+    return colors, _trace(strategy, comp.vertex_count, comp.edge_count, d, colors, trajectory)
 
 
 def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
     """Color any simple graph per-component and verify the result.
 
     Components reuse palettes (colors are shared across components), so the
-    total color count is the maximum over components.
+    total color count is the maximum over components. The components are
+    labelled once; one of maximum degree <= 2 is colored on g's own rows, and
+    only one of maximum degree >= 3 gets a relabelled Graph, unless it is all
+    of g. Traces follow the components' smallest vertices.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    adjacency = g.adjacency
     colors = [0] * g.edge_count
     traces: list[ComponentTrace] = []
-    for view in connected_components(g):
-        local_colors, trace = _solve_component(view.graph, mode, debug)
-        for le, pe in enumerate(view.edge_map):
-            colors[pe] = local_colors[le]
+    parts = _component_parts(g)
+    for part in parts:
+        d = max(map(len, map(adjacency.__getitem__, part)))
+        if d <= 2:
+            traces.append(_color_path_or_cycle(g, part, d, mode, colors))
+            continue
+        comp, ids = (g, range(g.edge_count)) if len(parts) == 1 else _induced(g, part)
+        local_colors, trace = _solve_component(comp, d, mode, debug)
+        for pe, c in zip(ids, local_colors):
+            colors[pe] = c
         traces.append(trace)
     coloring = from_list(colors, max(colors, default=0))
     cert = certify(g, coloring)

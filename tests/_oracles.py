@@ -5,8 +5,9 @@ induced-subgraph degrees) and deliberately shares no code with the package
 paths it is used to check. The two greedy starts at the end are the
 exception: they read N2 and the forbidden sets from
 neighborhood.compute_neighborhood, which solver.greedy_good_coloring does not
-use, and share only the breadth-first edge order with it. The last helper
-builds random many-component inputs from the named families.
+use, and share only the breadth-first edge order with it. The last helpers
+build random many-component inputs from the named families and count the
+adjacency entries a checker reads.
 """
 
 from __future__ import annotations
@@ -242,3 +243,16 @@ def random_union(rng: random.Random) -> Graph:
         offset += p.vertex_count
     rng.shuffle(pairs)
     return build_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+
+
+def counting_rows(g: Graph) -> tuple[Graph, list[int]]:
+    """g with adjacency rows that count the entries iterated out of them."""
+    read = [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            for item in tuple.__iter__(self):
+                read[0] += 1
+                yield item
+
+    return Graph(g.vertex_count, g.edges, tuple(Row(row) for row in g.adjacency)), read

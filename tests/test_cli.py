@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from _oracles import counting_rows
 
 import semistrong
 from semistrong import families
@@ -18,7 +19,8 @@ from semistrong.cli import MAX_EDGES, cli
 from semistrong.coloring import from_list
 from semistrong.exact import Budget, exact_index
 from semistrong.formats import MAX_VERTICES, _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
-from semistrong.solver import solve
+from semistrong.graph import build_graph
+from semistrong.solver import _greedy, solve
 from semistrong.verify import badness, verify_mode
 
 
@@ -590,7 +592,7 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special"])
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special", "paths_cycles"])
 @pytest.mark.parametrize("mode", ["semistrong", "relaxed01"])
 def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
@@ -600,7 +602,11 @@ def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # random_d4's start has none, so that solve builds no repair engine;
     # special: a shuffled union of K4,4, K5,5, the 3-prism,
     # random_max_degree(8, 4, 1) and random_max_degree(10, 5, 0), the last
-    # three covering-edge members that are not bipartite
+    # three covering-edge members that are not bipartite; paths_cycles: a
+    # shuffled union (labels, edge order, endpoint order) of three isolated
+    # vertices, two K2s, P3-P9, C3, C4, C5, C7, C10 and C13, every one colored
+    # by the degree-2 walk on the parent's rows, C4 in both of its patterns
+    # and C10 and C13 with the n = 1 (mod 3) tail
     out_path = tmp_path / "out.json"
     argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
     assert run(capsys, argv)[0] == 0
@@ -654,6 +660,35 @@ def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys
         doc = json.loads(emit_result(g, res, mode=mode, s=s, t=t))
         if res.certificate is not None:
             assert (doc["kappa1"], doc["kappa2"]) == badness(g, res.certificate).potential
+
+
+def test_verify_reads_no_row_per_spoke_on_a_wheel(tmp_path, capsys, monkeypatch):
+    import semistrong.cli as cli_mod
+
+    n = 1000  # W_1000: hub 0 joined to the cycle 1..n
+    g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
+    coloring = _greedy(g, n * n - 1).to_coloring()
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(emit_edge_list(g))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"colors": list(coloring.colors)}))
+    load = cli_mod._load_graph
+    reads = []
+
+    def counted_load(text, fmt):
+        counted, read = counting_rows(load(text, fmt))
+        reads.append(read)
+        return counted
+
+    monkeypatch.setattr(cli_mod, "_load_graph", counted_load)
+    for mode, s, t in (("semistrong", 0, 0), ("relaxed", 0, 1)):
+        reads.clear()
+        argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t), "--graph", str(gpath), "--coloring", str(cpath)]
+        code, out, _ = run(capsys, argv)
+        # a reference checker walks the hub's row once per spoke: about 10^6
+        # entries
+        assert reads[0][0] <= 4 * g.edge_count
+        assert (code, out) == _two_walk_verify_output(g, coloring, mode, s, t)
 
 
 def test_verify_ranks_a_huge_palette_and_names_the_checkers_witness(tmp_path, capsys):

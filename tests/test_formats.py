@@ -26,7 +26,7 @@ from semistrong.formats import (
     parse_graph6,
 )
 from semistrong.graph import GraphError, build_graph
-from semistrong.solver import solve
+from semistrong.solver import ComponentTrace, SolveResult, solve
 
 
 def test_parse_edge_list_c4():
@@ -308,6 +308,54 @@ def test_emitted_solve_results_on_many_components_match_the_stdlib_indent_encode
     g = random_union(random.Random(seed))
     for mode in ("semistrong", "relaxed01"):
         assert _canonical(emit_result(g, solve(g, mode)))
+
+
+def _trace_dict(trace: ComponentTrace) -> dict:
+    """A trace entry in the dict form emit_result wrote before its row
+    template."""
+    return {
+        "strategy": trace.strategy,
+        "vertices": trace.vertices,
+        "edges": trace.edges,
+        "delta": trace.delta,
+        "colors_used": trace.colors_used,
+        "exceeds_bound": trace.exceeds_bound,
+        "moves_by_schema": trace.moves_by_schema,
+        "fallback_f3": trace.fallback_f3,
+        "kappa_trajectory_len": len(trace.kappa_trajectory),
+    }
+
+
+def test_trace_row_template_writes_what_the_stdlib_writes_for_the_dict_form():
+    # no fixture has a trace that exceeds its bound with moves in several
+    # schemas, or one with an F3 fallback
+    g = families.prism(5)
+    res = solve(g, "semistrong")
+    traces = [
+        [],
+        [ComponentTrace("kdd", 6, 9, 3, 9, True)],
+        [
+            ComponentTrace("greedy_repair", 10, 15, 3, 8, False, {"S1": 3, "S2": 1, "S4": 12, "S3": 2}, 0, [(2, 5)]),
+            ComponentTrace("greedy_repair", 10, 15, 3, 9, True, {"S3": 1}, 1, [(1, 1), (0, 0)]),
+            ComponentTrace("delta2", 7, 7, 2, 4, True, {}, 0, []),
+            ComponentTrace('odd "name"\u00e9', 0, 0, 0, 0, False),
+        ],
+    ]
+    for trace in traces:
+        faked = SolveResult(res.coloring, res.colors_used, res.mode, trace, res.certificates, res.kappa)
+        doc = {
+            "n": g.vertex_count,
+            "edges": g.edges,
+            "colors": list(res.coloring.colors),
+            "colors_used": res.colors_used,
+            "mode": res.mode,
+            "valid": True,
+            "trace": [_trace_dict(t) for t in trace],
+            "kappa1": res.kappa[0],
+            "kappa2": res.kappa[1],
+            "certificates": res.certificates,
+        }
+        assert emit_result(g, faked) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 _PARSERS = {"edge_list": parse_edge_list, "graph6": parse_graph6, "coloring": parse_coloring}

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from _oracles import contact_greedy, smallest_color_start
+from _oracles import contact_greedy, random_union, smallest_color_start
 from semistrong import construct, families, graph, solver
 from semistrong.coloring import from_list
-from semistrong.graph import build_graph, g_family_witness, is_complete_bipartite_dd, max_degree
+from semistrong.graph import (
+    Graph,
+    build_graph,
+    connected_components,
+    g_family_witness,
+    is_complete_bipartite_dd,
+    max_degree,
+)
 from semistrong.neighborhood import compute_neighborhood
 from semistrong.solver import (
     EngineInvariantError,
@@ -341,6 +348,43 @@ def test_solve_path_component():
                 assert res.trace[0].strategy == "delta2"
                 assert res.certificates[mode]
                 assert res.colors_used == expected
+
+
+def test_solve_on_many_components_equals_solve_on_each_component():
+    for seed in range(60):
+        g = random_union(random.Random(seed))
+        views = connected_components(g)
+        for mode in ("semistrong", "relaxed01"):
+            res = solve(g, mode)
+            assert len(res.trace) == len(views)
+            for view, trace in zip(views, res.trace):
+                alone = solve(view.graph, mode)
+                assert [res.coloring.colors[pe] for pe in view.edge_map] == list(alone.coloring.colors)
+                assert [trace] == alone.trace
+
+
+def test_solve_colors_paths_cycles_and_trivial_components_on_the_parent(monkeypatch):
+    parts = [families.path(1)] * 4 + [families.path(2)] * 3 + [families.path(n) for n in range(3, 12)]
+    parts += [families.cycle(n) for n in range(3, 14)] * 2
+    g = _shuffled_union(parts, 31)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def refuse(_):
+        raise AssertionError("solve split the graph with connected_components")
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(solver, "connected_components", refuse)
+    for mode in ("semistrong", "relaxed01"):
+        res = solve(g, mode, debug=True)
+        assert res.certificates[mode]
+        assert len(res.trace) == len(parts)
+        assert {t.strategy for t in res.trace} == {"trivial", "delta2"}
+    assert built == []
 
 
 def _counting_engines(monkeypatch) -> list:

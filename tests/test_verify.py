@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    counting_rows,
     cross_edges,
     edge_distance_class,
     has_triangle,
@@ -19,7 +20,7 @@ from _oracles import (
 )
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
-from semistrong.graph import Graph, build_graph
+from semistrong.graph import build_graph
 from semistrong.solver import _greedy, solve
 from semistrong.verify import (
     badness,
@@ -456,24 +457,11 @@ def test_certify_on_disconnected_and_empty_graphs():
         assert certify(build_graph(n, []), from_list([])) == ((True, None), (True, None), (0, 0))
 
 
-def _counting_rows(g):
-    """g with adjacency rows that count the entries iterated out of them."""
-    read = [0]
-
-    class Row(tuple):
-        def __iter__(self):
-            for item in tuple.__iter__(self):
-                read[0] += 1
-                yield item
-
-    return Graph(g.vertex_count, g.edges, tuple(Row(row) for row in g.adjacency)), read
-
-
 def test_certify_reads_no_row_per_spoke_on_a_wheel():
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
     g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
     c = _greedy(g, n * n - 1).to_coloring()
-    counted, read = _counting_rows(g)
+    counted, read = counting_rows(g)
     cert = certify(counted, c)
     # a walk of both ends' rows per edge reads the hub's row once per spoke:
     # about 10^6 entries
