@@ -32,7 +32,7 @@ from .formats import (
 )
 from .graph import Graph, GraphError, max_degree
 from .solver import solve
-from .verify import certify, verify_mode
+from .verify import certify
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -164,18 +164,12 @@ def _cmd_color(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(_read_text(args.graph), args.format)
     coloring = parse_coloring(_read_text(args.coloring))
-    # certify gives the semistrong and relaxed(0,1) verdicts and witnesses
-    # from the cross edges; the reference checkers walk a row per edge end
-    cert = certify(g, coloring)
-    if args.mode == "semistrong":
-        res = cert.semistrong
-    elif args.mode == "relaxed" and (args.s, args.t) == (0, 1):
-        res = cert.relaxed01
-    else:
-        res = verify_mode(g, coloring, args.mode, args.s, args.t)
+    relaxed = args.mode == "relaxed"
+    cert = certify(g, coloring, *((args.s, args.t) if relaxed else (0, 0)))  # strong is relaxed(0,0)
+    res = cert.semistrong if args.mode == "semistrong" else cert.relaxed
     kappa1, kappa2 = cert.kappa
     doc = {
-        "mode": args.mode if args.mode != "relaxed" else f"relaxed({args.s},{args.t})",
+        "mode": f"relaxed({args.s},{args.t})" if relaxed else args.mode,
         "valid": res.ok,
         "witness": None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]},
         "kappa1": kappa1,
@@ -324,6 +318,7 @@ def cli(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # argparse --help
+        gc.collect()  # its formatter's sections and the formatter refer to each other
         return int(exc.code or 0)
     except (FormatError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

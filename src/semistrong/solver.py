@@ -728,7 +728,7 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
         badness(g, coloring).potential,
     ):
         raise EngineInvariantError("certify disagrees with the independent checkers")
-    certificates = {"semistrong": cert.semistrong.ok, "relaxed01": cert.relaxed01.ok}
+    certificates = {"semistrong": cert.semistrong.ok, "relaxed01": cert.relaxed.ok}
     if not certificates[mode]:
         raise EngineInvariantError(f"solve produced an invalid {mode} coloring")
     return SolveResult(

@@ -7,13 +7,14 @@ offending (color, edge). All functions are pure and share no data with the
 neighborhoods that greedy and the repair engine build, so they are an
 independent check of the engine's own tables.
 
-``certify`` is the solve-time pass: it gives both of the theorem's
-certificates (semistrong and (0,1)-relaxed) and (κ₁, κ₂) from the cross
-edges, in O(m + contacts) for a proper coloring. Per vertex it keeps a
+``certify`` is the one verification pass, which ``solve``, ``exact``'s κ and
+``semistrong verify`` in every mode read: from the cross edges, in
+O(m + contacts) for a proper coloring, it counts each edge's same-colored
+1-neighbors and distinct same-colored 2-neighbors. Per vertex it keeps a
 bitmask of the colors held, and an edge xy whose ends hold a common color
-other than its own joins a same-colored edge at x to one at y. An edge that
-shares its color with another edge at one of its ends (a clash) fails both
-certificates.
+other than its own joins a same-colored edge at x to one at y. From those
+counts it gives the semistrong certificate, the relaxed(s, t) one for the
+caps it is passed and (κ₁, κ₂).
 ``verify_semistrong``, ``verify_relaxed`` and ``badness`` are the independent
 checkers, each with its own walk over the rows; tests and
 ``solve(debug=True)`` hold ``certify`` to them.
@@ -156,12 +157,12 @@ def is_good_coloring(g: Graph, c: Coloring) -> bool:
 
 class Certificate(NamedTuple):
     semistrong: VerifyResult
-    relaxed01: VerifyResult
+    relaxed: VerifyResult  # for the caps (s, t) certify was passed
     kappa: tuple[int, int]  # (kappa1, kappa2), as badness(...).potential
 
 
-def certify(g: Graph, c: Coloring) -> Certificate:
-    """verify_semistrong, verify_relaxed(g, c, 0, 1) and badness(g, c).potential
+def certify(g: Graph, c: Coloring, s: int = 0, t: int = 1) -> Certificate:
+    """verify_semistrong, verify_relaxed(g, c, s, t) and badness(g, c).potential
     from one pass over the cross edges: O(m + contacts) for a proper coloring
     whose palette is narrower than ``span``.
 
@@ -169,19 +170,20 @@ def certify(g: Graph, c: Coloring) -> Certificate:
     share no vertex and some edge xy, other than both, has e at x and f at y.
     Each vertex keeps a bitmask of the colors it holds, so for each edge xy
     only the bits of held[x] & held[y], less xy's own, are looked up in the
-    per-vertex index; no row is walked.
-
-    An edge with a same-colored edge at one of its ends (a clash) fails both
-    certificates; its 2-neighbors still count toward (κ₁, κ₂), with the
-    partners that touch it left out. Any other edge fails the semistrong
-    certificate iff it meets 2-neighbors across both of its ends, and the
-    relaxed one iff it has two or more.
+    per-vertex index; no row is walked. Each edge's distinct 2-neighbors are
+    counted as their pairs are first met, and where it met them (at one end
+    or at both) is kept.
 
     The index keeps one edge per (vertex, bit); ``more`` lists all the edges of
-    the pairs that hold two or more. A palette reaching ``span`` is ranked,
-    leaving out colors used once, and folded into ``span`` bits, so the n masks
-    take O(n + m) space; a bit may then stand for several colors, so each
-    meeting compares the two colors.
+    the pairs that hold two or more, so it also gives each edge's same-colored
+    1-neighbors. An edge fails the semistrong certificate iff it has a
+    1-neighbor or meets 2-neighbors across both of its ends, and the relaxed
+    one iff it has more than s 1-neighbors or more than t 2-neighbors; κ₁
+    counts the edges with two or more 2-neighbors.
+
+    A palette reaching ``span`` is ranked, leaving out colors used once, and
+    folded into ``span`` bits, so the n masks take O(n + m) space; a bit may
+    then stand for several colors, so each meeting compares the two colors.
     """
     colors = c.colors
     edges = g.edges
@@ -208,10 +210,9 @@ def certify(g: Graph, c: Coloring) -> Certificate:
         if first[v].setdefault(p, e) != e:
             more.setdefault((v, p), [first[v][p]]).append(e)
     pairs: set[int] = set()  # e * m + f for each same-colored 2-neighbor pair e < f
+    near: dict[int, int] = {}  # edge -> its same-colored 2-neighbors
     end: dict[int, int] = {}  # edge -> the end at which it first met a 2-neighbor
-    partner: dict[int, int] = {}  # edge -> the first 2-neighbor it met
     two_sided: set[int] = set()
-    multi: set[int] = set()  # the edges with two or more 2-neighbors
     for i, (x, y) in enumerate(edges):
         common = held[x] & held[y]
         p = pos[i]
@@ -233,25 +234,29 @@ def certify(g: Graph, c: Coloring) -> Certificate:
             for e, f in met:
                 if colors[e] != colors[f]:
                     continue
-                pairs.add(e * m + f if e < f else f * m + e)
+                key = e * m + f if e < f else f * m + e
+                if key not in pairs:
+                    pairs.add(key)
+                    near[e] = near.get(e, 0) + 1
+                    near[f] = near.get(f, 0) + 1
                 if end.setdefault(e, x) != x:
                     two_sided.add(e)
                 if end.setdefault(f, y) != y:
                     two_sided.add(f)
-                if partner.setdefault(e, f) != f:
-                    multi.add(e)
-                if partner.setdefault(f, e) != e:
-                    multi.add(f)
-    clash: set[int] = set()
+    touch: dict[int, int] = {}  # edge -> its same-colored 1-neighbors
     for group in more.values():
         count = Counter(colors[e] for e in group)
-        clash.update(e for e in group if count[colors[e]] > 1)
+        for e in group:
+            if count[colors[e]] > 1:
+                touch[e] = touch.get(e, 0) + count[colors[e]] - 1
 
-    def smallest(flagged: set[int]) -> VerifyResult:
+    def smallest(flagged: Iterable[int]) -> VerifyResult:
         witness = min(((colors[e], e) for e in flagged), default=None)
         return VerifyResult(witness is None, witness)
 
-    return Certificate(smallest(clash | two_sided), smallest(clash | multi), (len(multi), len(pairs)))
+    failed = [e for e, k in touch.items() if k > s] + [e for e, k in near.items() if k > t]
+    kappa1 = len(near) - list(near.values()).count(1)  # every count in near is at least 1
+    return Certificate(smallest(two_sided.union(touch)), smallest(failed), (kappa1, len(pairs)))
 
 
 @dataclass(frozen=True)

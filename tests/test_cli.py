@@ -539,6 +539,8 @@ def test_commands_pause_the_collector_and_leave_no_cycles(tmp_path, capsys, monk
         (1, cli, ["verify", "--mode", "semistrong", "--graph", str(gpath), "--coloring", str(bad)]),
         (0, cli, ["exact", "--mode", "semistrong", "--max-colors", "5", "--input", str(c7)]),
         (0, cli, ["gen", "--family", "prism", "--n", "4"]),
+        (0, cli, ["--help"]),
+        (0, cli, ["verify", "--help"]),
         (0, cli, [*batch, "1"]),
         (0, cli, [*batch, "2"]),
         (2, cli, ["color", "--mode", "bogus"]),
@@ -613,6 +615,13 @@ def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     assert out_path.read_bytes() == (DATA / f"{graph}.{mode}.json").read_bytes()
 
 
+# strong mode takes no caps: its --s and --t are ignored
+VERIFY_MODES = [
+    ("semistrong", 0, 0), ("strong", 0, 0), ("strong", 1, 2),
+    ("relaxed", 0, 0), ("relaxed", 0, 1), ("relaxed", 1, 2), ("relaxed", 2, 3),
+]
+
+
 def _two_walk_verify_output(g, coloring, mode, s, t):
     """What verify prints when its mode's checker and badness each walk the
     coloring, and its exit code."""
@@ -628,7 +637,7 @@ def _two_walk_verify_output(g, coloring, mode, s, t):
     return (0 if res.ok else 1), _dumps(doc) + "\n"
 
 
-@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5"])
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special", "paths_cycles"])
 def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys, graph):
     g = parse_edge_list((DATA / f"{graph}.txt").read_text(encoding="utf-8"))
     rng = random.Random(graph)
@@ -648,7 +657,7 @@ def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys
     for colors in colorings:
         cpath.write_text(json.dumps({"colors": colors}))
         coloring = from_list(colors)
-        for mode, s, t in (("semistrong", 0, 0), ("strong", 0, 0), ("relaxed", 0, 1), ("relaxed", 1, 2)):
+        for mode, s, t in VERIFY_MODES:
             argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t), "--graph", str(gpath), "--coloring", str(cpath)]
             code, out, _ = run(capsys, argv)
             assert (code, out) == _two_walk_verify_output(g, coloring, mode, s, t)
@@ -662,7 +671,8 @@ def test_verify_and_exact_print_what_the_separate_checkers_give(tmp_path, capsys
             assert (doc["kappa1"], doc["kappa2"]) == badness(g, res.certificate).potential
 
 
-def test_verify_reads_no_row_per_spoke_on_a_wheel(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode,s,t", VERIFY_MODES)
+def test_verify_reads_no_row_per_spoke_on_a_wheel(tmp_path, capsys, monkeypatch, mode, s, t):
     import semistrong.cli as cli_mod
 
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
@@ -681,14 +691,12 @@ def test_verify_reads_no_row_per_spoke_on_a_wheel(tmp_path, capsys, monkeypatch)
         return counted
 
     monkeypatch.setattr(cli_mod, "_load_graph", counted_load)
-    for mode, s, t in (("semistrong", 0, 0), ("relaxed", 0, 1)):
-        reads.clear()
-        argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t), "--graph", str(gpath), "--coloring", str(cpath)]
-        code, out, _ = run(capsys, argv)
-        # a reference checker walks the hub's row once per spoke: about 10^6
-        # entries
-        assert reads[0][0] <= 4 * g.edge_count
-        assert (code, out) == _two_walk_verify_output(g, coloring, mode, s, t)
+    argv = ["verify", "--mode", mode, "--s", str(s), "--t", str(t), "--graph", str(gpath), "--coloring", str(cpath)]
+    code, out, _ = run(capsys, argv)
+    # a reference checker walks the hub's row once per spoke: about 10^6
+    # entries
+    assert reads[0][0] <= 4 * g.edge_count
+    assert (code, out) == _two_walk_verify_output(g, coloring, mode, s, t)
 
 
 def test_verify_ranks_a_huge_palette_and_names_the_checkers_witness(tmp_path, capsys):

@@ -444,15 +444,15 @@ def test_solve_raises_when_a_certificate_fails_or_disagrees(monkeypatch):
     g = families.prism(5)
     failed = VerifyResult(False, (1, 0))
 
-    def failing(mode):
+    def failing(field):
         def fake(g, c):
             cert = certify(g, c)
-            return cert._replace(**{mode: failed})
+            return cert._replace(**{field: failed})
 
         return fake
 
-    for mode in ("semistrong", "relaxed01"):
-        monkeypatch.setattr(solver, "certify", failing(mode))
+    for mode, field in (("semistrong", "semistrong"), ("relaxed01", "relaxed")):
+        monkeypatch.setattr(solver, "certify", failing(field))
         with pytest.raises(EngineInvariantError, match=f"invalid {mode}"):
             solve(g, mode)
     # debug=True holds certify to the independent checkers

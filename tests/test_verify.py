@@ -370,8 +370,10 @@ def test_witness_is_the_smallest_offender_not_the_smallest_clash():
 def _assert_certify_agrees(g, c):
     cert = certify(g, c)
     assert cert.semistrong == verify_semistrong(g, c), (g.edges, c.colors)
-    assert cert.relaxed01 == verify_relaxed(g, c, 0, 1), (g.edges, c.colors)
+    assert cert.relaxed == verify_relaxed(g, c, 0, 1), (g.edges, c.colors)
     assert cert.kappa == badness(g, c).potential, (g.edges, c.colors)
+    for s, t in itertools.product(range(4), repeat=2):
+        assert certify(g, c, s, t) == cert._replace(relaxed=verify_relaxed(g, c, s, t)), (s, t, g.edges, c.colors)
     return cert
 
 
@@ -395,7 +397,7 @@ def test_certify_matches_the_oracles_on_named_graphs():
         for c in colorings:
             cert = _assert_certify_agrees(g, c)
             assert cert.semistrong.ok == naive_verify(g, c.colors, "semistrong")
-            assert cert.relaxed01.ok == naive_verify(g, c.colors, "relaxed", 0, 1)
+            assert cert.relaxed.ok == naive_verify(g, c.colors, "relaxed", 0, 1)
             assert cert.kappa == naive_badness(g, c.colors)[:2]
 
 
@@ -417,7 +419,7 @@ def test_certify_matches_the_checkers_on_random_colorings():
             colors = [rng.randint(1, k) for _ in range(g.edge_count)]
         cert = _assert_certify_agrees(g, from_list(colors))
         seen["semistrong"].append(cert.semistrong.ok)
-        seen["relaxed01"].append(cert.relaxed01.ok)
+        seen["relaxed01"].append(cert.relaxed.ok)
         checked += 1
     for oks in seen.values():
         assert oks.count(True) >= 300 and oks.count(False) >= 300
@@ -440,7 +442,7 @@ def test_certify_reads_the_overflow_of_same_colored_edges_at_one_vertex(n, pairs
     # certify indexes one edge per (vertex, color) and lists the rest apart
     g = build_graph(n, pairs)
     cert = _assert_certify_agrees(g, from_list(colors))
-    assert not cert.semistrong.ok and not cert.relaxed01.ok
+    assert not cert.semistrong.ok and not cert.relaxed.ok
     assert cert.kappa == naive_badness(g, colors)[:2]
 
 
