@@ -18,7 +18,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import families
-from .exact import Budget, exact_index
+from .exact import MODES as EXACT_MODES, Budget, exact_index
 from .formats import (
     MAX_VERTICES,
     FormatError,
@@ -31,8 +31,8 @@ from .formats import (
     parse_graph6,
 )
 from .graph import Graph, GraphError, max_degree
-from .solver import solve
-from .verify import certify
+from .solver import MODES as COLOR_MODES, solve
+from .verify import certify_mode
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("color", help="construct a coloring meeting the degree-squared bound")
     p_color.set_defaults(run=_cmd_color)
-    p_color.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
+    p_color.add_argument("--mode", choices=COLOR_MODES, required=True)
     p_color.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
     p_color.add_argument("--input", default=None, help="graph file (default/- : stdin)")
     p_color.add_argument("--output", default=None, help="JSON output file (default: stdout)")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a coloring against a graph")
     p_verify.set_defaults(run=_cmd_verify)
-    p_verify.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
+    p_verify.add_argument("--mode", choices=EXACT_MODES, required=True)
     p_verify.add_argument("--s", type=_at_least(0), default=0)
     p_verify.add_argument("--t", type=_at_least(0), default=0)
     p_verify.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact minimum color count by complete search")
     p_exact.set_defaults(run=_cmd_exact)
-    p_exact.add_argument("--mode", choices=["semistrong", "strong", "relaxed"], required=True)
+    p_exact.add_argument("--mode", choices=EXACT_MODES, required=True)
     p_exact.add_argument("--s", type=_at_least(0), default=0)
     p_exact.add_argument("--t", type=_at_least(0), default=0)
     p_exact.add_argument("--max-colors", type=_at_least(1), required=True)
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="color every graph in a directory, write a CSV report")
     p_batch.set_defaults(run=_cmd_batch)
     p_batch.add_argument("--dir", required=True)
-    p_batch.add_argument("--mode", choices=["semistrong", "relaxed01"], required=True)
+    p_batch.add_argument("--mode", choices=COLOR_MODES, required=True)
     p_batch.add_argument("--report", required=True)
     p_batch.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes, at most one per CPU (default 1)")
     return parser
@@ -165,8 +165,7 @@ def _cmd_verify(args) -> int:
     g = _load_graph(_read_text(args.graph), args.format)
     coloring = parse_coloring(_read_text(args.coloring))
     relaxed = args.mode == "relaxed"
-    cert = certify(g, coloring, *((args.s, args.t) if relaxed else (0, 0)))  # strong is relaxed(0,0)
-    res = cert.semistrong if args.mode == "semistrong" else cert.relaxed
+    res, cert = certify_mode(g, coloring, args.mode, args.s, args.t)
     kappa1, kappa2 = cert.kappa
     doc = {
         "mode": f"relaxed({args.s},{args.t})" if relaxed else args.mode,

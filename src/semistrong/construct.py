@@ -13,9 +13,9 @@ from .coloring import Coloring, from_list
 from .graph import (
     Graph,
     GraphError,
-    connected_components,
     g_family_witness,
     is_complete_bipartite_dd,
+    is_connected,
     max_degree,
 )
 
@@ -124,7 +124,7 @@ def color_g_family(g: Graph, witness: int) -> Coloring:
     so any u' in N(u)\\{v} is non-adjacent to v; picking the smallest pair
     (u', v') with u'v' not an edge makes {uu', vv'} a semistrong class.
     """
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise GraphError("disconnected", "covering-edge construction needs a connected graph")
     d = max_degree(g)
     if g_family_witness(g) is None:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .coloring import Coloring
 from .graph import Graph, bfs_edge_order, max_degree
 from .neighborhood import rings
-from .verify import verify_mode
+from .verify import certify_mode
 
 MODES = ("semistrong", "strong", "relaxed")
 
@@ -516,7 +516,7 @@ def _feasibility(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, lay
     if colors is None:
         return FeasibilityResult("unsat", None, clock.nodes - start_nodes)
     cert = Coloring(tuple(colors), k)
-    if not verify_mode(g, cert, mode, s, t).ok:
+    if not certify_mode(g, cert, mode, s, t)[0].ok:
         raise AssertionError(f"search produced an invalid {mode} certificate; this is a bug")
     return FeasibilityResult("sat", cert, clock.nodes - start_nodes)
 

@@ -1,13 +1,14 @@
 """Immutable simple-graph representation with indexed edges.
 
 Edge indices are stable and equal to input order; everything downstream
-(colorings, neighborhoods, certificates) refers to edges by index.
+(colorings, neighborhoods, certificates) refers to edges by index. One
+breadth-first walk gives the components, each vertex's depth parity (the
+2-coloring that recognizes K_{d,d}) and the edge order greedy and exact use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -92,51 +93,68 @@ class ComponentView:
     edge_map: tuple[int, ...]  # component edge -> parent edge
 
 
-def _component_labels(g: Graph) -> tuple[list[int], int]:
-    """Component index of every vertex, numbered by smallest vertex, and the
-    number of components."""
+def _walk(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One breadth-first walk over every component, each from its smallest
+    vertex, with a FIFO queue over the neighbor-sorted rows.
+
+    Returns each vertex's component label (components numbered by smallest
+    vertex) and depth parity; the edges in discovery order, each listed when
+    its first end leaves the queue; and where each component's edges start in
+    that order, followed by the order's length, so component i's edges are
+    order[starts[i] : starts[i + 1]]."""
+    adjacency = g.adjacency
     label = [-1] * g.vertex_count
-    count = 0
+    side = [0] * g.vertex_count
+    left = [False] * g.vertex_count  # v has left the queue
+    order: list[int] = []
+    starts: list[int] = []
     for start in range(g.vertex_count):
         if label[start] != -1:
             continue
+        count = len(starts)
+        starts.append(len(order))
         label[start] = count
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in g.adjacency[v]:
-                if label[w] == -1:
-                    label[w] = count
-                    queue.append(w)
-        count += 1
-    return label, count
+        queue = [start]
+        for v in queue:  # the list grows as it is read: a FIFO queue
+            left[v] = True
+            parity = side[v] ^ 1
+            for w, e in adjacency[v]:
+                if not left[w]:  # v is the first end of e to leave
+                    order.append(e)
+                    if label[w] == -1:
+                        label[w] = count
+                        side[w] = parity
+                        queue.append(w)
+    starts.append(len(order))
+    return label, side, order, starts
 
 
-def _component_parts(g: Graph) -> list[range] | list[list[int]]:
-    """Each component's vertices in increasing order, components ordered by
-    smallest vertex; a connected graph's one part is range(n)."""
-    label, count = _component_labels(g)
+def _component_parts(label: list[int], count: int) -> list[range] | list[list[int]]:
+    """Each component's vertices in increasing order, from _walk's labels and
+    component count; a connected graph's one part is range(n)."""
     if count == 1:
-        return [range(g.vertex_count)]
+        return [range(len(label))]
     parts: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(label):
         parts[c].append(v)
     return parts
 
 
-def _induced(g: Graph, part: list[int]) -> tuple[Graph, list[int]]:
-    """The component of g on part (its vertices, increasing), re-indexed from
-    0, and its parent edge ids, increasing.
+def _induced(g: Graph, part, edges: list[int]) -> tuple[Graph, list[int], list[int]]:
+    """The component of g on part (its vertices, increasing) and edges (its
+    parent edge ids in walk order), re-indexed from 0; its parent edge ids,
+    increasing; and edges in local ids.
 
     The parent's adjacency is validated and neighbor-sorted, and local labels
-    keep the parent's vertex and edge order, so it is relabelled, not rebuilt."""
+    keep the parent's vertex and edge order, so it is relabelled, not rebuilt,
+    and the walk order in local ids is the component's own walk order."""
     adjacency = g.adjacency
     local = {v: i for i, v in enumerate(part)}
-    ids = sorted([e for v in part for w, e in adjacency[v] if v < w])
+    ids = sorted(edges)
     local_edge = {e: i for i, e in enumerate(ids)}
-    edges = tuple([(local[u], local[v]) for u, v in map(g.edges.__getitem__, ids)])
+    pairs = tuple([(local[u], local[v]) for u, v in map(g.edges.__getitem__, ids)])
     rows = tuple([tuple([(local[w], local_edge[e]) for w, e in adjacency[v]]) for v in part])
-    return Graph(len(part), edges, rows), ids
+    return Graph(len(part), pairs, rows), ids, [local_edge[e] for e in edges]
 
 
 def connected_components(g: Graph) -> list[ComponentView]:
@@ -144,18 +162,24 @@ def connected_components(g: Graph) -> list[ComponentView]:
 
     A connected graph is returned as its own only component (identity maps),
     with no copy built."""
-    parts = _component_parts(g)
+    label, _, order, starts = _walk(g)
+    parts = _component_parts(label, len(starts) - 1)
     if len(parts) == 1:
         return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
     views: list[ComponentView] = []
-    for part in parts:
-        comp, ids = _induced(g, part)
+    for part, a, b in zip(parts, starts, starts[1:]):
+        comp, ids, _ = _induced(g, part, order[a:b])
         views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views
 
 
 def is_connected(g: Graph) -> bool:
-    return _component_labels(g)[1] <= 1
+    return len(_walk(g)[3]) <= 2  # at most one component start
+
+
+def _two_colors(g: Graph, side: list[int]) -> bool:
+    """True iff every edge of g joins the two sides: side is a 2-coloring."""
+    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_complete_bipartite_dd(g: Graph, d: int) -> bool:
@@ -164,35 +188,20 @@ def is_complete_bipartite_dd(g: Graph, d: int) -> bool:
     Decided structurally: d-regular, 2d vertices, bipartite. Completeness of the
     cross edges then follows from the counts. Rejects disconnected input.
     """
-    if not is_connected(g):
+    _, side, _, starts = _walk(g)
+    if len(starts) > 2:
         raise GraphError("disconnected", "is_complete_bipartite_dd requires a connected graph")
     if d < 1 or g.vertex_count != 2 * d:
         return False
     if any(g.degree(v) != d for v in range(g.vertex_count)):
         return False
-    side = _bipartition(g)
-    if side is None:
-        return False
-    return sum(side) == d  # parts of size d and d
+    return _two_colors(g, side) and sum(side) == d  # parts of size d and d
 
 
 def _bipartition(g: Graph) -> list[int] | None:
-    """2-color via BFS; None if an odd cycle exists."""
-    color = [-1] * g.vertex_count
-    for start in range(g.vertex_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, _ in g.adjacency[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+    """The walk's depth parities, a 2-coloring, or None if an odd cycle exists."""
+    side = _walk(g)[1]
+    return side if _two_colors(g, side) else None
 
 
 def g_family_witness(g: Graph) -> int | None:
@@ -218,21 +227,4 @@ def g_family_witness(g: Graph) -> int | None:
 def bfs_edge_order(g: Graph) -> list[int]:
     """Edges in breadth-first discovery order from the smallest vertex of each
     component; deterministic (adjacency is neighbor-sorted)."""
-    seen_v = [False] * g.vertex_count
-    listed = [False] * len(g.edges)
-    order: list[int] = []
-    for start in range(g.vertex_count):
-        if seen_v[start]:
-            continue
-        seen_v[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, e in g.adjacency[v]:
-                if not listed[e]:
-                    listed[e] = True
-                    order.append(e)
-                if not seen_v[w]:
-                    seen_v[w] = True
-                    queue.append(w)
-    return order
+    return _walk(g)[2]

@@ -59,12 +59,13 @@ from .construct import cycle_pattern, g_family_colors, kdd_relaxed_colors, path_
 from .graph import (
     Graph,
     GraphError,
-    _bipartition,
     _component_parts,
     _induced,
+    _two_colors,
+    _walk,
     bfs_edge_order,
-    connected_components,
     g_family_witness,
+    is_connected,
     max_degree,
 )
 from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, shift_forbidden
@@ -126,7 +127,7 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     When no color qualifies, the smallest color outside the forbidden set.
     Raises PaletteExhaustedError when an edge has no color left (only
     possible when some |f_set| >= palette_size)."""
-    return _greedy(g, palette_size).to_coloring()
+    return _greedy(g, palette_size, bfs_edge_order(g)).to_coloring()
 
 
 class _Contacts:
@@ -216,8 +217,9 @@ class _Contacts:
             raise EngineInvariantError(f"{what}: the contact counts or color maps disagree with a recount")
 
 
-def _greedy(g: Graph, palette_size: int) -> _Contacts:
-    """greedy_good_coloring's coloring, with its contact counts.
+def _greedy(g: Graph, palette_size: int, order: list[int]) -> _Contacts:
+    """greedy_good_coloring's coloring, with its contact counts, placing the
+    edges in order, g's breadth-first edge order.
 
     ``held[x]`` is a bitmask of the colors at vertex x, bit c for color c, and
     ``hot[x]`` the part of it whose edge already has a same-colored
@@ -238,7 +240,7 @@ def _greedy(g: Graph, palette_size: int) -> _Contacts:
     held = [0] * g.vertex_count
     hot = [0] * g.vertex_count
     top = 1 << palette_size
-    for e in bfs_edge_order(g):
+    for e in order:
         u, v = edges[e]
         # u and v are on each other's rows; their colors are taken anyway
         ring = adjacency[u] + adjacency[v]
@@ -631,7 +633,7 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     built."""
     if not is_good_coloring(g, c):
         raise ValueError("repair requires a good coloring")
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise GraphError("disconnected", "repair runs on one connected component at a time")
     if max_degree(g) < 3:
         raise ValueError("repair requires maximum degree >= 3")
@@ -669,14 +671,16 @@ def _color_path_or_cycle(g: Graph, part, d: int, mode: str, colors: list[int]) -
     return _trace("trivial" if d == 1 else "delta2", n, len(pattern), d, pattern, [])
 
 
-def _solve_component(comp: Graph, d: int, mode: str, debug: bool) -> tuple[list[int], ComponentTrace]:
-    """Color a connected graph of maximum degree d >= 3."""
+def _solve_component(
+    comp: Graph, d: int, mode: str, debug: bool, order: list[int], side: list[int]
+) -> tuple[list[int], ComponentTrace]:
+    """Color a connected graph of maximum degree d >= 3, given its
+    breadth-first edge order and its vertices' depth parities."""
     trajectory: list[tuple[int, int]] = []
     if (witness := g_family_witness(comp)) is not None:
         # d-regular on 2d vertices with a covering edge: connected, and
         # bipartite only as K_{d,d}, every edge of which covers
-        side = _bipartition(comp)
-        if side is None:
+        if not _two_colors(comp, side):
             strategy, colors = "g_family", g_family_colors(comp, witness)
         elif mode == "semistrong":
             strategy, colors = "kdd", list(range(1, comp.edge_count + 1))
@@ -684,7 +688,7 @@ def _solve_component(comp: Graph, d: int, mode: str, debug: bool) -> tuple[list[
             strategy, colors = "kdd", kdd_relaxed_colors(comp, side)
     else:
         strategy = "greedy_repair"
-        state = _greedy(comp, d * d - 1)
+        state = _greedy(comp, d * d - 1, order)
         if debug:
             state.check("the greedy start")
         if max(state.count) > 1:
@@ -699,24 +703,26 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
     """Color any simple graph per-component and verify the result.
 
     Components reuse palettes (colors are shared across components), so the
-    total color count is the maximum over components. The components are
-    labelled once; one of maximum degree <= 2 is colored on g's own rows, and
-    only one of maximum degree >= 3 gets a relabelled Graph, unless it is all
-    of g. Traces follow the components' smallest vertices.
+    total color count is the maximum over components. One breadth-first walk
+    gives the components, their edge orders and their depth parities; a
+    component of maximum degree <= 2 is colored on g's own rows, and only one
+    of maximum degree >= 3 gets a relabelled Graph, unless it is all of g.
+    Traces follow the components' smallest vertices.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     adjacency = g.adjacency
     colors = [0] * g.edge_count
     traces: list[ComponentTrace] = []
-    parts = _component_parts(g)
-    for part in parts:
+    label, side, order, starts = _walk(g)
+    parts = _component_parts(label, len(starts) - 1)
+    for part, a, b in zip(parts, starts, starts[1:]):
         d = max(map(len, map(adjacency.__getitem__, part)))
         if d <= 2:
             traces.append(_color_path_or_cycle(g, part, d, mode, colors))
             continue
-        comp, ids = (g, range(g.edge_count)) if len(parts) == 1 else _induced(g, part)
-        local_colors, trace = _solve_component(comp, d, mode, debug)
+        comp, ids, local = (g, range(g.edge_count), order) if len(parts) == 1 else _induced(g, part, order[a:b])
+        local_colors, trace = _solve_component(comp, d, mode, debug, local, [side[v] for v in part])
         for pe, c in zip(ids, local_colors):
             colors[pe] = c
         traces.append(trace)

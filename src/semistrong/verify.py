@@ -8,7 +8,8 @@ neighborhoods that greedy and the repair engine build, so they are an
 independent check of the engine's own tables.
 
 ``certify`` is the one verification pass, which ``solve``, ``exact``'s κ and
-``semistrong verify`` in every mode read: from the cross edges, in
+certificate checks and ``semistrong verify`` in every mode read (the last
+two through ``certify_mode``): from the cross edges, in
 O(m + contacts) for a proper coloring, it counts each edge's same-colored
 1-neighbors and distinct same-colored 2-neighbors. Per vertex it keeps a
 bitmask of the colors held, and an edge xy whose ends hold a common color
@@ -96,13 +97,6 @@ def is_induced_matching(g: Graph, m: Iterable[int]) -> bool:
     """m is a matching with all induced-subgraph degrees equal to 1
     (no two edges at distance 1 or 2)."""
     return verify_strong(g, _one_class(g, m)).ok
-
-
-def verify_mode(g: Graph, c: Coloring, mode: str, s: int = 0, t: int = 0) -> VerifyResult:
-    """The checker of a verify/exact mode: semistrong, strong or relaxed(s,t)."""
-    if mode == "relaxed":
-        return verify_relaxed(g, c, s, t)
-    return {"semistrong": verify_semistrong, "strong": verify_strong}[mode](g, c)
 
 
 def _same_colored_contacts(g: Graph, c: Coloring) -> Iterator[tuple[int, int, int, dict[int, int]]]:
@@ -257,6 +251,13 @@ def certify(g: Graph, c: Coloring, s: int = 0, t: int = 1) -> Certificate:
     failed = [e for e, k in touch.items() if k > s] + [e for e, k in near.items() if k > t]
     kappa1 = len(near) - list(near.values()).count(1)  # every count in near is at least 1
     return Certificate(smallest(two_sided.union(touch)), smallest(failed), (kappa1, len(pairs)))
+
+
+def certify_mode(g: Graph, c: Coloring, mode: str, s: int, t: int) -> tuple[VerifyResult, Certificate]:
+    """The verdict of a verify/exact mode (semistrong, strong or relaxed(s,t))
+    and the certificate it is read from; strong is relaxed(0,0)."""
+    cert = certify(g, c, *((s, t) if mode == "relaxed" else (0, 0)))
+    return (cert.semistrong if mode == "semistrong" else cert.relaxed), cert
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,25 @@ induced-subgraph degrees) and deliberately shares no code with the package
 paths it is used to check. The two greedy starts at the end are the
 exception: they read N2 and the forbidden sets from
 neighborhood.compute_neighborhood, which solver.greedy_good_coloring does not
-use, and share only the breadth-first edge order with it. The last helpers
-build random many-component inputs from the named families and count the
-adjacency entries a checker reads.
+use, and take their edge order from naive_bfs_edge_order. verify_mode
+dispatches a verify/exact mode to the package's reference checkers, which
+the certify pass that the package itself reads is tested against. The last
+helpers build random many-component inputs from the named families and count
+the adjacency entries a checker reads.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
-from semistrong.graph import Graph, bfs_edge_order, build_graph
+from semistrong.graph import Graph, build_graph
 from semistrong.neighborhood import EdgeNeighborhood, PairType, compute_neighborhood
 from semistrong.solver import PaletteExhaustedError
-from semistrong.verify import badness
+from semistrong.verify import VerifyResult, badness, verify_relaxed, verify_semistrong, verify_strong
 
 
 def edge_distance_class(g: Graph, e: int, f: int) -> int:
@@ -123,6 +126,44 @@ def naive_badness(g: Graph, colors) -> tuple[int, int, set[int], set[tuple[int, 
     return len(bad_edges), len(pairs), bad_edges, pairs
 
 
+def verify_mode(g: Graph, c: Coloring, mode: str, s: int = 0, t: int = 0) -> VerifyResult:
+    """The checker of a verify/exact mode: semistrong, strong or relaxed(s,t)."""
+    if mode == "relaxed":
+        return verify_relaxed(g, c, s, t)
+    return {"semistrong": verify_semistrong, "strong": verify_strong}[mode](g, c)
+
+
+def naive_bfs_edge_order(g: Graph) -> list[int]:
+    """Breadth-first edge order from the definition: each component from its
+    smallest vertex, a FIFO queue of vertices, each row sorted by neighbor
+    here, and each edge listed when the first of its ends leaves the queue.
+    Reads only g.edges."""
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    ids: dict[tuple[int, int], int] = {}
+    for e, (u, v) in enumerate(g.edges):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        ids[u, v] = ids[v, u] = e
+    out: list[int] = []
+    reached: set[int] = set()
+    left: set[int] = set()  # vertices that have left the queue
+    for root in range(g.vertex_count):
+        if root in reached:
+            continue
+        reached.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            left.add(v)
+            for w in sorted(nbrs[v]):
+                if w not in left:
+                    out.append(ids[v, w])
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+    return out
+
+
 def counting_identity_sides(g: Graph, e: int) -> int:
     """Sum over the two endpoint neighborhoods of (degree - 1)."""
     u, v = g.edges[e]
@@ -179,7 +220,7 @@ def _greedy_oracle(g: Graph, palette_size: int, contact_aware: bool) -> tuple[Co
         near = [f for f in nbs[e].n2 if colors[f] == c]
         return not near or (len(near) == 1 and all(colors[h] != c for h in nbs[near[0]].n2))
 
-    for e in bfs_edge_order(g):
+    for e in naive_bfs_edge_order(g):
         used = {colors[f] for f in nbs[e].f_set}
         allowed = [c for c in range(1, palette_size + 1) if c not in used]
         if not allowed:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from _oracles import counting_rows
+from _oracles import counting_rows, verify_mode
 
 import semistrong
 from semistrong import families
@@ -19,9 +19,9 @@ from semistrong.cli import MAX_EDGES, cli
 from semistrong.coloring import from_list
 from semistrong.exact import Budget, exact_index
 from semistrong.formats import MAX_VERTICES, _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
-from semistrong.graph import build_graph
+from semistrong.graph import bfs_edge_order, build_graph
 from semistrong.solver import _greedy, solve
-from semistrong.verify import badness, verify_mode
+from semistrong.verify import badness
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -677,7 +677,7 @@ def test_verify_reads_no_row_per_spoke_on_a_wheel(tmp_path, capsys, monkeypatch,
 
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
     g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
-    coloring = _greedy(g, n * n - 1).to_coloring()
+    coloring = _greedy(g, n * n - 1, bfs_edge_order(g)).to_coloring()
     gpath = tmp_path / "g.txt"
     gpath.write_text(emit_edge_list(g))
     cpath = tmp_path / "c.json"

@@ -13,7 +13,7 @@ from _oracles import contact_greedy, contact_state, smallest_color_start
 from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.formats import parse_edge_list
-from semistrong.graph import build_graph, is_connected, max_degree
+from semistrong.graph import bfs_edge_order, build_graph, connected_components, is_connected, max_degree
 from semistrong.neighborhood import compute_neighborhood
 from semistrong.solver import (
     EngineInvariantError,
@@ -478,11 +478,11 @@ def _hub_graph():
 
 def test_greedy_color_masks_stay_small_on_a_hub_graph():
     hub = _hub_graph()
-    g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
+    g = max((view.graph for view in connected_components(hub)), key=lambda h: h.edge_count)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        state = solver._greedy(g, 40 * 40 - 1)
+        state = solver._greedy(g, 40 * 40 - 1, bfs_edge_order(g))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -511,7 +511,7 @@ def test_greedy_asks_contacts_nothing_on_a_wheel(monkeypatch):
     calls = _counting_contacts(monkeypatch)
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
     g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
-    state = solver._greedy(g, n * n - 1)
+    state = solver._greedy(g, n * n - 1, bfs_edge_order(g))
     # each rim edge met every spoke color twice, at the hub, and per-color
     # tallies asked contacts about each: 998,000 calls
     assert len(calls) <= g.edge_count
@@ -532,11 +532,11 @@ def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
                 oracle, fell = contact_greedy(g, k)
             except PaletteExhaustedError as exc:
                 with pytest.raises(PaletteExhaustedError) as ours:
-                    solver._greedy(g, k)
+                    solver._greedy(g, k, bfs_edge_order(g))
                 assert (ours.value.edge, ours.value.palette_size) == (exc.edge, k)
                 stuck += 1
                 continue
-            state = solver._greedy(g, k)
+            state = solver._greedy(g, k, bfs_edge_order(g))
             assert state.to_coloring() == oracle
             assert (state.at, state.count) == contact_state(g, state.colors)
             fallbacks += fell
@@ -547,7 +547,7 @@ def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
 
 def test_repair_state_is_linear_in_the_edge_count():
     hub = _hub_graph()
-    g = max((view.graph for view in solver.connected_components(hub)), key=lambda h: h.edge_count)
+    g = max((view.graph for view in connected_components(hub)), key=lambda h: h.edge_count)
     assert max_degree(g) == 40 and g.edge_count > 2500
     start = smallest_color_start(g, 40 * 40 - 1)
     # the state and a whole repair: per-edge N2 and forbidden-set lists with

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import dataclasses
 import pickle
 import random
 
 import pytest
-from _oracles import random_union
+from _oracles import naive_bfs_edge_order, random_union
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistrong import families
 from semistrong.graph import (
     GraphError,
+    _bipartition,
+    _walk,
     bfs_edge_order,
     build_graph,
     connected_components,
@@ -303,3 +306,33 @@ def test_bfs_edge_order_covers_all():
     for g in [families.prism(4), build_graph(5, [(0, 1), (3, 4)])]:
         order = bfs_edge_order(g)
         assert sorted(order) == list(range(g.edge_count))
+
+
+def test_walk_matches_the_definition_and_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(27)
+    graphs = [build_graph(0, []), build_graph(6, []), families.prism(5), families.complete_bipartite(3, 4)]
+    graphs += [random_union(random.Random(seed)) for seed in range(30)]
+    for _ in range(40):  # sparse and dense, connected or not, isolated vertices kept
+        n, density = rng.randint(1, 14), rng.choice((0.1, 0.3, 0.7))
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < density]
+        rng.shuffle(pairs)
+        graphs.append(build_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]))
+    kinds = set()
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.vertex_count))
+        G.add_edges_from(g.edges)
+        assert bfs_edge_order(g) == naive_bfs_edge_order(g)
+        label, side, order, starts = _walk(g)
+        comps = sorted(sorted(c) for c in nx.connected_components(G))
+        assert len(starts) - 1 == len(comps)
+        assert [[v for v in range(g.vertex_count) if label[v] == i] for i in range(len(comps))] == comps
+        for i, comp in enumerate(comps):
+            assert sorted(order[starts[i] : starts[i + 1]]) == [e for e, (u, _) in enumerate(g.edges) if label[u] == i]
+        colors = _bipartition(g)
+        assert (colors is None) == (not nx.is_bipartite(G))
+        if colors is not None:
+            assert all(colors[u] != colors[v] for u, v in g.edges)
+        kinds.add((len(comps) > 1, g.edge_count == 0, colors is None))
+    assert {(True, True, False), (True, False, False), (False, False, False), (True, False, True), (False, False, True)} <= kinds

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import contact_greedy, contact_state, smallest_color_start
 from semistrong import families
-from semistrong.graph import connected_components, g_family_witness, is_complete_bipartite_dd, max_degree
+from semistrong.graph import bfs_edge_order, connected_components, g_family_witness, is_complete_bipartite_dd, max_degree
 from semistrong.neighborhood import compute_neighborhood
 from semistrong.solver import MODES, PaletteExhaustedError, _Contacts, _greedy, _repair_engine, greedy_good_coloring, solve
 from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
@@ -68,7 +68,7 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
     # forbidden set, where the contact rule falls back more often
     enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
     k = max(enough, delta * delta - 1 - (delta * delta) * tight // 4)
-    state = _greedy(g, k)
+    state = _greedy(g, k, bfs_edge_order(g))
     start = state.to_coloring()
     oracle, fallbacks = contact_greedy(g, k)
     assert start == oracle and is_good_coloring(g, start)
@@ -110,7 +110,7 @@ def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
     enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
 
     def ours(g, k):
-        state = _greedy(g, k)
+        state = _greedy(g, k, bfs_edge_order(g))
         return state.to_coloring(), state.at, state.count
 
     def oracle(g, k):

@@ -9,6 +9,7 @@ from semistrong import construct, families, graph, solver
 from semistrong.coloring import from_list
 from semistrong.graph import (
     Graph,
+    GraphError,
     build_graph,
     connected_components,
     g_family_witness,
@@ -258,17 +259,34 @@ def test_solve_recognizes_each_special_component_once(monkeypatch):
     # K_{3,3} and the 3-prism are 3-regular on 6 vertices; the 4-prism is not
     parts = [families.complete_bipartite(3, 3)] * 10 + [families.prism(3)] * 10 + [families.prism(4)] * 10
     g = _shuffled_union(parts, 23)
-    labels = _count_calls(monkeypatch, "_component_labels")
-    kdd = _count_calls(monkeypatch, "is_complete_bipartite_dd")
-    bipartitions = _count_calls(monkeypatch, "_bipartition")
+    walks = _count_calls(monkeypatch, "_walk")
+    others = [_count_calls(monkeypatch, name) for name in ("is_complete_bipartite_dd", "_bipartition", "bfs_edge_order")]
     for mode in ("semistrong", "relaxed01"):
-        labels.clear()
-        bipartitions.clear()
+        walks.clear()
         res = solve(g, mode)
         assert sorted(t.strategy for t in res.trace) == ["g_family"] * 10 + ["greedy_repair"] * 10 + ["kdd"] * 10
-        assert len(labels) == 1
-        assert len(bipartitions) == 20
-        assert not kdd
+        # one walk gives the components, their edge orders and their sides
+        assert len(walks) == 1
+        assert not any(others)
+    walks.clear()
+    assert solve(families.prism(7), "semistrong").trace[0].strategy == "greedy_repair"
+    assert len(walks) == 1
+
+
+def test_connectivity_checks_build_no_component(monkeypatch):
+    g = _shuffled_union([families.prism(3), families.prism(4)], 5)
+    c = greedy_good_coloring(g, 8)
+
+    def refuse(*args):
+        raise AssertionError("a connectivity check relabelled a component")
+
+    monkeypatch.setattr(graph, "_induced", refuse)
+    with pytest.raises(GraphError) as exc:
+        repair(g, c)
+    assert exc.value.reason == "disconnected"
+    with pytest.raises(GraphError) as exc:
+        construct.color_g_family(g, 0)
+    assert exc.value.reason == "disconnected"
 
 
 def test_solve_dispatch_matches_the_public_recognizers():
@@ -378,7 +396,7 @@ def test_solve_colors_paths_cycles_and_trivial_components_on_the_parent(monkeypa
         raise AssertionError("solve split the graph with connected_components")
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
-    monkeypatch.setattr(solver, "connected_components", refuse)
+    monkeypatch.setattr(graph, "connected_components", refuse)
     for mode in ("semistrong", "relaxed01"):
         res = solve(g, mode, debug=True)
         assert res.certificates[mode]
@@ -498,18 +516,18 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
     g = families.hypercube(3)
     greedy = solver._greedy
 
-    def miscounted(h, k):
-        state = greedy(h, k)
+    def miscounted(h, k, order):
+        state = greedy(h, k, order)
         state.count[0] += 1
         return state
 
-    def not_good(h, k):
-        state = greedy(h, k)
+    def not_good(h, k, order):
+        state = greedy(h, k, order)
         state.colors[1] = state.colors[0]  # edges 0 and 1 share vertex 0
         return state
 
-    def unmapped(h, k):
-        state = greedy(h, k)
+    def unmapped(h, k, order):
+        state = greedy(h, k, order)
         del state.at[h.edges[0][0]][state.colors[0]]
         return state
 
