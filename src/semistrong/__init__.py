@@ -23,7 +23,6 @@ from .solver import (
     MoveProposal,
     PaletteExhaustedError,
     SolveResult,
-    find_improving_move,
     greedy_good_coloring,
     repair,
     solve,
@@ -62,7 +61,6 @@ __all__ = [
     "connected_components",
     "exact_index",
     "feasibility",
-    "find_improving_move",
     "g_family_witness",
     "greedy_good_coloring",
     "is_complete_bipartite_dd",

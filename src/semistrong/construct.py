@@ -8,6 +8,8 @@ Colorings are returned in the edge order of the corresponding
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import families
 from .coloring import Coloring, from_list
 from .graph import (
@@ -57,21 +59,17 @@ def color_cycle(n: int) -> Coloring:
     return from_list(cycle_pattern(n, relaxed=False))
 
 
-def kdd_relaxed_colors(g: Graph, side: list[int]) -> list[int]:
+def kdd_relaxed_colors(g: Graph, part, side: list[int], colors: list[int]) -> None:
     """Pair opposite edges u_i v_j / u_j v_i, and pair consecutive diagonal
     edges u_i v_i; ceil(d^2/2) colors, valid with one same-colored edge
-    allowed at distance 2. Unchecked: g is K_{d,d} and side its 2-coloring."""
-    left = [v for v, s in enumerate(side) if s == 0]
-    right = [v for v, s in enumerate(side) if s == 1]
+    allowed at distance 2, written into colors at g's edge ids. Unchecked:
+    the component of g on part (its vertices, increasing) is K_{d,d}, and
+    side 2-colors it."""
+    left = [v for v in part if side[v] == 0]
+    right = [v for v in part if side[v] == 1]
     d = len(left)
-    pair_color: dict[tuple[int, int], int] = {}
-    nxt = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair_color[(i, j)] = nxt
-            nxt += 1
-    diag_base = nxt - 1  # d*(d-1)/2 colors so far
-    colors = [0] * g.edge_count
+    pair_color = {pair: c for c, pair in enumerate(combinations(range(d), 2), 1)}
+    diag_base = len(pair_color)  # d*(d-1)/2 colors so far
     for i in range(d):
         for j in range(d):
             e = g.edge_between(left[i], right[j])
@@ -80,7 +78,6 @@ def kdd_relaxed_colors(g: Graph, side: list[int]) -> list[int]:
                 colors[e] = diag_base + (i // 2) + 1
             else:
                 colors[e] = pair_color[(min(i, j), max(i, j))]
-    return colors
 
 
 def color_kdd_semistrong(d: int) -> Coloring:
@@ -95,13 +92,17 @@ def color_kdd_relaxed(d: int) -> Coloring:
     """ceil(d^2/2)-coloring of the canonical K_{d,d}, (0,1)-relaxed valid."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    colors = [0] * (d * d)
     # the canonical left part is 0..d-1
-    return from_list(kdd_relaxed_colors(families.complete_bipartite(d, d), [0] * d + [1] * d))
+    kdd_relaxed_colors(families.complete_bipartite(d, d), range(2 * d), [0] * d + [1] * d, colors)
+    return from_list(colors)
 
 
-def g_family_colors(g: Graph, witness: int) -> list[int]:
-    """color_g_family's colors, unchecked: g is in the covering-edge family
-    and not K_{d,d}, and witness is one of its covering edges."""
+def g_family_colors(g: Graph, edges, witness: int, colors: list[int]) -> None:
+    """color_g_family's colors, written into colors at g's edge ids.
+    Unchecked: the component of g on edges (its edge ids) is in the
+    covering-edge family and not K_{d,d}, and witness is one of its covering
+    edges."""
     u, v = g.edges[witness]
     # neighbor-sorted, so the first free pair is the smallest; N(u) and N(v)
     # are disjoint, so a and b below always differ
@@ -111,8 +112,9 @@ def g_family_colors(g: Graph, witness: int) -> list[int]:
     if chosen is None:
         raise GraphError("no_free_pair", "no non-adjacent pendant pair exists (graph must be K_{d,d})")
     pair = (g.edge_between(u, chosen[0]), g.edge_between(v, chosen[1]))
-    rest = iter(range(2, g.edge_count))
-    return [1 if e in pair else next(rest) for e in range(g.edge_count)]
+    rest = iter(range(2, len(edges)))
+    for e in sorted(edges):
+        colors[e] = 1 if e in pair else next(rest)
 
 
 def color_g_family(g: Graph, witness: int) -> Coloring:
@@ -137,4 +139,6 @@ def color_g_family(g: Graph, witness: int) -> Coloring:
     cover = set(g.neighbors(u)) | set(g.neighbors(v))
     if len(cover) != g.vertex_count:
         raise GraphError("bad_witness", f"edge {witness} does not cover all vertices")
-    return from_list(g_family_colors(g, witness), d * d - 1)
+    colors = [0] * g.edge_count
+    g_family_colors(g, range(g.edge_count), witness, colors)
+    return from_list(colors, d * d - 1)

@@ -140,21 +140,20 @@ def _component_parts(label: list[int], count: int) -> list[range] | list[list[in
     return parts
 
 
-def _induced(g: Graph, part, edges: list[int]) -> tuple[Graph, list[int], list[int]]:
+def _induced(g: Graph, part, edges) -> tuple[Graph, list[int]]:
     """The component of g on part (its vertices, increasing) and edges (its
-    parent edge ids in walk order), re-indexed from 0; its parent edge ids,
-    increasing; and edges in local ids.
+    parent edge ids), re-indexed from 0, and its parent edge ids, increasing:
+    for connected_components, repair's F3 fallback and the debug checkers.
 
     The parent's adjacency is validated and neighbor-sorted, and local labels
-    keep the parent's vertex and edge order, so it is relabelled, not rebuilt,
-    and the walk order in local ids is the component's own walk order."""
+    keep the parent's vertex and edge order, so it is relabelled, not rebuilt."""
     adjacency = g.adjacency
     local = {v: i for i, v in enumerate(part)}
     ids = sorted(edges)
     local_edge = {e: i for i, e in enumerate(ids)}
     pairs = tuple([(local[u], local[v]) for u, v in map(g.edges.__getitem__, ids)])
     rows = tuple([tuple([(local[w], local_edge[e]) for w, e in adjacency[v]]) for v in part])
-    return Graph(len(part), pairs, rows), ids, [local_edge[e] for e in edges]
+    return Graph(len(part), pairs, rows), ids
 
 
 def connected_components(g: Graph) -> list[ComponentView]:
@@ -168,7 +167,7 @@ def connected_components(g: Graph) -> list[ComponentView]:
         return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
     views: list[ComponentView] = []
     for part, a, b in zip(parts, starts, starts[1:]):
-        comp, ids, _ = _induced(g, part, order[a:b])
+        comp, ids = _induced(g, part, order[a:b])
         views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views
 
@@ -177,9 +176,9 @@ def is_connected(g: Graph) -> bool:
     return len(_walk(g)[3]) <= 2  # at most one component start
 
 
-def _two_colors(g: Graph, side: list[int]) -> bool:
-    """True iff every edge of g joins the two sides: side is a 2-coloring."""
-    return all(side[u] != side[v] for u, v in g.edges)
+def _two_colors(g: Graph, edges, side: list[int]) -> bool:
+    """True iff each of the given edges of g joins the two sides of side."""
+    return all(side[u] != side[v] for u, v in map(g.edges.__getitem__, edges))
 
 
 def is_complete_bipartite_dd(g: Graph, d: int) -> bool:
@@ -195,13 +194,7 @@ def is_complete_bipartite_dd(g: Graph, d: int) -> bool:
         return False
     if any(g.degree(v) != d for v in range(g.vertex_count)):
         return False
-    return _two_colors(g, side) and sum(side) == d  # parts of size d and d
-
-
-def _bipartition(g: Graph) -> list[int] | None:
-    """The walk's depth parities, a 2-coloring, or None if an odd cycle exists."""
-    side = _walk(g)[1]
-    return side if _two_colors(g, side) else None
+    return _two_colors(g, range(g.edge_count), side) and sum(side) == d  # parts of size d and d
 
 
 def g_family_witness(g: Graph) -> int | None:
@@ -211,15 +204,20 @@ def g_family_witness(g: Graph) -> int | None:
     A non-None result certifies membership in the family the solver must
     special-case before running greedy + repair.
     """
-    n = g.vertex_count
+    return _covering_edge(g, range(g.vertex_count), range(g.edge_count))
+
+
+def _covering_edge(g: Graph, part, edges) -> int | None:
+    """g_family_witness of the component of g on part (its vertices) and
+    edges (its edge ids), in g's ids."""
+    n = len(part)
     if n == 0 or n % 2 != 0:
         return None
-    d = n // 2
-    if any(g.degree(v) != d for v in range(n)):
+    if any(g.degree(v) != n // 2 for v in part):
         return None
-    for idx, (u, v) in enumerate(g.edges):
-        cover = set(g.neighbors(u)) | set(g.neighbors(v))
-        if len(cover) == n:
+    for idx in sorted(edges):
+        u, v = g.edges[idx]
+        if len(set(g.neighbors(u)) | set(g.neighbors(v))) == n:
             return idx
     return None
 

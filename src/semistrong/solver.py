@@ -60,6 +60,7 @@ from .graph import (
     Graph,
     GraphError,
     _component_parts,
+    _covering_edge,
     _induced,
     _two_colors,
     _walk,
@@ -127,11 +128,11 @@ def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:
     When no color qualifies, the smallest color outside the forbidden set.
     Raises PaletteExhaustedError when an edge has no color left (only
     possible when some |f_set| >= palette_size)."""
-    return _greedy(g, palette_size, bfs_edge_order(g)).to_coloring()
+    return _greedy(_Contacts(g, palette_size), bfs_edge_order(g)).to_coloring()
 
 
 class _Contacts:
-    """A good coloring, possibly partial (color 0, count 0), with every
+    """A good coloring of g, possibly partial (color 0, count 0), with every
     edge's count of same-colored 2-neighbors: the state greedy builds and
     repair moves.
 
@@ -142,14 +143,22 @@ class _Contacts:
     color over the ring, in O(Delta); ``contacts`` is the engine's statement
     of the forbidden-set and contact rule, which greedy reads off its color
     masks and asks contacts only where they cannot tell.
+
+    One state serves a whole solve: ``part``, ``edges`` and ``k`` are the
+    vertices, edge ids and palette of the component in hand (all of g until
+    solve sets them), and greedy, the engine and check read only those.
+    ``held`` and ``hot`` are greedy's color masks.
     """
 
     def __init__(self, g: Graph, k: int):
         self.g = g
         self.k = k
+        self.part, self.edges = range(g.vertex_count), range(g.edge_count)
         self.colors = [0] * g.edge_count
         self.count = [0] * g.edge_count
         self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+        self.held = [0] * g.vertex_count
+        self.hot = [0] * g.vertex_count
 
     @classmethod
     def of(cls, g: Graph, c: Coloring) -> _Contacts:
@@ -203,23 +212,26 @@ class _Contacts:
         return found
 
     def check(self, what: str) -> None:
-        """Hold the coloring to is_good_coloring, ``count`` to badness and
+        """Hold the component in hand, on its own Graph, to the reference
+        checkers: its coloring to is_good_coloring, ``count`` to badness and
         ``at`` to a state built from scratch; raise EngineInvariantError."""
-        g = self.g
-        coloring = self.to_coloring()
-        if not is_good_coloring(g, coloring):
+        comp, ids = _induced(self.g, self.part, self.edges)
+        coloring = from_list([self.colors[e] for e in ids], self.k)
+        if not is_good_coloring(comp, coloring):
             raise EngineInvariantError(f"{what} is not a good coloring")
-        recount = [0] * g.edge_count
-        for e, f in badness(g, coloring).bad_pairs:
+        recount = [0] * comp.edge_count
+        for e, f in badness(comp, coloring).bad_pairs:
             recount[e] += 1
             recount[f] += 1
-        if recount != self.count or _Contacts.of(g, coloring).at != self.at:
+        at = [{c: ids[e] for c, e in row.items()} for row in _Contacts.of(comp, coloring).at]
+        if recount != [self.count[e] for e in ids] or at != [self.at[v] for v in self.part]:
             raise EngineInvariantError(f"{what}: the contact counts or color maps disagree with a recount")
 
 
-def _greedy(g: Graph, palette_size: int, order: list[int]) -> _Contacts:
-    """greedy_good_coloring's coloring, with its contact counts, placing the
-    edges in order, g's breadth-first edge order.
+def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
+    """Place the edges in order, the component in hand's breadth-first edge
+    order, as greedy_good_coloring does from the palette [1, state.k], into
+    state; return state.
 
     ``held[x]`` is a bitmask of the colors at vertex x, bit c for color c, and
     ``hot[x]`` the part of it whose edge already has a same-colored
@@ -232,13 +244,11 @@ def _greedy(g: Graph, palette_size: int, order: list[int]) -> _Contacts:
     qualifies does greedy walk the colors outside e's ends, where one met
     twice or more is two contacts or one edge met twice, which only contacts
     tells apart."""
+    palette_size = state.k
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
-    state = _Contacts(g, palette_size)
-    at, contacts, place = state.at, state.contacts, state.place
-    edges, adjacency = g.edges, g.adjacency
-    held = [0] * g.vertex_count
-    hot = [0] * g.vertex_count
+    at, contacts, place, held, hot = state.at, state.contacts, state.place, state.held, state.hot
+    edges, adjacency = state.g.edges, state.g.adjacency
     top = 1 << palette_size
     for e in order:
         u, v = edges[e]
@@ -283,12 +293,13 @@ def _greedy(g: Graph, palette_size: int, order: list[int]) -> _Contacts:
 
 
 class _Engine:
-    """The repair search over a _Contacts state, which it takes over and
-    moves. Beside it the engine keeps ``bad``, the edges of count two or
-    more; ``heap``, every bad edge and maybe stale entries; and ``sum_pairs``,
-    the sum of all counts (twice kappa2). Only ``_lift`` and ``_place`` update
-    them, so ``try_move`` scores a candidate by making it and undoes a
-    rejected one, in O(Delta) per moved edge either way.
+    """The repair search over the component in hand of a _Contacts state,
+    which it takes over and moves. Beside it the engine keeps ``bad``, the
+    component's edges of count two or more; ``heap``, every bad edge and maybe
+    stale entries; and ``sum_pairs``, the sum of the component's counts (twice
+    kappa2). Only ``_lift`` and ``_place`` update them, so ``try_move`` scores
+    a candidate by making it and undoes a rejected one, in O(Delta) per moved
+    edge either way.
     """
 
     def __init__(self, state: _Contacts, debug: bool = False):
@@ -298,10 +309,10 @@ class _Engine:
         self._nbs: dict[int, EdgeNeighborhood] = {}
         self.k = state.k
         self.debug = debug
-        self.bad = {e for e, n in enumerate(state.count) if n >= 2}
+        self.bad = {e for e in state.edges if state.count[e] >= 2}
         self.heap = sorted(self.bad)
-        self.sum_pairs = sum(state.count)  # == 2 * kappa2
-        self.delta = max_degree(g)
+        self.sum_pairs = sum(map(state.count.__getitem__, state.edges))  # == 2 * kappa2
+        self.delta = max(map(g.degree, state.part), default=0)
         self.enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
 
     # -- potential bookkeeping -------------------------------------------
@@ -326,9 +337,9 @@ class _Engine:
     def smallest_bad(self) -> int | None:
         """The smallest bad edge, dropping stale heap tops; None when there
         is no bad edge. The heap is rebuilt from the bad set once stale
-        entries make it longer than twice the edge count."""
+        entries make it longer than twice the component's edge count."""
         heap, bad = self.heap, self.bad
-        if len(heap) > 2 * self.g.edge_count:
+        if len(heap) > 2 * len(self.state.edges):
             heap[:] = bad
             heapq.heapify(heap)
         while heap and heap[0] not in bad:
@@ -392,8 +403,8 @@ class _Engine:
     def _debug_check(self, move: MoveProposal):
         what = f"move {move.schema} {move.assignments}"
         self.state.check(what)
-        count = self.state.count
-        if self.bad != {e for e, n in enumerate(count) if n >= 2} or self.sum_pairs != sum(count):
+        count, edges = self.state.count, self.state.edges
+        if self.bad != {e for e in edges if count[e] >= 2} or self.sum_pairs != sum(map(count.__getitem__, edges)):
             raise EngineInvariantError(f"{what}: the bad set or pair sum disagrees with full recomputation")
 
     # -- schema candidate generators --------------------------------------
@@ -458,7 +469,7 @@ class _Engine:
     def _fail(self, e: int, what: str):
         raise EngineInvariantError(
             f"bad edge {e}: {what} must hold once the shallow schemas are exhausted "
-            f"(graph n={self.g.vertex_count} m={self.g.edge_count}, palette {self.k})"
+            f"(component n={len(self.state.part)} m={len(self.state.edges)}, palette {self.k})"
         )
 
     def _assert_stage1(self, bad: list[int]):
@@ -545,22 +556,9 @@ class _Engine:
         return None
 
 
-def find_improving_move(g: Graph, c: Coloring) -> MoveProposal | None:
-    """One strictly-improving move for a good coloring with bad edges, from
-    the first of S1, S2, S4, S3 that yields one, or None when all four come
-    up empty (repair then runs the budgeted exact search)."""
-    if not is_good_coloring(g, c):
-        raise ValueError("find_improving_move requires a good coloring")
-    engine = _Engine(_Contacts.of(g, c))
-    if engine.kappa1 == 0:
-        raise ValueError("coloring has no bad edges; nothing to improve")
-    return engine.find_move()
-
-
-def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, ComponentTrace]:
-    """Repair the coloring of state, moving it; the trace is that of a
-    greedy_repair component."""
-    g = state.g
+def _repair_engine(state: _Contacts, debug: bool, mode: str) -> ComponentTrace:
+    """Repair the coloring of the component in hand, moving state; the trace
+    is that of a greedy_repair component."""
     engine = _Engine(state, debug=debug)
     moves: dict[str, int] = {}
     trajectory = [engine.potential()]
@@ -569,21 +567,19 @@ def _repair_engine(state: _Contacts, debug: bool, mode: str) -> tuple[Coloring, 
         move = engine.find_move()
         if move is None:
             fallback_f3 = 1
-            result = _f3_fallback(g, mode, engine.k, engine.bad_edges())
+            _f3_fallback(state, mode, engine.bad_edges())
             break
         after = engine.potential()
         if after >= trajectory[-1]:
             raise EngineInvariantError(f"move {move.schema} did not lower the potential: {trajectory[-1]} -> {after}")
         moves[move.schema] = moves.get(move.schema, 0) + 1
         trajectory.append(after)
-    else:
-        result = state.to_coloring()
-    return result, _trace(
+    return _trace(
         "greedy_repair",
-        g.vertex_count,
-        g.edge_count,
+        len(state.part),
+        len(state.edges),
         engine.delta,
-        result.colors,
+        map(state.colors.__getitem__, state.edges),
         trajectory,
         moves_by_schema=moves,
         fallback_f3=fallback_f3,
@@ -607,12 +603,15 @@ def _trace(strategy: str, vertices: int, edges: int, d: int, colors, trajectory,
     )
 
 
-def _f3_fallback(g: Graph, mode: str, k: int, bad: list[int]) -> Coloring:
+def _f3_fallback(state: _Contacts, mode: str, bad: list[int]) -> None:
+    """Color the component in hand by the exact search, into state.colors only."""
+    comp, ids = _induced(state.g, state.part, state.edges)
+    k = state.k
     budget = exact.Budget(max_nodes=F3_MAX_NODES)
     if mode == "relaxed01":
-        res = exact.feasibility(g, "relaxed", k, budget, s=0, t=1)
+        res = exact.feasibility(comp, "relaxed", k, budget, s=0, t=1)
     else:
-        res = exact.feasibility(g, "semistrong", k, budget)
+        res = exact.feasibility(comp, "semistrong", k, budget)
     if res.status == "timeout":
         raise EngineInvariantError(
             f"exact fallback ran out of its {F3_MAX_NODES}-node budget at {k} colors in {mode} mode; "
@@ -623,7 +622,8 @@ def _f3_fallback(g: Graph, mode: str, k: int, bad: list[int]) -> Coloring:
             f"exact fallback could not certify {k} colors in {mode} mode; "
             "the repair engine and the feasibility search disagree"
         )
-    return res.coloring
+    for e, c in zip(ids, res.coloring.colors):
+        state.colors[e] = c
 
 
 def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong") -> Coloring:
@@ -642,8 +642,8 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     state = _Contacts.of(g, c)
     if max(state.count) < 2:
         return c
-    result, _ = _repair_engine(state, debug, mode)
-    return result
+    _repair_engine(state, debug, mode)
+    return state.to_coloring()
 
 
 def _color_path_or_cycle(g: Graph, part, d: int, mode: str, colors: list[int]) -> ComponentTrace:
@@ -671,32 +671,32 @@ def _color_path_or_cycle(g: Graph, part, d: int, mode: str, colors: list[int]) -
     return _trace("trivial" if d == 1 else "delta2", n, len(pattern), d, pattern, [])
 
 
-def _solve_component(
-    comp: Graph, d: int, mode: str, debug: bool, order: list[int], side: list[int]
-) -> tuple[list[int], ComponentTrace]:
-    """Color a connected graph of maximum degree d >= 3, given its
-    breadth-first edge order and its vertices' depth parities."""
+def _solve_component(state: _Contacts, d: int, mode: str, debug: bool, side: list[int]) -> ComponentTrace:
+    """Color the component in hand, of maximum degree d >= 3 and with its
+    edges in breadth-first order, given the walk's depth parities."""
+    g, part, edges, colors, count = state.g, state.part, state.edges, state.colors, state.count
     trajectory: list[tuple[int, int]] = []
-    if (witness := g_family_witness(comp)) is not None:
+    if (witness := _covering_edge(g, part, edges)) is not None:
         # d-regular on 2d vertices with a covering edge: connected, and
         # bipartite only as K_{d,d}, every edge of which covers
-        if not _two_colors(comp, side):
-            strategy, colors = "g_family", g_family_colors(comp, witness)
-        elif mode == "semistrong":
-            strategy, colors = "kdd", list(range(1, comp.edge_count + 1))
+        strategy = "kdd" if _two_colors(g, edges, side) else "g_family"
+        if strategy == "g_family":
+            g_family_colors(g, edges, witness, colors)
+        elif mode == "relaxed01":
+            kdd_relaxed_colors(g, part, side, colors)
         else:
-            strategy, colors = "kdd", kdd_relaxed_colors(comp, side)
+            for c, e in enumerate(sorted(edges), 1):
+                colors[e] = c
     else:
         strategy = "greedy_repair"
-        state = _greedy(comp, d * d - 1, order)
+        _greedy(state, edges)
         if debug:
             state.check("the greedy start")
-        if max(state.count) > 1:
-            repaired, trace = _repair_engine(state, debug, mode)
-            return list(repaired.colors), trace
+        if max(map(count.__getitem__, edges)) > 1:
+            return _repair_engine(state, debug, mode)
         # no bad edge: the start is the repaired coloring, with no engine built
-        colors, trajectory = state.colors, [(0, sum(state.count) // 2)]
-    return colors, _trace(strategy, comp.vertex_count, comp.edge_count, d, colors, trajectory)
+        trajectory = [(0, sum(map(count.__getitem__, edges)) // 2)]
+    return _trace(strategy, len(part), len(edges), d, map(colors.__getitem__, edges), trajectory)
 
 
 def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
@@ -704,28 +704,27 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
 
     Components reuse palettes (colors are shared across components), so the
     total color count is the maximum over components. One breadth-first walk
-    gives the components, their edge orders and their depth parities; a
-    component of maximum degree <= 2 is colored on g's own rows, and only one
-    of maximum degree >= 3 gets a relabelled Graph, unless it is all of g.
-    Traces follow the components' smallest vertices.
+    gives the components, their edge orders and their depth parities. Every
+    component is colored on g's own rows, with no Graph built for it: one of
+    maximum degree <= 2 by a walk along it, and one of maximum degree >= 3 on
+    one _Contacts state that serves them all. Traces follow the components'
+    smallest vertices.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     adjacency = g.adjacency
-    colors = [0] * g.edge_count
+    # each component of maximum degree >= 3 sets its own palette on the state
+    state = _Contacts(g, 0) if max_degree(g) >= 3 else None
+    colors = state.colors if state else [0] * g.edge_count
     traces: list[ComponentTrace] = []
     label, side, order, starts = _walk(g)
-    parts = _component_parts(label, len(starts) - 1)
-    for part, a, b in zip(parts, starts, starts[1:]):
+    for part, a, b in zip(_component_parts(label, len(starts) - 1), starts, starts[1:]):
         d = max(map(len, map(adjacency.__getitem__, part)))
         if d <= 2:
             traces.append(_color_path_or_cycle(g, part, d, mode, colors))
-            continue
-        comp, ids, local = (g, range(g.edge_count), order) if len(parts) == 1 else _induced(g, part, order[a:b])
-        local_colors, trace = _solve_component(comp, d, mode, debug, local, [side[v] for v in part])
-        for pe, c in zip(ids, local_colors):
-            colors[pe] = c
-        traces.append(trace)
+        else:
+            state.part, state.edges, state.k = part, order[a:b], d * d - 1
+            traces.append(_solve_component(state, d, mode, debug, side))
     coloring = from_list(colors, max(colors, default=0))
     cert = certify(g, coloring)
     if debug and cert != (

@@ -209,7 +209,9 @@ def test_repair_on_cut_gadget():
     g, c = cut_gadget()
     assert is_good_coloring(g, c)
     assert badness(g, c).kappa1 >= 1
-    out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode="semistrong")
+    state = _Contacts.of(g, c)
+    trace = _repair_engine(state, debug=True, mode="semistrong")
+    out = state.to_coloring()
     assert badness(g, out).kappa1 == 0
     assert trace.fallback_f3 == 0
 
@@ -232,7 +234,9 @@ def test_repair_random_good_starts():
         assert is_connected(g) and max_degree(g) >= 3
         for _ in range(25):
             c = random_good_coloring(g, max_degree(g) ** 2 - 1, rng)
-            out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode="semistrong")
+            state = _Contacts.of(g, c)
+            trace = _repair_engine(state, debug=True, mode="semistrong")
+            out = state.to_coloring()
             assert badness(g, out).kappa1 == 0
             assert trace.fallback_f3 == 0
             schemas_seen.update(trace.moves_by_schema)
@@ -248,11 +252,15 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
     rng = random.Random(9)
     g = families.prism(5)
     c = bad_state(g, rng)
-    out, trace = _repair_engine(_Contacts.of(g, c), debug=False, mode="semistrong")
+    state = _Contacts.of(g, c)
+    trace = _repair_engine(state, debug=False, mode="semistrong")
+    out = state.to_coloring()
     assert trace.fallback_f3 == 1
     assert verify_semistrong(g, out).ok
 
-    out, trace = _repair_engine(_Contacts.of(g, c), debug=False, mode="relaxed01")
+    state = _Contacts.of(g, c)
+    trace = _repair_engine(state, debug=False, mode="relaxed01")
+    out = state.to_coloring()
     assert trace.fallback_f3 == 1
     assert verify_relaxed(g, out, 0, 1).ok
 
@@ -275,7 +283,9 @@ def test_below_bound_run_ends_in_a_verified_f3_coloring():
     assert _Engine(_Contacts.of(g, stuck)).find_move() is None
     start = from_list(BELOW_BOUND_START, 6)
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode=mode)
+        state = _Contacts.of(g, start)
+        trace = _repair_engine(state, debug=True, mode=mode)
+        out = state.to_coloring()
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
         assert trace.kappa_trajectory[-1] == (1, 4)
         assert trace.fallback_f3 == 1
@@ -289,7 +299,9 @@ def test_prism5_fixture_repair_makes_a_two_edge_s2_move():
     g = parse_edge_list((Path(__file__).parent / "data" / "prism5.txt").read_text(encoding="utf-8"))
     start = smallest_color_start(g, 8)
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode=mode)
+        state = _Contacts.of(g, start)
+        trace = _repair_engine(state, debug=True, mode=mode)
+        out = state.to_coloring()
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
         assert trace.kappa_trajectory[0] == (9, 12) and trace.kappa_trajectory[-1] == (0, 1)
         assert trace.fallback_f3 == 0 and verify_semistrong(g, out).ok
@@ -388,7 +400,9 @@ def test_schema_fires_first_on_its_witness(monkeypatch, g, colors, schema, move,
     assert eng.find_move() == solver.MoveProposal(move, schema)
     assert ran == list(STAGE_ASSERTS[:stages])
     for mode in ("semistrong", "relaxed01"):
-        out, trace = _repair_engine(_Contacts.of(g, c), debug=True, mode=mode)
+        state = _Contacts.of(g, c)
+        trace = _repair_engine(state, debug=True, mode=mode)
+        out = state.to_coloring()
         assert badness(g, out).kappa1 == 0 and trace.fallback_f3 == 0
         assert trace.moves_by_schema == {schema: 1}
 
@@ -452,7 +466,9 @@ def test_s1_only_repair_never_sorts_the_bad_set(monkeypatch):
     start = smallest_color_start(g, d * d - 1)
     assert badness(g, start).kappa1 > 100
     for debug in (False, True):
-        out, trace = _repair_engine(_Contacts.of(g, start), debug=debug, mode="semistrong")
+        state = _Contacts.of(g, start)
+        trace = _repair_engine(state, debug=debug, mode="semistrong")
+        out = state.to_coloring()
         assert badness(g, out).kappa1 == 0
         assert set(trace.moves_by_schema) == {"S1"} and trace.moves_by_schema["S1"] > 100
     assert sorts == []
@@ -482,7 +498,7 @@ def test_greedy_color_masks_stay_small_on_a_hub_graph():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        state = solver._greedy(g, 40 * 40 - 1, bfs_edge_order(g))
+        state = solver._greedy(_Contacts(g, 40 * 40 - 1), bfs_edge_order(g))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -511,7 +527,7 @@ def test_greedy_asks_contacts_nothing_on_a_wheel(monkeypatch):
     calls = _counting_contacts(monkeypatch)
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
     g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
-    state = solver._greedy(g, n * n - 1, bfs_edge_order(g))
+    state = solver._greedy(_Contacts(g, n * n - 1), bfs_edge_order(g))
     # each rim edge met every spoke color twice, at the hub, and per-color
     # tallies asked contacts about each: 998,000 calls
     assert len(calls) <= g.edge_count
@@ -532,11 +548,11 @@ def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
                 oracle, fell = contact_greedy(g, k)
             except PaletteExhaustedError as exc:
                 with pytest.raises(PaletteExhaustedError) as ours:
-                    solver._greedy(g, k, bfs_edge_order(g))
+                    solver._greedy(_Contacts(g, k), bfs_edge_order(g))
                 assert (ours.value.edge, ours.value.palette_size) == (exc.edge, k)
                 stuck += 1
                 continue
-            state = solver._greedy(g, k, bfs_edge_order(g))
+            state = solver._greedy(_Contacts(g, k), bfs_edge_order(g))
             assert state.to_coloring() == oracle
             assert (state.at, state.count) == contact_state(g, state.colors)
             fallbacks += fell
@@ -556,7 +572,8 @@ def test_repair_state_is_linear_in_the_edge_count():
     try:
         base = tracemalloc.get_traced_memory()[0]
         state = _Contacts.of(g, start)
-        out, trace = _repair_engine(state, debug=False, mode="semistrong")
+        trace = _repair_engine(state, debug=False, mode="semistrong")
+        out = state.to_coloring()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from semistrong import families
 from semistrong.graph import (
     GraphError,
-    _bipartition,
+    _two_colors,
     _walk,
     bfs_edge_order,
     build_graph,
@@ -330,9 +330,8 @@ def test_walk_matches_the_definition_and_networkx():
         assert [[v for v in range(g.vertex_count) if label[v] == i] for i in range(len(comps))] == comps
         for i, comp in enumerate(comps):
             assert sorted(order[starts[i] : starts[i + 1]]) == [e for e, (u, _) in enumerate(g.edges) if label[u] == i]
-        colors = _bipartition(g)
-        assert (colors is None) == (not nx.is_bipartite(G))
-        if colors is not None:
-            assert all(colors[u] != colors[v] for u, v in g.edges)
-        kinds.add((len(comps) > 1, g.edge_count == 0, colors is None))
+        # the walk's depth parities 2-color exactly the bipartite graphs
+        two = _two_colors(g, range(g.edge_count), side)
+        assert two == nx.is_bipartite(G)
+        kinds.add((len(comps) > 1, g.edge_count == 0, not two))
     assert {(True, True, False), (True, False, False), (False, False, False), (True, False, True), (False, False, True)} <= kinds

@@ -32,7 +32,9 @@ def test_clean_good_colorings_pass_both_verifiers():
     for g in _qualifying_random_graphs(40, rng):
         d = max_degree(g)
         start = smallest_color_start(g, d * d - 1)
-        coloring, _ = _repair_engine(_Contacts.of(g, start), debug=False, mode="semistrong")
+        state = _Contacts.of(g, start)
+        _repair_engine(state, debug=False, mode="semistrong")
+        coloring = state.to_coloring()
         assert is_good_coloring(g, coloring)
         assert badness(g, coloring).kappa1 == 0
         assert verify_semistrong(g, coloring).ok
@@ -45,7 +47,7 @@ def test_move_count_within_potential_bound():
         d = max_degree(g)
         start = smallest_color_start(g, d * d - 1)
         rep = badness(g, start)
-        _, trace = _repair_engine(_Contacts.of(g, start), debug=False, mode="semistrong")
+        trace = _repair_engine(_Contacts.of(g, start), debug=False, mode="semistrong")
         moves = sum(trace.moves_by_schema.values())
         assert moves <= rep.kappa1 * (rep.kappa2 + 1) + rep.kappa2
 
@@ -68,7 +70,7 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
     # forbidden set, where the contact rule falls back more often
     enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
     k = max(enough, delta * delta - 1 - (delta * delta) * tight // 4)
-    state = _greedy(g, k, bfs_edge_order(g))
+    state = _greedy(_Contacts(g, k), bfs_edge_order(g))
     start = state.to_coloring()
     oracle, fallbacks = contact_greedy(g, k)
     assert start == oracle and is_good_coloring(g, start)
@@ -110,7 +112,7 @@ def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
     enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
 
     def ours(g, k):
-        state = _greedy(g, k, bfs_edge_order(g))
+        state = _greedy(_Contacts(g, k), bfs_edge_order(g))
         return state.to_coloring(), state.at, state.count
 
     def oracle(g, k):
@@ -136,7 +138,8 @@ def test_repair_engine_from_the_smallest_color_start(n, d, seed):
     start = smallest_color_start(g, delta * delta - 1)
     for mode in MODES:
         state = _Contacts.of(g, start)
-        coloring, trace = _repair_engine(state, debug=True, mode=mode)
+        trace = _repair_engine(state, debug=True, mode=mode)
+        coloring = state.to_coloring()
         assert coloring.distinct_colors() <= delta * delta - 1 and trace.fallback_f3 == 0
         assert verify_semistrong(g, coloring).ok and verify_relaxed(g, coloring, 0, 1).ok
         steps = trace.kappa_trajectory

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,6 @@ from semistrong.solver import (
     _Contacts,
     _Engine,
     _repair_engine,
-    find_improving_move,
     greedy_good_coloring,
     repair,
     solve,
@@ -78,19 +78,6 @@ def test_good_colorings_bad_pairs_are_single_cross():
             assert f in nb.t6
 
 
-def test_find_improving_move_requires_bad_edges():
-    g = families.cycle(7)
-    rainbow = from_list(range(1, 8))
-    with pytest.raises(ValueError):
-        find_improving_move(g, rainbow)
-
-
-def test_find_improving_move_requires_goodness():
-    g = families.cycle(4)
-    with pytest.raises(ValueError):
-        find_improving_move(g, from_list([1, 2, 1, 2]))
-
-
 def test_find_improving_move_progresses():
     # scan seeded graphs until the smallest-color start leaves bad edges,
     # then check the move
@@ -105,17 +92,17 @@ def test_find_improving_move_progresses():
         if rep.kappa1 == 0:
             continue
         found += 1
-        move = find_improving_move(g, c)
+        eng = _Engine(_Contacts.of(g, c))
+        move = eng.find_move()
         assert move is not None
         new_colors = list(c.colors)
         for e, col in move.assignments:
             new_colors[e] = col
+        assert eng.colors == new_colors
         c2 = from_list(new_colors, c.k)
         assert is_good_coloring(g, c2)
         rep2 = badness(g, c2)
         assert rep2.potential < rep.potential
-        eng = _Engine(_Contacts.of(g, c))
-        assert eng.find_move() == move
         assert rep2.potential == eng.potential()
     assert found >= 3  # the corpus really exercises the engine
 
@@ -173,13 +160,13 @@ def test_repair_trajectory_strictly_decreasing():
         d = max_degree(g)
         if d < 3 or g_family_witness(g) is not None:
             continue
-        start = smallest_color_start(g, d * d - 1)
-        coloring, trace = _repair_engine(_Contacts.of(g, start), debug=True, mode="semistrong")
+        state = _Contacts.of(g, smallest_color_start(g, d * d - 1))
+        trace = _repair_engine(state, debug=True, mode="semistrong")
         traj = trace.kappa_trajectory
         for a, b in zip(traj, traj[1:]):
             assert b < a
         assert trace.fallback_f3 == 0
-        assert badness(g, coloring).kappa1 == 0
+        assert badness(g, state.to_coloring()).kappa1 == 0
 
 
 def test_solve_c7_semistrong():
@@ -239,6 +226,16 @@ def _shuffled_union(parts, seed):
     return build_graph(n, pairs)
 
 
+def _union(parts):
+    """The disjoint union of parts, each keeping the order of its labels, and
+    so its breadth-first order and greedy start."""
+    pairs, offset = [], 0
+    for p in parts:
+        pairs += [(u + offset, v + offset) for u, v in p.edges]
+        offset += p.vertex_count
+    return build_graph(offset, pairs)
+
+
 def _count_calls(monkeypatch, name: str) -> list[int]:
     """Count the calls of graph.<name> wherever graph, solver or construct
     bind it; the list holds one entry per call."""
@@ -260,7 +257,7 @@ def test_solve_recognizes_each_special_component_once(monkeypatch):
     parts = [families.complete_bipartite(3, 3)] * 10 + [families.prism(3)] * 10 + [families.prism(4)] * 10
     g = _shuffled_union(parts, 23)
     walks = _count_calls(monkeypatch, "_walk")
-    others = [_count_calls(monkeypatch, name) for name in ("is_complete_bipartite_dd", "_bipartition", "bfs_edge_order")]
+    others = [_count_calls(monkeypatch, name) for name in ("is_complete_bipartite_dd", "bfs_edge_order")]
     for mode in ("semistrong", "relaxed01"):
         walks.clear()
         res = solve(g, mode)
@@ -384,34 +381,48 @@ def test_solve_on_many_components_equals_solve_on_each_component():
 def test_solve_colors_paths_cycles_and_trivial_components_on_the_parent(monkeypatch):
     parts = [families.path(1)] * 4 + [families.path(2)] * 3 + [families.path(n) for n in range(3, 12)]
     parts += [families.cycle(n) for n in range(3, 14)] * 2
+    # K_{3,3}, the 3-prism and the 5-prism: kdd, g_family and greedy_repair
+    parts += [families.complete_bipartite(3, 3), families.prism(3), families.prism(5)] * 2
     g = _shuffled_union(parts, 31)
-    built = []
-    init = Graph.__init__
+    built, states = [], []
+    init, state_init = Graph.__init__, _Contacts.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_state(self, *args):
+        states.append(args)
+        state_init(self, *args)
+
     def refuse(_):
         raise AssertionError("solve split the graph with connected_components")
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(_Contacts, "__init__", counting_state)
     monkeypatch.setattr(graph, "connected_components", refuse)
     for mode in ("semistrong", "relaxed01"):
-        res = solve(g, mode, debug=True)
+        states.clear()
+        res = solve(g, mode)
         assert res.certificates[mode]
         assert len(res.trace) == len(parts)
-        assert {t.strategy for t in res.trace} == {"trivial", "delta2"}
-    assert built == []
+        assert {t.strategy for t in res.trace} == {"trivial", "delta2", "kdd", "g_family", "greedy_repair"}
+        assert len(states) == 1
+        assert built == []
+        # the debug checkers hold each Delta >= 3 component on its own Graph
+        assert solve(g, mode, debug=True).coloring == res.coloring
+        built.clear()
 
 
 def _counting_engines(monkeypatch) -> list:
-    """The graph of every repair engine built from now on."""
+    """The component (vertices, edge ids) and the engine of every repair
+    engine built from now on."""
     built = []
 
     def counting(state, debug=False):
-        built.append(state.g)
-        return _Engine(state, debug)
+        engine = _Engine(state, debug)
+        built.append((state.part, state.edges, engine))
+        return engine
 
     monkeypatch.setattr(solver, "_Engine", counting)
     return built
@@ -425,26 +436,47 @@ def test_checks_on_a_disconnected_graph_build_no_parent_neighborhoods(monkeypatc
     single = []
 
     def counting_single(graph, e):
-        single.append(graph)
+        single.append((graph, e))
         return neighborhood.compute_neighborhood(graph, e)
 
     monkeypatch.setattr(solver, "compute_neighborhood", counting_single)
-    parts = [families.prism(5), families.cycle(7), families.complete_bipartite(3, 3), families.path(5)]
-    g = _shuffled_union(parts, 12)
+    # the fallback graph's start has a bad edge
+    parts = [families.cycle(7), families.complete_bipartite(3, 3), families.path(5), families.prism(4)]
+    g = _union([build_graph(10, FALLBACK_EDGES), _shuffled_union(parts, 12)])
+    views = connected_components(g)
     for mode in ("semistrong", "relaxed01"):
         built.clear()
         single.clear()
         res = solve(g, mode, debug=True)
         assert res.certificates[mode]
         assert '"valid": true' in emit_result(g, res)
-        # at most one build per greedy_repair component, and only when its
-        # start has a bad edge; the certificates and the badness audit count
-        # contacts from the adjacency of the parent
-        repaired = [t for t in res.trace if t.strategy == "greedy_repair"]
-        assert len(repaired) == 1
-        shapes = [(h.vertex_count, h.edge_count) for h in built]
-        assert len(shapes) <= len(repaired) and set(shapes) <= {(t.vertices, t.edges) for t in repaired}
-        assert all(h is not g for h in built + single)
+        # one engine, on the greedy_repair component whose start has a bad
+        # edge, and neighborhoods only of that component's edges; the
+        # certificates and the badness audit count contacts from the adjacency
+        repaired = [set(view.edge_map) for view, t in zip(views, res.trace) if t.strategy == "greedy_repair"]
+        assert len(repaired) == 2 and len(built) == 1
+        edges = set(built[0][1])
+        assert edges in repaired and single
+        assert all(h is g and e in edges for h, e in single)
+
+
+def test_solve_builds_each_engine_on_its_component_s_degree_and_palette(monkeypatch):
+    # K_5 (Delta 4, a clean start) beside the 7-prism (Delta 3) and the C_7
+    # blow-up (Delta 4), whose starts have bad edges: each engine takes its
+    # component's Delta and palette, so the stage asserts stay on
+    built = _counting_engines(monkeypatch)
+    k5 = build_graph(5, list(itertools.combinations(range(5), 2)))
+    g = _union([k5, families.prism(7), families.c7_blowup()])
+    for mode in ("semistrong", "relaxed01"):
+        built.clear()
+        res = solve(g, mode, debug=True)
+        assert res.certificates[mode]
+        assert sorted(engine.delta for _, _, engine in built) == [3, 4]
+        for part, edges, engine in built:
+            assert engine.delta == max(g.degree(v) for v in part)
+            assert engine.enforce_invariants and engine.k == engine.delta**2 - 1
+            # the 7-prism has 21 edges and the blow-up 28, on 14 vertices each
+            assert (len(part), len(edges)) == (14, 21 if engine.delta == 3 else 28)
 
 
 def test_solve_carries_the_certificate_and_kappa_of_its_coloring():
@@ -497,7 +529,7 @@ def test_solve_runs_the_engine_only_when_the_start_has_a_bad_edge(monkeypatch):
     for mode in ("semistrong", "relaxed01"):
         built.clear()
         res = solve(fallback, mode, debug=True)
-        assert [(h.vertex_count, h.edge_count) for h in built] == [(10, 15)]
+        assert [(len(part), len(edges)) for part, edges, _ in built] == [(10, 15)]
         (trace,) = res.trace
         assert trace.strategy == "greedy_repair"
         assert trace.moves_by_schema == {"S1": 3, "S2": 1}
@@ -516,19 +548,19 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
     g = families.hypercube(3)
     greedy = solver._greedy
 
-    def miscounted(h, k, order):
-        state = greedy(h, k, order)
+    def miscounted(state, order):
+        greedy(state, order)
         state.count[0] += 1
         return state
 
-    def not_good(h, k, order):
-        state = greedy(h, k, order)
+    def not_good(state, order):
+        greedy(state, order)
         state.colors[1] = state.colors[0]  # edges 0 and 1 share vertex 0
         return state
 
-    def unmapped(h, k, order):
-        state = greedy(h, k, order)
-        del state.at[h.edges[0][0]][state.colors[0]]
+    def unmapped(state, order):
+        greedy(state, order)
+        del state.at[g.edges[0][0]][state.colors[0]]
         return state
 
     assert set(g.edges[0]) & set(g.edges[1])

@@ -22,7 +22,7 @@ from _oracles import (
 from semistrong import families
 from semistrong.coloring import Coloring, from_list
 from semistrong.graph import bfs_edge_order, build_graph
-from semistrong.solver import _greedy, solve
+from semistrong.solver import _Contacts, _greedy, solve
 from semistrong.verify import (
     badness,
     certify,
@@ -462,7 +462,7 @@ def test_certify_on_disconnected_and_empty_graphs():
 def test_certify_reads_no_row_per_spoke_on_a_wheel():
     n = 1000  # W_1000: hub 0 joined to the cycle 1..n
     g = build_graph(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
-    c = _greedy(g, n * n - 1, bfs_edge_order(g)).to_coloring()
+    c = _greedy(_Contacts(g, n * n - 1), bfs_edge_order(g)).to_coloring()
     counted, read = counting_rows(g)
     cert = certify(counted, c)
     # a walk of both ends' rows per edge reads the hub's row once per spoke:
