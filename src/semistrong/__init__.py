@@ -20,7 +20,6 @@ from .graph import (
 from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, m_set, observation_bound
 from .solver import (
     EngineInvariantError,
-    MoveProposal,
     PaletteExhaustedError,
     SolveResult,
     greedy_good_coloring,
@@ -50,7 +49,6 @@ __all__ = [
     "FeasibilityResult",
     "Graph",
     "GraphError",
-    "MoveProposal",
     "PairType",
     "PaletteExhaustedError",
     "SolveResult",

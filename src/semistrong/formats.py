@@ -79,22 +79,17 @@ def _graph6_size(line: str) -> tuple[int, int]:
         raise FormatError("truncated_graph6", "empty graph6 line")
     first = ord(line[0])
     if first == 126:
-        if len(line) >= 2 and ord(line[1]) == 126:
-            if len(line) < 8:
-                raise FormatError("truncated_graph6", "8-byte size prefix cut short")
-            digits = [ord(ch) - 63 for ch in line[2:8]]
-            if any(d < 0 or d > 63 for d in digits):
+        # "~" and three six-bit digits, or "~~" and six
+        start, end = (2, 8) if line[1:2] == "~" else (1, 4)
+        if len(line) < end:
+            raise FormatError("truncated_graph6", f"{end}-byte size prefix cut short")
+        n = 0
+        for ch in line[start:end]:
+            d = ord(ch) - 63
+            if not 0 <= d <= 63:
                 raise FormatError("invalid_graph6", "size prefix holds characters outside [63,126]")
-            n = 0
-            for d in digits:
-                n = (n << 6) | d
-            return n, 8
-        if len(line) < 4:
-            raise FormatError("truncated_graph6", "4-byte size prefix cut short")
-        digits = [ord(ch) - 63 for ch in line[1:4]]
-        if any(d < 0 or d > 63 for d in digits):
-            raise FormatError("invalid_graph6", "size prefix holds characters outside [63,126]")
-        return (digits[0] << 12) | (digits[1] << 6) | digits[2], 4
+            n = (n << 6) | d
+        return n, end
     if not 63 <= first <= 125:
         raise FormatError("invalid_graph6", f"bad leading character {line[0]!r}")
     return first - 63, 1

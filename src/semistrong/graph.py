@@ -140,13 +140,16 @@ def _component_parts(label: list[int], count: int) -> list[range] | list[list[in
     return parts
 
 
-def _induced(g: Graph, part, edges) -> tuple[Graph, list[int]]:
+def _induced(g: Graph, part, edges) -> tuple[Graph, list[int] | range]:
     """The component of g on part (its vertices, increasing) and edges (its
     parent edge ids), re-indexed from 0, and its parent edge ids, increasing:
     for connected_components, repair's F3 fallback and the debug checkers.
+    A component that covers g is g itself, with identity ids and no copy.
 
     The parent's adjacency is validated and neighbor-sorted, and local labels
     keep the parent's vertex and edge order, so it is relabelled, not rebuilt."""
+    if len(part) == g.vertex_count:
+        return g, range(g.edge_count)
     adjacency = g.adjacency
     local = {v: i for i, v in enumerate(part)}
     ids = sorted(edges)
@@ -162,11 +165,8 @@ def connected_components(g: Graph) -> list[ComponentView]:
     A connected graph is returned as its own only component (identity maps),
     with no copy built."""
     label, _, order, starts = _walk(g)
-    parts = _component_parts(label, len(starts) - 1)
-    if len(parts) == 1:
-        return [ComponentView(g, tuple(range(g.vertex_count)), tuple(range(g.edge_count)))]
     views: list[ComponentView] = []
-    for part, a, b in zip(parts, starts, starts[1:]):
+    for part, a, b in zip(_component_parts(label, len(starts) - 1), starts, starts[1:]):
         comp, ids = _induced(g, part, order[a:b])
         views.append(ComponentView(comp, tuple(part), tuple(ids)))
     return views

@@ -15,17 +15,17 @@ The forbidden set f_set = N(e) ∪ T1..T5 is what a good coloring keeps clear
 of e's color; T6 is the only class a good coloring may share a color with.
 
 Greedy and the repair engine keep no per-edge list: they share one state, a
-color -> edge map per vertex and a same-colored 2-neighbor count per edge
-(see solver.py). The exact oracle reads its N1 and N2 lists from ``rings``.
-The certificates and the badness audit count same-colored contacts straight
-from the adjacency (see verify.py).
+color bitmask per vertex and a same-colored 2-neighbor count per edge (see
+solver.py), and read forbidden sets, contacts and the path-shift schema's
+(S3) m_set colors off the masks. The exact oracle reads its N1 and N2 lists
+from ``rings``. The certificates and the badness audit count same-colored
+contacts straight from the adjacency (see verify.py).
 
 An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built from one
 ``rings`` walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
 1-neighbors c_delta, the pair types type_of and t6 are derived on first use.
-The repair engine builds one only for the few edges that its path-shift
-schema (S3) or its stage asserts look at; m_set and observation_bound take
-one too.
+The repair engine builds one only for the few edges that its stage asserts
+look at; m_set and observation_bound take one too.
 """
 
 from __future__ import annotations
@@ -122,13 +122,6 @@ class EdgeNeighborhood:
             type_of[f] = t
         return type_of
 
-    def side_n2(self, vertex: int) -> frozenset[int]:
-        if vertex == self.u:
-            return self.n2_u
-        if vertex == self.v:
-            return self.n2_v
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.edge}")
-
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     """Neighborhood of edge e alone."""
@@ -208,11 +201,5 @@ def m_set(g: Graph, path: list[int]) -> frozenset[int]:
     last = edge_ids[-1]
     # for k = 1, dropping e1 itself from N[e1] leaves N(e1)
     prev = edge_ids[-2] if len(edge_ids) >= 2 else last
-    return shift_forbidden(compute_neighborhood(g, last), prev, path[-1])
-
-
-def shift_forbidden(nb: EdgeNeighborhood, prev: int, tip: int) -> frozenset[int]:
-    """(N[last] minus prev) ∪ side-2 neighbors at tip, where nb is the
-    neighborhood of the path's last edge and tip its far endpoint; m_set
-    without the path checks."""
-    return ((nb.n1 | {nb.edge}) - {prev}) | nb.side_n2(tip)
+    nb = compute_neighborhood(g, last)
+    return ((nb.n1 | {last}) - {prev}) | nb._side(path[-1])

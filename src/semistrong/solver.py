@@ -9,13 +9,13 @@ Greedy colors the edges in breadth-first order and avoids making bad edges:
 it takes the smallest color outside the forbidden set whose colored
 2-neighbors number 0, or 1 that has no same-colored 2-neighbor yet, and only
 when no color qualifies the smallest color outside the forbidden set. Its
-state, a _Contacts, keeps per vertex a map from color to edge and per edge
+state, a _Contacts, keeps per vertex the bitmask of its colors and per edge
 its count of same-colored 2-neighbors: O(m) memory. Greedy builds it in
-O(Delta) per edge: it keeps each vertex's colors as an int bitmask, and the
-masks of the neighbors of the edge's ends, ORed together, give the colors met
-once and twice or more around the edge, so a few int operations find the
-color instead of one trial per color. When no count exceeds one, the start
-has no bad edge and is the component's coloring, and no engine is built.
+O(Delta) per edge: the masks of the neighbors of the edge's ends, ORed
+together, give the colors met once and twice or more around the edge, so a
+few int operations find the color instead of one trial per color. When no
+count exceeds one, the start has no bad edge and is the component's
+coloring, and no engine is built.
 
 Otherwise the repair engine removes the bad edges by searching move schemas
 in a fixed order:
@@ -36,14 +36,15 @@ the bad edges no schema could fix.
 
 The engine takes greedy's state over as it is and keeps beside it the set of
 bad edges and the sum of the counts. Lifting or placing an edge changes only
-the counts of its same-colored 2-neighbors, found in O(Delta); S1 and S2 try
-one color at a time, reading its contacts in O(Delta), and S2 and S4 take the
+the counts of its same-colored 2-neighbors, found in O(Delta). S1 and S2 read
+an edge's free colors off the same ring masks greedy reads, S3 the colors of
+a path's forbidden set off the masks at its tip, and S2 and S4 take the
 1-neighbors from the adjacency. A candidate is scored by making it and undone
 when the potential does not fall.
 
-The engine builds an EdgeNeighborhood for an edge only when S3 or a stage
-assert first asks for it, and keeps it. A lazy min-heap beside the bad set
-gives the smallest bad edge. Each move first tries S1 on it, the first
+The engine builds an EdgeNeighborhood for an edge only when a stage assert
+first asks for it, and keeps it. A lazy min-heap beside the bad set gives the
+smallest bad edge. Each move first tries S1 on it, the first
 candidate the full search would try; the bad set is sorted only when that
 fails, and the sorted list then drives S1-S4 and the stage asserts.
 """
@@ -69,7 +70,7 @@ from .graph import (
     is_connected,
     max_degree,
 )
-from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood, shift_forbidden
+from .neighborhood import EdgeNeighborhood, PairType, compute_neighborhood
 from .verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
 MODES = ("semistrong", "relaxed01")
@@ -136,18 +137,18 @@ class _Contacts:
     edge's count of same-colored 2-neighbors: the state greedy builds and
     repair moves.
 
-    ``at[w]`` maps each color at vertex w to its one edge, 2m entries in all.
-    Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so it
-    is ``at[w][colors[e]]`` for exactly one w of e's ring, the neighbors of u
-    and v other than u and v. ``contacts``, ``place`` and ``lift`` read one
-    color over the ring, in O(Delta); ``contacts`` is the engine's statement
-    of the forbidden-set and contact rule, which greedy reads off its color
-    masks and asks contacts only where they cannot tell.
+    ``held[x]`` is a bitmask of the colors at vertex x, bit c for color c:
+    its only per-vertex color index, exact after every place and lift.
+    Goodness makes every same-colored 2-neighbor of e = uv a T6 contact, so
+    it is the one edge of e's color at exactly one w of e's ring, the
+    neighbors of u and v other than u and v; a scan of w's row, at most Delta
+    edges, finds it. ``contacts``, ``place`` and ``lift`` read one color over
+    the ring, in O(Delta); ``masks`` reads every color over it at once.
+    ``hot`` is greedy's own mask, which nothing else reads.
 
     One state serves a whole solve: ``part``, ``edges`` and ``k`` are the
     vertices, edge ids and palette of the component in hand (all of g until
     solve sets them), and greedy, the engine and check read only those.
-    ``held`` and ``hot`` are greedy's color masks.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -156,7 +157,6 @@ class _Contacts:
         self.part, self.edges = range(g.vertex_count), range(g.edge_count)
         self.colors = [0] * g.edge_count
         self.count = [0] * g.edge_count
-        self.at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
         self.held = [0] * g.vertex_count
         self.hot = [0] * g.vertex_count
 
@@ -175,36 +175,61 @@ class _Contacts:
         """Color the uncolored edge e with c, outside its forbidden set, given
         its colored 2-neighbors of color c as contacts found them."""
         u, v = self.g.edges[e]
-        at, count = self.at, self.count
+        held, count = self.held, self.count
         self.colors[e] = c
-        at[u][c] = at[v][c] = e
+        held[u] |= 1 << c
+        held[v] |= 1 << c
         count[e] = len(contacts)
         for f in contacts:
             count[f] += 1
+
+    def edge_at(self, w: int, c: int) -> int:
+        """The edge of color c at vertex w, which holds it."""
+        colors = self.colors
+        for _, f in self.g.adjacency[w]:
+            if colors[f] == c:
+                return f
 
     def contacts(self, e: int, c: int) -> list[int] | None:
         """e's colored 2-neighbors of color c, or None when c is in e's
         forbidden set: at e's ends, or on an edge joined to e twice."""
         u, v = self.g.edges[e]
-        at = self.at
-        if c in at[u] or c in at[v]:
+        held, bit = self.held, 1 << c
+        if (held[u] | held[v]) & bit:
             return None
         found = []
         for a, b in ((u, v), (v, u)):
             for w, _ in self.g.adjacency[a]:
-                if w != b:
-                    f = at[w].get(c)
-                    if f is not None:
-                        if f in found:
-                            return None
-                        found.append(f)
+                if w != b and held[w] & bit:
+                    f = self.edge_at(w, c)
+                    if f in found:
+                        return None
+                    found.append(f)
         return found
+
+    def masks(self, e: int):
+        """e's ring, with e's ends on it, and four color masks over it: taken,
+        the colors at e's ends and bit 0; once and twice, the colors met once
+        and twice or more on the ring, a common neighbor of the ends twice;
+        and warm, the union of the ring's hot masks."""
+        u, v = self.g.edges[e]
+        held, hot = self.held, self.hot
+        # u and v are on each other's rows; their colors are taken anyway
+        ring = self.g.adjacency[u] + self.g.adjacency[v]
+        once = twice = warm = 0
+        for w, _ in ring:
+            mask = held[w]
+            twice |= once & mask
+            once |= mask
+            warm |= hot[w]
+        return ring, held[u] | held[v] | 1, once, twice, warm
 
     def lift(self, e: int) -> list[int]:
         """Uncolor e; return the contacts that place puts it back with."""
         u, v = self.g.edges[e]
         c = self.colors[e]
-        del self.at[u][c], self.at[v][c]
+        self.held[u] ^= 1 << c
+        self.held[v] ^= 1 << c
         self.colors[e] = self.count[e] = 0
         found = self.contacts(e, c)
         for f in found:
@@ -214,7 +239,7 @@ class _Contacts:
     def check(self, what: str) -> None:
         """Hold the component in hand, on its own Graph, to the reference
         checkers: its coloring to is_good_coloring, ``count`` to badness and
-        ``at`` to a state built from scratch; raise EngineInvariantError."""
+        ``held`` to a state built from scratch; raise EngineInvariantError."""
         comp, ids = _induced(self.g, self.part, self.edges)
         coloring = from_list([self.colors[e] for e in ids], self.k)
         if not is_good_coloring(comp, coloring):
@@ -223,9 +248,9 @@ class _Contacts:
         for e, f in badness(comp, coloring).bad_pairs:
             recount[e] += 1
             recount[f] += 1
-        at = [{c: ids[e] for c, e in row.items()} for row in _Contacts.of(comp, coloring).at]
-        if recount != [self.count[e] for e in ids] or at != [self.at[v] for v in self.part]:
-            raise EngineInvariantError(f"{what}: the contact counts or color maps disagree with a recount")
+        held = _Contacts.of(comp, coloring).held
+        if recount != [self.count[e] for e in ids] or held != [self.held[v] for v in self.part]:
+            raise EngineInvariantError(f"{what}: the contact counts or color masks disagree with a recount")
 
 
 def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
@@ -233,34 +258,22 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
     order, as greedy_good_coloring does from the palette [1, state.k], into
     state; return state.
 
-    ``held[x]`` is a bitmask of the colors at vertex x, bit c for color c, and
-    ``hot[x]`` the part of it whose edge already has a same-colored
-    2-neighbor. For e = uv, ORing the masks of u's and v's neighbors, a common
-    neighbor twice, gives the colors met once and the colors met twice or
-    more. A color at neither end of e met nowhere has no contact; met once,
-    its one contact is the edge at the neighbor holding it, and qualifies
-    unless hot there. So the smallest qualifying color is the lowest zero bit
-    of one int, and placing an edge costs O(Delta). Only when no color
-    qualifies does greedy walk the colors outside e's ends, where one met
-    twice or more is two contacts or one edge met twice, which only contacts
-    tells apart."""
+    ``hot[x]`` is the part of ``held[x]`` whose edge already has a
+    same-colored 2-neighbor. A color at neither end of e met nowhere on e's
+    ring has no contact; met once, its one contact is the edge at the
+    neighbor holding it, and qualifies unless hot there. So the smallest
+    qualifying color is the lowest zero bit of one int, and placing an edge
+    costs O(Delta). Only when no color qualifies does greedy walk the colors
+    outside e's ends, where one met twice or more is two contacts or one edge
+    met twice, which only contacts tells apart."""
     palette_size = state.k
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
-    at, contacts, place, held, hot = state.at, state.contacts, state.place, state.held, state.hot
-    edges, adjacency = state.g.edges, state.g.adjacency
+    contacts, place, masks, edge_at = state.contacts, state.place, state.masks, state.edge_at
+    edges, held, hot = state.g.edges, state.held, state.hot
     top = 1 << palette_size
     for e in order:
-        u, v = edges[e]
-        # u and v are on each other's rows; their colors are taken anyway
-        ring = adjacency[u] + adjacency[v]
-        once = twice = warm = 0
-        for w, _ in ring:
-            mask = held[w]
-            twice |= once & mask
-            once |= mask
-            warm |= hot[w]
-        taken = held[u] | held[v] | 1  # bit 0 is no color
+        ring, taken, once, twice, warm = masks(e)
         y = taken | twice | (once & warm)
         bit = ~y & (y + 1)  # y's lowest zero bit: the smallest color that qualifies
         found = None
@@ -278,11 +291,11 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
                 y |= bit
         c = bit.bit_length() - 1
         if found is None:
-            found = [at[w][c] for w, _ in ring if held[w] & bit] if once & bit else ()
+            # c's one contact, if any: the edge of color c at the ring vertex holding it
+            found = [edge_at(w, c) for w, _ in ring if held[w] & bit] if once & bit else ()
         place(e, c, found)
-        held[u] |= bit
-        held[v] |= bit
         if found:
+            u, v = edges[e]
             hot[u] |= bit
             hot[v] |= bit
             for f in found:
@@ -352,8 +365,8 @@ class _Engine:
         state exactly as before. A no-op or a color off the palette is
         rejected at once. Otherwise every moved edge is lifted and then placed
         in its new color unless the edges colored so far forbid it, which
-        rolls the move back. So every coloring on the way is good, and ``at``
-        never holds one color twice at a vertex."""
+        rolls the move back. So every coloring on the way is good, and no
+        vertex ever has one color on two edges."""
         colors, state = self.colors, self.state
         x = {e: c for e, c in assignments.items() if colors[e] != c}
         if not x or not all(1 <= c <= self.k for c in x.values()):
@@ -411,12 +424,15 @@ class _Engine:
 
     def _free_colors(self, e: int):
         """The colors outside e's forbidden set on at most one 2-neighbor of e,
-        all T6 contacts, in increasing order and each read when asked for."""
-        contacts = self.state.contacts
-        for a in range(1, self.k + 1):
-            found = contacts(e, a)
-            if found is not None and len(found) <= 1:
-                yield a
+        all T6 contacts, in increasing order: the colors in [1, k] neither
+        taken nor met twice on e's ring, which is one contact each or none. A
+        color met twice is two contacts or an edge joined to e twice."""
+        _, taken, _, twice, _ = self.state.masks(e)
+        free = ~(taken | twice) & ((2 << self.k) - 1)
+        while free:
+            bit = free & -free
+            yield bit.bit_length() - 1
+            free ^= bit
 
     def _n1(self, e: int) -> list[int]:
         """e's 1-neighbors, the edges at its ends, in increasing order."""
@@ -443,11 +459,15 @@ class _Engine:
             yield from self._s3_grow(path, [e])
 
     def _s3_grow(self, path: list[int], edges: list[int]):
-        g = self.g
+        g, held, tip, end = self.g, self.state.held, path[-1], path[-2]
         if len(edges) >= 2:
-            m_edges = shift_forbidden(self.nb(edges[-1]), edges[-2], path[-1])
-            used = {self.colors[h] for h in m_edges}
-            free = [a for a in range(1, self.k + 1) if a not in used]
+            # the colors of m_set(path), exact on an induced path: those at
+            # its tip and its tip's neighbors, but the previous edge's at end
+            used = held[tip] | held[end] & ~(1 << self.colors[edges[-2]])
+            for w, _ in g.adjacency[tip]:
+                if w != end:
+                    used |= held[w]
+            free = [a for a in range(1, self.k + 1) if not used >> a & 1]
             if free:
                 for alpha in free:
                     move = {edges[i]: self.colors[edges[i + 1]] for i in range(len(edges) - 1)}
@@ -456,12 +476,9 @@ class _Engine:
                 return  # a non-tight forbidden set stops the growth here
         if len(edges) >= MAX_SHIFT_PATH_EDGES:
             return
-        tip = path[-1]
-        for w in sorted(g.neighbors(tip)):
+        for w, nxt in g.adjacency[tip]:  # rows are neighbor-sorted
             if w in path or any(g.has_edge(w, x) for x in path[:-1]):
                 continue
-            nxt = g.edge_between(tip, w)
-            assert nxt is not None
             yield from self._s3_grow(path + [w], edges + [nxt])
 
     # -- schema-exhaustion invariants --------------------------------------

@@ -247,17 +247,18 @@ def contact_greedy(g: Graph, palette_size: int) -> tuple[Coloring, int]:
     return _greedy_oracle(g, palette_size, contact_aware=True)
 
 
-def contact_state(g: Graph, colors) -> tuple[list[dict[int, int]], list[int]]:
-    """A good coloring's per-vertex color -> edge maps, and each edge's count
-    of same-colored 2-neighbors, recounted from verify.badness."""
-    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+def contact_state(g: Graph, colors) -> tuple[list[int], list[int]]:
+    """A good coloring's per-vertex color masks (bit c for color c), and each
+    edge's count of same-colored 2-neighbors, recounted from verify.badness."""
+    held = [0] * g.vertex_count
     for e, (u, v) in enumerate(g.edges):
-        at[u][colors[e]] = at[v][colors[e]] = e
+        held[u] |= 1 << colors[e]
+        held[v] |= 1 << colors[e]
     count = [0] * g.edge_count
     for e, f in badness(g, from_list(colors)).bad_pairs:
         count[e] += 1
         count[f] += 1
-    return at, count
+    return held, count
 
 
 def random_union(rng: random.Random) -> Graph:

@@ -251,10 +251,18 @@ def test_gen_every_family(capsys, family):
         assert code == 2 and err == f"error: family {family} needs {flag}\n"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(capsys, ["color"])[0] == 2  # --mode required
     assert run(capsys, ["nonsense"])[0] == 2
     assert run(capsys, [])[0] == 2
+    # --dir names a file: no report is written
+    graph, report = tmp_path / "c7.txt", tmp_path / "r.csv"
+    graph.write_text(emit_edge_list(families.cycle(7)))
+    code, _, err = run(capsys, ["batch", "--dir", str(graph), "--mode", "semistrong", "--report", str(report)])
+    assert code == 2 and "is not a directory" in err and not report.exists()
+    # graph6 input of blank lines only
+    code, out, err = run(capsys, ["color", "--mode", "semistrong", "--format", "graph6"], stdin="\n \n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and "no graph6 line found" in err
 
 
 def test_byte_stable_output(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from semistrong import families, solver
 from semistrong.coloring import from_list
 from semistrong.formats import parse_edge_list
 from semistrong.graph import bfs_edge_order, build_graph, connected_components, is_connected, max_degree
-from semistrong.neighborhood import compute_neighborhood
+from semistrong.neighborhood import compute_neighborhood, m_set
 from semistrong.solver import (
     EngineInvariantError,
     PaletteExhaustedError,
@@ -126,14 +126,14 @@ def _moved_at_distance_two(eng, cand):
 
 def _assert_matches_recount(eng):
     g = eng.g
-    assert (eng.state.at, eng.state.count) == contact_state(g, eng.colors)
+    assert (eng.state.held, eng.state.count) == contact_state(g, eng.colors)
     rep = badness(g, eng.state.to_coloring())
     assert eng.bad_edges() == list(rep.bad_edges)
     assert eng.potential() == rep.potential
 
 
 def _snapshot(eng):
-    return list(eng.colors), list(eng.state.count), [dict(a) for a in eng.state.at], set(eng.bad), eng.sum_pairs
+    return list(eng.colors), list(eng.state.count), list(eng.state.held), set(eng.bad), eng.sum_pairs
 
 
 def test_try_move_matches_full_recount():
@@ -418,12 +418,15 @@ def test_on_demand_neighborhood_matches_compute_neighborhood():
             assert (nb.t6, nb.n2_u, nb.n2_v, nb.c_delta, nb.type_of) == (one.t6, one.n2_u, one.n2_v, one.c_delta, one.type_of)
 
 
-def test_free_colors_and_one_neighbors_match_the_neighborhood_oracle():
-    # free: outside the forbidden set and e's own color, on at most one T6 contact
+def test_free_colors_and_one_neighbors_match_the_neighborhood_oracle(monkeypatch):
+    # free: outside the forbidden set and e's own color, on at most one T6
+    # contact, read off the ring masks with no per-color contacts call
+    calls = _counting_contacts(monkeypatch)
     rng = random.Random(5)
     twice = 0  # free-looking colors that two T6 contacts rule out
     for g in [families.prism(5), families.c7_blowup(), families.random_max_degree(30, 4, 7)]:
         eng = _Engine(_Contacts.of(g, bad_state(g, rng)))
+        calls.clear()
         colors = eng.colors
         for e in range(g.edge_count):
             nb = compute_neighborhood(g, e)
@@ -432,7 +435,54 @@ def test_free_colors_and_one_neighbors_match_the_neighborhood_oracle():
             assert list(eng._free_colors(e)) == [a for a in range(1, eng.k + 1) if a not in taken and t6[a] <= 1]
             assert eng._n1(e) == sorted(nb.n1)
             twice += sum(1 for a, n in t6.items() if n > 1 and a not in taken)
+        assert calls == []
     assert twice > 0
+
+
+def _induced_path(g, rng, length):
+    """A random induced path of g with up to length edges: its vertices and
+    its edge ids."""
+    e = rng.randrange(g.edge_count)
+    path, edges = list(g.edges[e]), [e]
+    while len(edges) < length:
+        ahead = [w for w in g.neighbors(path[-1]) if w not in path and not any(g.has_edge(w, x) for x in path[:-1])]
+        if not ahead:
+            break
+        w = rng.choice(ahead)
+        edges.append(g.edge_between(path[-1], w))
+        path.append(w)
+    return path, edges
+
+
+def test_s3_reads_the_colors_of_m_set_off_the_masks(monkeypatch):
+    # on an induced path of two or more edges S3 offers the last edge every
+    # color outside m_set's, and builds no neighborhood to find them
+    rng = random.Random(41)
+    graphs = [families.prism(7), families.c7_blowup(), families.hypercube(4), families.blowup(9, 2)]
+    graphs += [families.random_max_degree(rng.randint(20, 60), rng.randint(3, 6), rng.randrange(10**6)) for _ in range(6)]
+    states = []
+    for g in graphs:
+        # the solver's palette, and one color more than the largest forbidden
+        # set, where m_set's colors often fill the palette
+        enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
+        for k in {max_degree(g) ** 2 - 1, enough}:
+            states += [(g, random_good_coloring(g, k, rng)) for _ in range(3)]
+    monkeypatch.setattr(solver, "compute_neighborhood", lambda g, e: pytest.fail("S3 built a neighborhood"))
+    offered = Counter()
+    for g, c in states:
+        eng = _Engine(_Contacts.of(g, c))
+        for _ in range(40):
+            path, edges = _induced_path(g, rng, rng.randint(2, solver.MAX_SHIFT_PATH_EDGES))
+            if len(edges) < 2:
+                continue
+            used = {c.colors[f] for f in m_set(g, path)}
+            # no growth past this path: only its own last-edge colors
+            monkeypatch.setattr(solver, "MAX_SHIFT_PATH_EDGES", len(edges))
+            alphas = [move[edges[-1]] for move in eng._s3_grow(path, edges)]
+            assert alphas == [a for a in range(1, c.k + 1) if a not in used]
+            offered[bool(alphas)] += 1
+        assert eng._nbs == {}
+    assert offered[True] > 100 and offered[False] > 10
 
 
 def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
@@ -502,11 +552,12 @@ def test_greedy_color_masks_stay_small_on_a_hub_graph():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert (state.at, state.count) == contact_state(g, state.colors)
-    # about 540 KiB here, 490 KiB of it the state; per-vertex tallies (per
+    assert (state.held, state.count) == contact_state(g, state.colors)
+    # about 160 KiB here; with a color -> edge map per vertex beside the
+    # masks it was 540 KiB, 490 KiB of it the state; per-vertex tallies (per
     # color, the one neighbor carrying it) peaked at 710 KiB, and at 1,096 KiB
     # when every vertex's were kept to the end
-    assert peak < 2**20
+    assert peak < 2**18
 
 
 def _counting_contacts(monkeypatch) -> list:
@@ -531,7 +582,7 @@ def test_greedy_asks_contacts_nothing_on_a_wheel(monkeypatch):
     # each rim edge met every spoke color twice, at the hub, and per-color
     # tallies asked contacts about each: 998,000 calls
     assert len(calls) <= g.edge_count
-    assert (state.at, state.count) == contact_state(g, state.colors)
+    assert (state.held, state.count) == contact_state(g, state.colors)
 
 
 def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
@@ -554,7 +605,7 @@ def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
                 continue
             state = solver._greedy(_Contacts(g, k), bfs_edge_order(g))
             assert state.to_coloring() == oracle
-            assert (state.at, state.count) == contact_state(g, state.colors)
+            assert (state.held, state.count) == contact_state(g, state.colors)
             fallbacks += fell
     assert fallbacks > 0 and stuck > 0
     # contacts ruled a color met twice forbidden, and gave one as the fallback
@@ -566,8 +617,9 @@ def test_repair_state_is_linear_in_the_edge_count():
     g = max((view.graph for view in connected_components(hub)), key=lambda h: h.edge_count)
     assert max_degree(g) == 40 and g.edge_count > 2500
     start = smallest_color_start(g, 40 * 40 - 1)
-    # the state and a whole repair: per-edge N2 and forbidden-set lists with
-    # a count table per edge peaked at 2.2 MiB here
+    # the state and a whole repair: about 350 KiB here; per-vertex color ->
+    # edge maps peaked at 925 KiB, and per-edge N2 and forbidden-set lists
+    # with a count table per edge at 2.2 MiB
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -578,10 +630,10 @@ def test_repair_state_is_linear_in_the_edge_count():
     finally:
         tracemalloc.stop()
     assert badness(g, out).kappa1 == 0 and trace.moves_by_schema["S1"] > 1000
-    assert peak < 1.5 * 2**20
-    # one map entry per edge end, and no per-edge list or table
-    assert sum(len(colors) for colors in state.at) == 2 * g.edge_count
-    assert (state.at, state.count) == contact_state(g, out.colors)
+    assert peak < 2**19
+    # one mask bit per edge end, and no per-edge list or table
+    assert sum(held.bit_count() for held in state.held) == 2 * g.edge_count
+    assert (state.held, state.count) == contact_state(g, out.colors)
     # the whole solve: per-edge frozenset neighborhoods peaked at 6.4 MiB
     # here, and a dense palette-sized table per edge at about 38 MiB
     tracemalloc.start()

@@ -145,6 +145,9 @@ def test_parse_graph6_errors():
         ("", "truncated_graph6"),
         ("D", "truncated_graph6"),  # 5 vertices need payload
         ("~?", "truncated_graph6"),  # 4-byte size prefix cut short
+        ("~~???", "truncated_graph6"),  # 8-byte size prefix cut short
+        ("~>??", "invalid_graph6"),  # 4-byte size prefix character below 63
+        ("~~??>???", "invalid_graph6"),  # 8-byte size prefix character below 63
         ("C~~~~", "invalid_graph6"),  # trailing junk
         ("C>", "invalid_graph6"),  # character below 63
         ("C\x7f", "invalid_graph6"),  # character above 126

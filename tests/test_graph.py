@@ -49,6 +49,7 @@ def test_build_single_vertex():
         (2, [(0, 0)], "self_loop"),
         (2, [(0, 2)], "endpoint_out_of_range"),
         (2, [(-1, 0)], "endpoint_out_of_range"),
+        (-1, [], "bad_vertex_count"),
     ],
 )
 def test_build_rejections(n, pairs, reason):

@@ -74,7 +74,7 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
     start = state.to_coloring()
     oracle, fallbacks = contact_greedy(g, k)
     assert start == oracle and is_good_coloring(g, start)
-    assert (state.at, state.count) == contact_state(g, start.colors)
+    assert (state.held, state.count) == contact_state(g, start.colors)
     rep = badness(g, start)
     # a fallback always leaves a bad edge, and nothing else makes one
     assert (rep.kappa1 == 0) == (fallbacks == 0)
@@ -89,7 +89,7 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
 
 
 def _greedy_outcome(g, k, greedy):
-    """The coloring, at maps and counts greedy builds, or the edge it got
+    """The coloring, color masks and counts greedy builds, or the edge it got
     stuck on."""
     try:
         return greedy(g, k)
@@ -113,7 +113,7 @@ def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
 
     def ours(g, k):
         state = _greedy(_Contacts(g, k), bfs_edge_order(g))
-        return state.to_coloring(), state.at, state.count
+        return state.to_coloring(), state.held, state.count
 
     def oracle(g, k):
         coloring = contact_greedy(g, k)[0]
@@ -145,4 +145,4 @@ def test_repair_engine_from_the_smallest_color_start(n, d, seed):
         steps = trace.kappa_trajectory
         assert steps[0] == badness(g, start).potential and steps[-1][0] == 0
         assert all(b < a for a, b in zip(steps, steps[1:]))
-        assert (state.at, state.count) == contact_state(g, coloring.colors)
+        assert (state.held, state.count) == contact_state(g, coloring.colors)

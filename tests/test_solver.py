@@ -414,6 +414,24 @@ def test_solve_colors_paths_cycles_and_trivial_components_on_the_parent(monkeypa
         built.clear()
 
 
+def test_debug_solve_checks_a_connected_input_on_its_own_graph(monkeypatch):
+    # prism(7) repairs its greedy start, so check runs after greedy and after
+    # every move, each time on the input's own Graph
+    g = families.prism(7)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for mode in ("semistrong", "relaxed01"):
+        res = solve(g, mode, debug=True)
+        assert res.certificates[mode] and res.trace[0].moves_by_schema
+    assert built == []
+
+
 def _counting_engines(monkeypatch) -> list:
     """The component (vertices, edge ids) and the engine of every repair
     engine built from now on."""
@@ -560,7 +578,7 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
 
     def unmapped(state, order):
         greedy(state, order)
-        del state.at[g.edges[0][0]][state.colors[0]]
+        state.held[g.edges[0][0]] ^= 1 << state.colors[0]
         return state
 
     assert set(g.edges[0]) & set(g.edges[1])
