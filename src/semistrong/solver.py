@@ -34,19 +34,20 @@ event; at the Delta^2 - 1 palette this is never expected to happen. F3 has a
 fixed node budget, and running out of it raises EngineInvariantError naming
 the bad edges no schema could fix.
 
-The engine takes greedy's state over as it is and keeps beside it the set of
-bad edges and the sum of the counts. Lifting or placing an edge changes only
-the counts of its same-colored 2-neighbors, found in O(Delta). S1 and S2 read
-an edge's free colors off the same ring masks greedy reads, S3 the colors of
-a path's forbidden set off the masks at its tip, and S2 and S4 take the
-1-neighbors from the adjacency. A candidate is scored by making it and undone
-when the potential does not fall.
+The state also keeps the potential: the bad edges, a lazy min-heap over
+them and the count of same-colored pairs. Lifting or placing an edge changes
+only the counts of its same-colored 2-neighbors, found in O(Delta), and
+keeps all three, so the engine takes greedy's state over as it is. S1 and S2
+read an edge's free colors off the same ring masks greedy reads, S3 the
+colors of a path's forbidden set off the masks at its tip, and S2 and S4
+take the 1-neighbors from the adjacency. A candidate is scored by making it
+and undone when the potential does not fall.
 
 The engine builds an EdgeNeighborhood for an edge only when a stage assert
-first asks for it, and keeps it. A lazy min-heap beside the bad set gives the
-smallest bad edge. Each move first tries S1 on it, the first
-candidate the full search would try; the bad set is sorted only when that
-fails, and the sorted list then drives S1-S4 and the stage asserts.
+first asks for it, and keeps it. The heap gives the smallest bad edge. Each
+move first tries S1 on it, the first candidate the full search would try;
+the bad set is sorted only when that fails, and the sorted list then drives
+S1-S4 and the stage asserts.
 """
 
 from __future__ import annotations
@@ -148,17 +149,28 @@ class _Contacts:
 
     One state serves a whole solve: ``part``, ``edges`` and ``k`` are the
     vertices, edge ids and palette of the component in hand (all of g until
-    solve sets them), and greedy, the engine and check read only those.
+    solve takes up a component), and greedy, the engine and check read only
+    those. Its potential (kappa1, kappa2) is kept beside the counts: ``bad``,
+    its edges of count two or more; ``heap``, every bad edge and maybe stale
+    entries; and ``pairs``, its count of same-colored pairs. ``place`` and
+    ``lift`` keep them.
     """
 
     def __init__(self, g: Graph, k: int):
         self.g = g
-        self.k = k
-        self.part, self.edges = range(g.vertex_count), range(g.edge_count)
         self.colors = [0] * g.edge_count
         self.count = [0] * g.edge_count
         self.held = [0] * g.vertex_count
         self.hot = [0] * g.vertex_count
+        self.take(range(g.vertex_count), range(g.edge_count), k)
+
+    def take(self, part, edges, k: int) -> None:
+        """Take up the uncolored component on part with edge ids edges and
+        palette k, with a potential of its own: no bad edge and no pair."""
+        self.part, self.edges, self.k = part, edges, k
+        self.bad: set[int] = set()
+        self.heap: list[int] = []
+        self.pairs = 0
 
     @classmethod
     def of(cls, g: Graph, c: Coloring) -> _Contacts:
@@ -175,13 +187,20 @@ class _Contacts:
         """Color the uncolored edge e with c, outside its forbidden set, given
         its colored 2-neighbors of color c as contacts found them."""
         u, v = self.g.edges[e]
-        held, count = self.held, self.count
+        held, count, bad, heap = self.held, self.count, self.bad, self.heap
         self.colors[e] = c
         held[u] |= 1 << c
         held[v] |= 1 << c
-        count[e] = len(contacts)
-        for f in contacts:
+        count[e] = n = len(contacts)
+        self.pairs += n
+        if n >= 2:
+            bad.add(e)
+            heapq.heappush(heap, e)
+        for f in contacts:  # counts move by one: f turns bad on reaching two
             count[f] += 1
+            if count[f] == 2:
+                bad.add(f)
+                heapq.heappush(heap, f)
 
     def edge_at(self, w: int, c: int) -> int:
         """The edge of color c at vertex w, which holds it."""
@@ -232,25 +251,54 @@ class _Contacts:
         self.held[v] ^= 1 << c
         self.colors[e] = self.count[e] = 0
         found = self.contacts(e, c)
+        self.pairs -= len(found)
+        count, bad = self.count, self.bad
+        bad.discard(e)
         for f in found:
-            self.count[f] -= 1
+            count[f] -= 1
+            if count[f] == 1:
+                bad.discard(f)
         return found
+
+    def potential(self) -> tuple[int, int]:
+        """(kappa1, kappa2) of the component in hand."""
+        return (len(self.bad), self.pairs)
+
+    def bad_edges(self) -> list[int]:
+        return sorted(self.bad)
+
+    def smallest_bad(self) -> int | None:
+        """The smallest bad edge, dropping stale heap tops; None when there
+        is no bad edge. The heap is rebuilt from the bad set once stale
+        entries make it longer than twice the component's edge count."""
+        heap, bad = self.heap, self.bad
+        if len(heap) > 2 * len(self.edges):
+            heap[:] = bad
+            heapq.heapify(heap)
+        while heap and heap[0] not in bad:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def check(self, what: str) -> None:
         """Hold the component in hand, on its own Graph, to the reference
-        checkers: its coloring to is_good_coloring, ``count`` to badness and
-        ``held`` to a state built from scratch; raise EngineInvariantError."""
+        checkers: its coloring to is_good_coloring, ``count``, ``bad`` and
+        ``pairs`` to badness, ``heap`` to ``bad`` and ``held`` to a state
+        built from scratch; raise EngineInvariantError."""
         comp, ids = _induced(self.g, self.part, self.edges)
         coloring = from_list([self.colors[e] for e in ids], self.k)
         if not is_good_coloring(comp, coloring):
             raise EngineInvariantError(f"{what} is not a good coloring")
+        report = badness(comp, coloring)
         recount = [0] * comp.edge_count
-        for e, f in badness(comp, coloring).bad_pairs:
+        for e, f in report.bad_pairs:
             recount[e] += 1
             recount[f] += 1
         held = _Contacts.of(comp, coloring).held
         if recount != [self.count[e] for e in ids] or held != [self.held[v] for v in self.part]:
             raise EngineInvariantError(f"{what}: the contact counts or color masks disagree with a recount")
+        bad = {ids[e] for e in report.bad_edges}
+        if self.bad != bad or not bad <= set(self.heap) or self.pairs != report.kappa2:
+            raise EngineInvariantError(f"{what}: the bad set, its heap or the pair count disagree with a recount")
 
 
 def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
@@ -307,12 +355,11 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
 
 class _Engine:
     """The repair search over the component in hand of a _Contacts state,
-    which it takes over and moves. Beside it the engine keeps ``bad``, the
-    component's edges of count two or more; ``heap``, every bad edge and maybe
-    stale entries; and ``sum_pairs``, the sum of the component's counts (twice
-    kappa2). Only ``_lift`` and ``_place`` update them, so ``try_move`` scores
-    a candidate by making it and undoes a rejected one, in O(Delta) per moved
-    edge either way.
+    which it takes over and moves. The state keeps the potential, so
+    ``try_move`` scores a candidate by making it and undoes a rejected one,
+    in O(Delta) per moved edge either way. The engine keeps only search
+    state: Delta, whether the stage asserts run, and the neighborhoods they
+    read.
     """
 
     def __init__(self, state: _Contacts, debug: bool = False):
@@ -322,20 +369,8 @@ class _Engine:
         self._nbs: dict[int, EdgeNeighborhood] = {}
         self.k = state.k
         self.debug = debug
-        self.bad = {e for e in state.edges if state.count[e] >= 2}
-        self.heap = sorted(self.bad)
-        self.sum_pairs = sum(map(state.count.__getitem__, state.edges))  # == 2 * kappa2
         self.delta = max(map(g.degree, state.part), default=0)
         self.enforce_invariants = self.delta >= 3 and self.k == self.delta * self.delta - 1
-
-    # -- potential bookkeeping -------------------------------------------
-
-    @property
-    def kappa1(self) -> int:
-        return len(self.bad)
-
-    def potential(self) -> tuple[int, int]:
-        return (len(self.bad), self.sum_pairs // 2)
 
     def nb(self, e: int) -> EdgeNeighborhood:
         """Edge e's full neighborhood, built on first use and kept."""
@@ -343,21 +378,6 @@ class _Engine:
         if nb is None:
             nb = self._nbs[e] = compute_neighborhood(self.g, e)
         return nb
-
-    def bad_edges(self) -> list[int]:
-        return sorted(self.bad)
-
-    def smallest_bad(self) -> int | None:
-        """The smallest bad edge, dropping stale heap tops; None when there
-        is no bad edge. The heap is rebuilt from the bad set once stale
-        entries make it longer than twice the component's edge count."""
-        heap, bad = self.heap, self.bad
-        if len(heap) > 2 * len(self.state.edges):
-            heap[:] = bad
-            heapq.heapify(heap)
-        while heap and heap[0] not in bad:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
 
     def try_move(self, assignments: dict[int, int], schema: str) -> MoveProposal | None:
         """Make the move if it keeps the coloring good and strictly lowers
@@ -371,54 +391,26 @@ class _Engine:
         x = {e: c for e, c in assignments.items() if colors[e] != c}
         if not x or not all(1 <= c <= self.k for c in x.values()):
             return None
-        before = self.potential()
-        lifted = [(e, colors[e], self._lift(e)) for e in x]
+        before = state.potential()
+        lifted = [(e, colors[e], state.lift(e)) for e in x]
         placed = []
         for e, c in x.items():
             contacts = state.contacts(e, c)
             if contacts is None:
                 break
-            self._place(e, c, contacts)
+            state.place(e, c, contacts)
             placed.append(e)
         else:
-            if self.potential() < before:
+            if state.potential() < before:
                 move = MoveProposal(tuple(sorted(assignments.items())), schema)
                 if self.debug:
-                    self._debug_check(move)
+                    state.check(f"move {move.schema} {move.assignments}")
                 return move
         for e in reversed(placed):
-            self._lift(e)
+            state.lift(e)
         for e, c, contacts in reversed(lifted):
-            self._place(e, c, contacts)
+            state.place(e, c, contacts)
         return None
-
-    def _lift(self, e: int) -> list[int]:
-        """state.lift(e), keeping the bad set and the pair sum."""
-        contacts = self.state.lift(e)
-        # every pair e loses is also counted once at the other end
-        self.sum_pairs -= 2 * len(contacts)
-        bad, count = self.bad, self.state.count
-        for f in (e, *contacts):
-            if count[f] < 2:
-                bad.discard(f)
-        return contacts
-
-    def _place(self, e: int, c: int, contacts) -> None:
-        """state.place(e, c, contacts), keeping the bad set, heap and pair sum."""
-        self.state.place(e, c, contacts)
-        self.sum_pairs += 2 * len(contacts)
-        bad, count = self.bad, self.state.count
-        for f in (e, *contacts):
-            if count[f] >= 2 and f not in bad:
-                bad.add(f)
-                heapq.heappush(self.heap, f)
-
-    def _debug_check(self, move: MoveProposal):
-        what = f"move {move.schema} {move.assignments}"
-        self.state.check(what)
-        count, edges = self.state.count, self.state.edges
-        if self.bad != {e for e in edges if count[e] >= 2} or self.sum_pairs != sum(map(count.__getitem__, edges)):
-            raise EngineInvariantError(f"{what}: the bad set or pair sum disagrees with full recomputation")
 
     # -- schema candidate generators --------------------------------------
 
@@ -553,7 +545,7 @@ class _Engine:
     def find_move(self) -> MoveProposal | None:
         """Make the first accepted candidate of the first schema that has
         one, and return it; None, with nothing changed, when none has."""
-        first = self.smallest_bad()
+        first = self.state.smallest_bad()
         if first is None:
             return None
         # the full search below would try these candidates first
@@ -561,7 +553,7 @@ class _Engine:
             move = self.try_move(assignments, "S1")
             if move is not None:
                 return move
-        bad = self.bad_edges()
+        bad = self.state.bad_edges()
         for schema, gen, post_assert in self.ladder():
             for e in bad:
                 for assignments in gen(e):
@@ -578,15 +570,15 @@ def _repair_engine(state: _Contacts, debug: bool, mode: str) -> ComponentTrace:
     is that of a greedy_repair component."""
     engine = _Engine(state, debug=debug)
     moves: dict[str, int] = {}
-    trajectory = [engine.potential()]
+    trajectory = [state.potential()]
     fallback_f3 = 0
-    while engine.kappa1 > 0:
+    while state.bad:
         move = engine.find_move()
         if move is None:
             fallback_f3 = 1
-            _f3_fallback(state, mode, engine.bad_edges())
+            _f3_fallback(state, mode)
             break
-        after = engine.potential()
+        after = state.potential()
         if after >= trajectory[-1]:
             raise EngineInvariantError(f"move {move.schema} did not lower the potential: {trajectory[-1]} -> {after}")
         moves[move.schema] = moves.get(move.schema, 0) + 1
@@ -620,7 +612,7 @@ def _trace(strategy: str, vertices: int, edges: int, d: int, colors, trajectory,
     )
 
 
-def _f3_fallback(state: _Contacts, mode: str, bad: list[int]) -> None:
+def _f3_fallback(state: _Contacts, mode: str) -> None:
     """Color the component in hand by the exact search, into state.colors only."""
     comp, ids = _induced(state.g, state.part, state.edges)
     k = state.k
@@ -632,7 +624,7 @@ def _f3_fallback(state: _Contacts, mode: str, bad: list[int]) -> None:
     if res.status == "timeout":
         raise EngineInvariantError(
             f"exact fallback ran out of its {F3_MAX_NODES}-node budget at {k} colors in {mode} mode; "
-            f"no move was found for bad edges {bad}"
+            f"no move was found for bad edges {state.bad_edges()}"
         )
     if res.status != "sat" or res.coloring is None:
         raise EngineInvariantError(
@@ -643,11 +635,17 @@ def _f3_fallback(state: _Contacts, mode: str, bad: list[int]) -> None:
         state.colors[e] = c
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong") -> Coloring:
     """Drive a good coloring to zero bad edges on a connected graph with
     maximum degree >= 3 outside the covering-edge family. The palette is
     kept; an already-clean coloring is returned unchanged, with no engine
-    built."""
+    built. The mode is that of solve, and only F3 reads it."""
+    _check_mode(mode)
     if not is_good_coloring(g, c):
         raise ValueError("repair requires a good coloring")
     if not is_connected(g):
@@ -657,7 +655,7 @@ def repair(g: Graph, c: Coloring, debug: bool = False, mode: str = "semistrong")
     if g_family_witness(g) is not None:
         raise GraphError("g_family", "covering-edge family graphs take the dedicated construction")
     state = _Contacts.of(g, c)
-    if max(state.count) < 2:
+    if not state.bad:
         return c
     _repair_engine(state, debug, mode)
     return state.to_coloring()
@@ -691,7 +689,7 @@ def _color_path_or_cycle(g: Graph, part, d: int, mode: str, colors: list[int]) -
 def _solve_component(state: _Contacts, d: int, mode: str, debug: bool, side: list[int]) -> ComponentTrace:
     """Color the component in hand, of maximum degree d >= 3 and with its
     edges in breadth-first order, given the walk's depth parities."""
-    g, part, edges, colors, count = state.g, state.part, state.edges, state.colors, state.count
+    g, part, edges, colors = state.g, state.part, state.edges, state.colors
     trajectory: list[tuple[int, int]] = []
     if (witness := _covering_edge(g, part, edges)) is not None:
         # d-regular on 2d vertices with a covering edge: connected, and
@@ -709,10 +707,10 @@ def _solve_component(state: _Contacts, d: int, mode: str, debug: bool, side: lis
         _greedy(state, edges)
         if debug:
             state.check("the greedy start")
-        if max(map(count.__getitem__, edges)) > 1:
+        if state.bad:
             return _repair_engine(state, debug, mode)
         # no bad edge: the start is the repaired coloring, with no engine built
-        trajectory = [(0, sum(map(count.__getitem__, edges)) // 2)]
+        trajectory = [state.potential()]
     return _trace(strategy, len(part), len(edges), d, map(colors.__getitem__, edges), trajectory)
 
 
@@ -727,10 +725,10 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
     one _Contacts state that serves them all. Traces follow the components'
     smallest vertices.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     adjacency = g.adjacency
-    # each component of maximum degree >= 3 sets its own palette on the state
+    # each component of maximum degree >= 3 is taken up on the state with its
+    # own palette and potential
     state = _Contacts(g, 0) if max_degree(g) >= 3 else None
     colors = state.colors if state else [0] * g.edge_count
     traces: list[ComponentTrace] = []
@@ -740,7 +738,7 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
         if d <= 2:
             traces.append(_color_path_or_cycle(g, part, d, mode, colors))
         else:
-            state.part, state.edges, state.k = part, order[a:b], d * d - 1
+            state.take(part, order[a:b], d * d - 1)
             traces.append(_solve_component(state, d, mode, debug, side))
     coloring = from_list(colors, max(colors, default=0))
     cert = certify(g, coloring)

@@ -602,7 +602,7 @@ def test_the_cached_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special", "paths_cycles"])
+@pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special", "paths_cycles", "two_repairs"])
 @pytest.mark.parametrize("mode", ["semistrong", "relaxed01"])
 def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # mixed: a shuffled union of the 5-prism, C7, K3,3, a path, the 3-prism,
@@ -616,7 +616,9 @@ def test_color_output_is_byte_stable(tmp_path, capsys, graph, mode):
     # shuffled union (labels, edge order, endpoint order) of three isolated
     # vertices, two K2s, P3-P9, C3, C4, C5, C7, C10 and C13, every one colored
     # by the degree-2 walk on the parent's rows, C4 in both of its patterns
-    # and C10 and C13 with the n = 1 (mod 3) tail
+    # and C10 and C13 with the n = 1 (mod 3) tail; two_repairs: the 7-prism,
+    # then blowup(9, 2) on vertices 14-31, both repaired on one state, by two
+    # S1 moves and by one S3 move
     out_path = tmp_path / "out.json"
     argv = ["color", "--mode", mode, "--input", str(DATA / f"{graph}.txt"), "--output", str(out_path)]
     # --debug holds each component of maximum degree >= 3 to the reference

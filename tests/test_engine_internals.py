@@ -66,7 +66,7 @@ def test_schema_generators_yield_wellformed_candidates():
         eng._s3_candidates,
         eng._s4_candidates,
     ]
-    for e in eng.bad_edges():
+    for e in eng.state.bad_edges():
         for gen in gens:
             cands = list(gen(e))
             again = list(gen(e))
@@ -128,12 +128,12 @@ def _assert_matches_recount(eng):
     g = eng.g
     assert (eng.state.held, eng.state.count) == contact_state(g, eng.colors)
     rep = badness(g, eng.state.to_coloring())
-    assert eng.bad_edges() == list(rep.bad_edges)
-    assert eng.potential() == rep.potential
+    assert eng.state.bad_edges() == list(rep.bad_edges)
+    assert eng.state.potential() == rep.potential
 
 
 def _snapshot(eng):
-    return list(eng.colors), list(eng.state.count), list(eng.state.held), set(eng.bad), eng.sum_pairs
+    return list(eng.colors), list(eng.state.count), list(eng.state.held), set(eng.state.bad), eng.state.pairs
 
 
 def test_try_move_matches_full_recount():
@@ -149,9 +149,9 @@ def test_try_move_matches_full_recount():
     close = Counter()
     for g, c in states:
         eng = _Engine(_Contacts.of(g, c))  # only generates candidates, never moves
-        before = eng.potential()
+        before = eng.state.potential()
         trial = _Engine(_Contacts.of(g, c))
-        for e in eng.bad_edges():
+        for e in eng.state.bad_edges():
             for name, gen in _schema_candidates(eng, e):
                 for cand in itertools.islice(gen, 5):
                     start = _snapshot(trial)
@@ -168,7 +168,7 @@ def test_try_move_matches_full_recount():
                         assert good_change
                         assert trial.colors == new_colors
                         _assert_matches_recount(trial)
-                        assert trial.potential() < before
+                        assert trial.state.potential() < before
                         trial = _Engine(_Contacts.of(g, c))
                     # scored: recolored and its potential read, kept or not
                     scored[name] += good_change
@@ -185,11 +185,11 @@ def test_incremental_state_matches_recount_after_every_move(n, d, seed):
     eng = _Engine(_Contacts.of(g, smallest_color_start(g, d * d - 1)))
     _assert_matches_recount(eng)
     moves = 0
-    while eng.kappa1 > 0:
-        before = eng.potential()
+    while eng.state.bad:
+        before = eng.state.potential()
         move = eng.find_move()
         assert move is not None
-        assert eng.potential() < before
+        assert eng.state.potential() < before
         _assert_matches_recount(eng)
         moves += 1
     assert moves > 0
@@ -324,7 +324,7 @@ def test_stage_asserts_raise_on_a_state_whose_schemas_are_not_exhausted():
     # behind a bad edge's first failure run on the other edges
     g = families.prism(5)
     eng = _Engine(_Contacts.of(g, smallest_color_start(g, 8)))
-    bad = eng.bad_edges()
+    bad = eng.state.bad_edges()
     assert eng.enforce_invariants and bad == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13]
 
     def failures(check):
@@ -495,22 +495,23 @@ def test_heap_top_is_the_smallest_bad_edge_after_random_moves():
             edges = rng.sample(range(g.edge_count), rng.choice((1, 2, 3)))
             move = eng.try_move({e: rng.randint(1, k) for e in edges}, "random")
             made[move is not None] += 1
-            assert eng.smallest_bad() == min(eng.bad, default=None)
-            assert eng.bad <= set(eng.heap) and len(eng.heap) <= 2 * g.edge_count
-            if not eng.bad:
+            state = eng.state
+            assert state.smallest_bad() == min(state.bad, default=None)
+            assert state.bad <= set(state.heap) and len(state.heap) <= 2 * g.edge_count
+            if not state.bad:
                 eng = _Engine(_Contacts.of(g, random_good_coloring(g, k, rng)))
     assert made[True] > 0 and made[False] > 0
 
 
 def test_s1_only_repair_never_sorts_the_bad_set(monkeypatch):
     sorts = []
-    bad_edges = _Engine.bad_edges
+    bad_edges = _Contacts.bad_edges
 
     def counting(self):
         sorts.append(len(self.bad))
         return bad_edges(self)
 
-    monkeypatch.setattr(_Engine, "bad_edges", counting)
+    monkeypatch.setattr(_Contacts, "bad_edges", counting)
     g = families.random_max_degree(130, 6, 3)
     d = max_degree(g)
     start = smallest_color_start(g, d * d - 1)

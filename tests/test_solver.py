@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -103,7 +105,7 @@ def test_find_improving_move_progresses():
         assert is_good_coloring(g, c2)
         rep2 = badness(g, c2)
         assert rep2.potential < rep.potential
-        assert rep2.potential == eng.potential()
+        assert rep2.potential == eng.state.potential()
     assert found >= 3  # the corpus really exercises the engine
 
 
@@ -152,6 +154,14 @@ def test_repair_rejects_bad_inputs():
     k33 = families.complete_bipartite(3, 3)
     with pytest.raises(Exception):
         repair(k33, from_list(range(1, 10)))  # in the covering-edge family
+    # a mode solve rejects, which F3 would otherwise take for semistrong
+    g = families.prism(7)
+    start = greedy_good_coloring(g, 8)
+    assert badness(g, start).kappa1 > 0
+    with pytest.raises(ValueError) as rejected:
+        solve(g, "bogus")
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        repair(g, start, mode="bogus")
 
 
 def test_repair_trajectory_strictly_decreasing():
@@ -484,7 +494,8 @@ def test_solve_builds_each_engine_on_its_component_s_degree_and_palette(monkeypa
     # component's Delta and palette, so the stage asserts stay on
     built = _counting_engines(monkeypatch)
     k5 = build_graph(5, list(itertools.combinations(range(5), 2)))
-    g = _union([k5, families.prism(7), families.c7_blowup()])
+    parts = [k5, families.prism(7), families.c7_blowup()]
+    g = _union(parts)
     for mode in ("semistrong", "relaxed01"):
         built.clear()
         res = solve(g, mode, debug=True)
@@ -495,6 +506,10 @@ def test_solve_builds_each_engine_on_its_component_s_degree_and_palette(monkeypa
             assert engine.enforce_invariants and engine.k == engine.delta**2 - 1
             # the 7-prism has 21 edges and the blow-up 28, on 14 vertices each
             assert (len(part), len(edges)) == (14, 21 if engine.delta == 3 else 28)
+        # each component's potential is its own, so with debug off (which
+        # would hold a stale one to the checkers) every trace, its
+        # kappa_trajectory included, is that of the component solved alone
+        assert solve(g, mode).trace == [solve(p, mode).trace[0] for p in parts]
 
 
 def test_solve_carries_the_certificate_and_kappa_of_its_coloring():
@@ -581,11 +596,17 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
         state.held[g.edges[0][0]] ^= 1 << state.colors[0]
         return state
 
+    def mispaired(state, order):
+        greedy(state, order)
+        state.pairs += 1
+        return state
+
     assert set(g.edges[0]) & set(g.edges[1])
     for fake, why in (
         (miscounted, "disagree with a recount"),
         (not_good, "not a good coloring"),
         (unmapped, "disagree with a recount"),
+        (mispaired, "pair count disagree with a recount"),
     ):
         monkeypatch.setattr(solver, "_greedy", fake)
         with pytest.raises(EngineInvariantError, match=why):
@@ -594,24 +615,39 @@ def test_debug_solve_holds_the_greedy_start_to_the_checkers(monkeypatch):
 
 def test_debug_repair_holds_every_move_to_the_checkers(monkeypatch):
     fallback = build_graph(10, FALLBACK_EDGES)
-    lift, place = _Contacts.lift, _Engine._place
+    lift, place = _Contacts.lift, _Contacts.place
 
-    def forgetful(self, e):  # one contact keeps its count
-        contacts = lift(self, e)
+    def forgetful(state, e):  # one contact keeps its count
+        contacts = lift(state, e)
         for f in contacts[:1]:
-            self.count[f] += 1
+            state.count[f] += 1
         return contacts
 
-    def overcounted(self, e, c, contacts):  # one pair too many
-        place(self, e, c, contacts)
-        self.sum_pairs += 2
+    def overcounted(state, e, c, contacts):  # one pair too many
+        place(state, e, c, contacts)
+        state.pairs += 1
+
+    def dropped(state, e, c, contacts):  # the contacts leave the bad set
+        place(state, e, c, contacts)
+        state.bad.difference_update(contacts)
+
+    def faking(name, fake):
+        """An _Engine maker that gives the state fake as its method name, so
+        repair runs the fake and greedy's start stays exact."""
+
+        def engine(state, debug=False):
+            setattr(state, name, functools.partial(fake, state))
+            return _Engine(state, debug)
+
+        return engine
 
     assert solve(fallback, "semistrong", debug=True).trace[0].moves_by_schema["S1"] == 3
-    for cls, name, fake, why in (
-        (_Contacts, "lift", forgetful, "disagree with a recount"),
-        (_Engine, "_place", overcounted, "disagrees with full recomputation"),
+    for name, fake, why in (
+        ("lift", forgetful, "contact counts or color masks disagree"),
+        ("place", overcounted, "pair count disagree"),
+        ("place", dropped, "bad set, its heap or the pair count disagree"),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(cls, name, fake)
+            patch.setattr(solver, "_Engine", faking(name, fake))
             with pytest.raises(EngineInvariantError, match=f"move S1 .*{why}"):
                 solve(fallback, "semistrong", debug=True)

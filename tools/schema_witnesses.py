@@ -104,7 +104,7 @@ def random_start(g, k: int, rng: random.Random) -> _Engine | None:
             c = rng.choice(free)
             state.place(e, c, found[c])
         else:
-            if max(state.count) >= 2:
+            if state.bad:
                 return _Engine(state)
     return None
 
@@ -112,22 +112,24 @@ def random_start(g, k: int, rng: random.Random) -> _Engine | None:
 def recolor(eng: _Engine, e: int, c: int) -> bool:
     """Give e color c if that keeps the coloring good; report whether it did."""
     old = eng.colors[e]
-    eng._lift(e)
-    contacts = eng.state.contacts(e, c)
+    state = eng.state
+    state.lift(e)
+    contacts = state.contacts(e, c)
     if contacts is None:
-        eng._place(e, old, eng.state.contacts(e, old))
+        state.place(e, old, state.contacts(e, old))
         return False
-    eng._place(e, c, contacts)
+    state.place(e, c, contacts)
     return True
 
 
 def restore(eng: _Engine, old: dict[int, int]):
     """Put the edges of old back in their old colors after an accepted move."""
+    state = eng.state
     moved = [e for e, c in old.items() if eng.colors[e] != c]
     for e in moved:
-        eng._lift(e)
+        state.lift(e)
     for e in moved:
-        eng._place(e, old[e], eng.state.contacts(e, old[e]))
+        state.place(e, old[e], state.contacts(e, old[e]))
 
 
 def has_move(eng: _Engine, name: str, gen, e: int) -> bool:
@@ -144,7 +146,7 @@ def has_move(eng: _Engine, name: str, gen, e: int) -> bool:
 def profile(eng: _Engine, bound: list[int] | None) -> tuple[list[int], str]:
     """The profile, or its prefix up to where it first exceeds bound, and
     the first schema with a move (F3 when none has)."""
-    bad = eng.bad_edges()
+    bad = eng.state.bad_edges()
     counts: list[int] = []
     first = "F3"
     for name, gen, _ in eng.ladder():
@@ -195,10 +197,10 @@ class Search:
                 continue
             if not recolor(eng, e, c):
                 continue
-            if eng.kappa1 == 0:
+            if not eng.state.bad:
                 recolor(eng, e, old)
                 continue
-            eng.smallest_bad()  # keeps the heap within twice the edge count
+            eng.state.smallest_bad()  # keeps the heap within twice the edge count
             counts, first = profile(eng, current)
             visits[first] += 1
             if first not in SHALLOW:
@@ -227,7 +229,7 @@ class Search:
             "delta": eng.delta,
             "k": eng.k,
             "colors": list(eng.colors),
-            "kappa": list(eng.potential()),
+            "kappa": list(eng.state.potential()),
             "first": first,
             "find_move": schema,
             "move": move,
