@@ -4,7 +4,10 @@ The search is fail-first. At each step it colors, among the uncolored edges
 in N1 ∪ N2 of the colored ones, the edge with the most colors known not to
 fit, and it ends a branch as soon as an edge has none left. Colors obey the
 standard symmetry break (an edge may open at most one fresh color). Partial
-classes are checked incrementally:
+classes are checked incrementally, by the mode's state with one probe rule:
+``fits(e, c)`` says whether edge e may join class c and changes nothing;
+``assign(e, c)``, called only after fits said yes, puts it there and returns
+a token; ``undo(token)`` takes it out again, restoring the state exactly.
 
 * semistrong: a class is abandoned as soon as some class edge has both
   endpoints with a second neighbor among the class vertices (monotone, so
@@ -135,7 +138,8 @@ class _SemistrongState:
     endpoint of a new class edge: x is a class vertex, x is a common neighbor
     of a class edge's two ends, or x is next to a class vertex w whose
     partner has a second class neighbor, so w must keep its partner as its
-    only one.
+    only one. ``fits`` reads two counters, ``assign`` and ``undo`` move them
+    in O(Δ).
     """
 
     def __init__(self, g: Graph, k: int):
@@ -149,7 +153,7 @@ class _SemistrongState:
         self.poison = [[0] * n for _ in range(k + 1)]
 
     def fits(self, e: int, c: int) -> bool:
-        """try_assign's verdict, without changing the state.
+        """Whether edge e can join class c, without changing the state.
 
         Edge uv fits class c when neither end is poisoned and one end sees no
         class vertex: that end has degree 1 among the class vertices, and each
@@ -165,15 +169,12 @@ class _SemistrongState:
         sees = self.sees[c]
         return not (sees[u] and sees[v])
 
-    def try_assign(self, e: int, c: int):
+    def assign(self, e: int, c: int):
+        """Put edge e, which fits class c, in it; return the undo token."""
         u, v = self.edges[e]
         poison = self.poison[c]
         sees = self.sees[c]
-        if poison[u] or poison[v]:
-            return None
         if sees[v]:
-            if sees[u]:
-                return None
             u, v = v, u
         # now v sees no class vertex, so only u's class neighbors can get a
         # second class neighbor and doom their partners
@@ -225,7 +226,8 @@ class _SemistrongState:
 
 
 class _RelaxedState:
-    """Per-edge same-colored 1-/2-neighbor counters against the (s,t) caps."""
+    """Per-edge same-colored 1-/2-neighbor counters against the (s,t) caps;
+    ``fits``, ``assign`` and ``undo`` each walk e's N1 and N2 at most once."""
 
     def __init__(self, n1: list[list[int]], n2: list[list[int]], s: int, t: int):
         self.s = s
@@ -238,7 +240,8 @@ class _RelaxedState:
         self.same2 = [0] * m
 
     def fits(self, e: int, c: int) -> bool:
-        """try_assign's verdict, without changing the state."""
+        """Whether edge e can take color c: no edge near e, e included, goes
+        over its cap. Changes nothing."""
         colors = self.colors
         c1 = 0
         for f in self.n1[e]:
@@ -254,9 +257,8 @@ class _RelaxedState:
                     return False
         return True
 
-    def try_assign(self, e: int, c: int):
-        if not self.fits(e, c):
-            return None
+    def assign(self, e: int, c: int):
+        """Give edge e, which fits color c, that color; return the undo token."""
         colors = self.colors
         c1 = 0
         for f in self.n1[e]:
@@ -289,27 +291,24 @@ class _RelaxedState:
 
 class _Layout(NamedTuple):
     """What every search on one graph shares: the breadth-first edge order,
-    each edge's rank in it and each edge's N1 ∪ N2 list; the strong and
-    relaxed modes also keep N1 and N2 apart for their state."""
+    each edge's rank in it, and each edge's N1, N2 and N1 ∪ N2 lists: the
+    search reads N1 ∪ N2, the strong and relaxed state N1 and N2."""
 
     order: list[int]
     rank: list[int]
     near: list[list[int]]
-    n1: list[list[int]] | None
-    n2: list[list[int]] | None
+    n1: list[list[int]]
+    n2: list[list[int]]
 
 
-def _layout(g: Graph, mode: str) -> _Layout:
+def _layout(g: Graph) -> _Layout:
     order = bfs_edge_order(g)
     rank = [0] * len(order)
     for r, e in enumerate(order):
         rank[e] = r
-    rows = (rings(g.edges, g.adjacency, e) for e in range(g.edge_count))
-    if mode == "semistrong":
-        return _Layout(order, rank, [n1 + list(dict.fromkeys(reach)) for n1, reach in rows], None, None)
     n1: list[list[int]] = []
     n2: list[list[int]] = []
-    for a, reach in rows:
+    for a, reach in (rings(g.edges, g.adjacency, e) for e in range(g.edge_count)):
         n1.append(a)
         n2.append(list(dict.fromkeys(reach)))
     return _Layout(order, rank, [a + b for a, b in zip(n1, n2)], n1, n2)
@@ -361,7 +360,7 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
         return colors
     state = _state(g, mode, k, s, t, layout)
     order, rank, near = layout.order, layout.rank, layout.near
-    fits, try_assign, undo = state.fits, state.try_assign, state.undo
+    fits, assign, undo = state.fits, state.assign, state.undo
     nodes = clock.nodes
     stop = clock.stop(nodes)
     blocked = [0] * m  # bit c set: color c is known not to fit the edge
@@ -405,7 +404,8 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
                 nodes += 1
                 if nodes == stop:
                     stop = clock.check(nodes)
-                token = try_assign(e, c)
+                if fits(e, c):
+                    token = assign(e, c)
         tried[pos] = c
         if token is not None:
             tokens[pos] = token
@@ -470,10 +470,10 @@ def _has_class(g: Graph, mode: str, q: int, clock: _Clock, s: int, t: int, layou
     """
     m = g.edge_count
     state = _state(g, mode, 1, s, t, layout)
-    try_assign, undo = state.try_assign, state.undo
+    fits, assign, undo = state.fits, state.assign, state.undo
     nodes = clock.nodes
     stop = clock.stop(nodes)
-    tokens: list = []  # the class so far, as try_assign tokens in edge order
+    tokens: list = []  # the class so far, as assign tokens in edge order
     e = 0  # the next edge to decide
     while len(tokens) < q:
         if len(tokens) + (m - e) < q:
@@ -487,9 +487,8 @@ def _has_class(g: Graph, mode: str, q: int, clock: _Clock, s: int, t: int, layou
         nodes += 1
         if nodes == stop:
             stop = clock.check(nodes)
-        token = try_assign(e, 1)
-        if token is not None:
-            tokens.append(token)
+        if fits(e, 1):
+            tokens.append(assign(e, 1))
         e += 1
     clock.nodes = nodes
     return True
@@ -504,7 +503,7 @@ def feasibility(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     clock = _Clock(budget)
-    return _feasibility(g, mode, k, clock, s, t, _layout(g, mode))
+    return _feasibility(g, mode, k, clock, s, t, _layout(g))
 
 
 def _feasibility(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: _Layout) -> FeasibilityResult:
@@ -560,7 +559,7 @@ def exact_index(
     if m == 0:
         return ExactResult(0, Coloring((), 0), "exhausted", 0)
     clock = _Clock(budget)
-    layout = _layout(g, mode)
+    layout = _layout(g)
     delta = max_degree(g)
     k = min(max_colors, m, 2 * delta * (delta - 1) + 1)
     best: Coloring | None = None

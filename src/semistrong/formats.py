@@ -243,7 +243,8 @@ def _dumps(obj) -> str:
     With an indent CPython's json falls back to its pure-Python encoder; this
     writer dispatches on exact type, writes a dict's scalar values in line,
     joins an all-int list in one call and fills one row template per pair of
-    a list of int pairs (the edges).
+    a list of int pairs (the edges). Any other list, a float or a subclass
+    goes to the stdlib encoder.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -255,24 +256,15 @@ def _write(obj, newline: str, out: list[str]) -> None:
     inline = _INLINE.get(kind)
     if inline is not None:
         out.append(inline(obj))
-    elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
+    elif (kind is list or kind is tuple) and obj and all(type(x) is int for x in obj):
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
-            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
-            return
-        if all(type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int for x in obj):
-            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            out.append("[" + inner + ("," + inner).join([row % x for x in obj]) + newline + "]")
-            return
-        sep = "[" + inner
-        for x in obj:
-            out.append(sep)
-            _write(x, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+        out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+    elif (kind is list or kind is tuple) and obj and all(
+        type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int for x in obj
+    ):
+        inner = newline + "  "
+        row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+        out.append("[" + inner + ("," + inner).join([row % x for x in obj]) + newline + "]")
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -289,7 +281,7 @@ def _write(obj, newline: str, out: list[str]) -> None:
                 _write(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    else:  # floats, subclasses: the stdlib encoder, re-indented to this depth
+    else:  # floats, subclasses, other lists: the stdlib encoder, re-indented to this depth
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 

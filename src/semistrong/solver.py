@@ -202,13 +202,6 @@ class _Contacts:
                 bad.add(f)
                 heapq.heappush(heap, f)
 
-    def edge_at(self, w: int, c: int) -> int:
-        """The edge of color c at vertex w, which holds it."""
-        colors = self.colors
-        for _, f in self.g.adjacency[w]:
-            if colors[f] == c:
-                return f
-
     def contacts(self, e: int, c: int) -> list[int] | None:
         """e's colored 2-neighbors of color c, or None when c is in e's
         forbidden set: at e's ends, or on an edge joined to e twice."""
@@ -216,32 +209,34 @@ class _Contacts:
         held, bit = self.held, 1 << c
         if (held[u] | held[v]) & bit:
             return None
+        colors, adjacency = self.colors, self.g.adjacency
         found = []
         for a, b in ((u, v), (v, u)):
-            for w, _ in self.g.adjacency[a]:
+            for w, _ in adjacency[a]:
                 if w != b and held[w] & bit:
-                    f = self.edge_at(w, c)
+                    for _, f in adjacency[w]:  # the edge of color c at w
+                        if colors[f] == c:
+                            break
                     if f in found:
                         return None
                     found.append(f)
         return found
 
     def masks(self, e: int):
-        """e's ring, with e's ends on it, and four color masks over it: taken,
-        the colors at e's ends and bit 0; once and twice, the colors met once
-        and twice or more on the ring, a common neighbor of the ends twice;
-        and warm, the union of the ring's hot masks."""
+        """Four color masks over e's ring, with e's ends on it: taken, the
+        colors at e's ends and bit 0; once and twice, the colors met once and
+        twice or more on the ring, a common neighbor of the ends twice; and
+        warm, the union of the ring's hot masks."""
         u, v = self.g.edges[e]
         held, hot = self.held, self.hot
-        # u and v are on each other's rows; their colors are taken anyway
-        ring = self.g.adjacency[u] + self.g.adjacency[v]
         once = twice = warm = 0
-        for w, _ in ring:
+        # u and v are on each other's rows; their colors are taken anyway
+        for w, _ in self.g.adjacency[u] + self.g.adjacency[v]:
             mask = held[w]
             twice |= once & mask
             once |= mask
             warm |= hot[w]
-        return ring, held[u] | held[v] | 1, once, twice, warm
+        return held[u] | held[v] | 1, once, twice, warm
 
     def lift(self, e: int) -> list[int]:
         """Uncolor e; return the contacts that place puts it back with."""
@@ -317,11 +312,11 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
     palette_size = state.k
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
-    contacts, place, masks, edge_at = state.contacts, state.place, state.masks, state.edge_at
-    edges, held, hot = state.g.edges, state.held, state.hot
+    contacts, place, masks = state.contacts, state.place, state.masks
+    edges, hot = state.g.edges, state.hot
     top = 1 << palette_size
     for e in order:
-        ring, taken, once, twice, warm = masks(e)
+        taken, once, twice, warm = masks(e)
         y = taken | twice | (once & warm)
         bit = ~y & (y + 1)  # y's lowest zero bit: the smallest color that qualifies
         found = None
@@ -339,8 +334,8 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
                 y |= bit
         c = bit.bit_length() - 1
         if found is None:
-            # c's one contact, if any: the edge of color c at the ring vertex holding it
-            found = [edge_at(w, c) for w, _ in ring if held[w] & bit] if once & bit else ()
+            # c met once on the ring is one contact, met nowhere none
+            found = contacts(e, c) if once & bit else ()
         place(e, c, found)
         if found:
             u, v = edges[e]
@@ -414,17 +409,21 @@ class _Engine:
 
     # -- schema candidate generators --------------------------------------
 
+    def _colors_outside(self, mask: int):
+        """The colors in [1, k] whose bit mask lacks, in increasing order."""
+        free = ~mask & ((2 << self.k) - 2)
+        while free:
+            bit = free & -free
+            yield bit.bit_length() - 1
+            free ^= bit
+
     def _free_colors(self, e: int):
         """The colors outside e's forbidden set on at most one 2-neighbor of e,
         all T6 contacts, in increasing order: the colors in [1, k] neither
         taken nor met twice on e's ring, which is one contact each or none. A
         color met twice is two contacts or an edge joined to e twice."""
-        _, taken, _, twice, _ = self.state.masks(e)
-        free = ~(taken | twice) & ((2 << self.k) - 1)
-        while free:
-            bit = free & -free
-            yield bit.bit_length() - 1
-            free ^= bit
+        taken, _, twice, _ = self.state.masks(e)
+        return self._colors_outside(taken | twice)
 
     def _n1(self, e: int) -> list[int]:
         """e's 1-neighbors, the edges at its ends, in increasing order."""
@@ -459,7 +458,7 @@ class _Engine:
             for w, _ in g.adjacency[tip]:
                 if w != end:
                     used |= held[w]
-            free = [a for a in range(1, self.k + 1) if not used >> a & 1]
+            free = list(self._colors_outside(used))
             if free:
                 for alpha in free:
                     move = {edges[i]: self.colors[edges[i + 1]] for i in range(len(edges) - 1)}
@@ -567,7 +566,8 @@ class _Engine:
 
 def _repair_engine(state: _Contacts, debug: bool, mode: str) -> ComponentTrace:
     """Repair the coloring of the component in hand, moving state; the trace
-    is that of a greedy_repair component."""
+    is that of a greedy_repair component, and after F3 its trajectory ends
+    at the potential of F3's coloring."""
     engine = _Engine(state, debug=debug)
     moves: dict[str, int] = {}
     trajectory = [state.potential()]
@@ -576,7 +576,7 @@ def _repair_engine(state: _Contacts, debug: bool, mode: str) -> ComponentTrace:
         move = engine.find_move()
         if move is None:
             fallback_f3 = 1
-            _f3_fallback(state, mode)
+            trajectory.append(_f3_fallback(state, mode))
             break
         after = state.potential()
         if after >= trajectory[-1]:
@@ -612,8 +612,12 @@ def _trace(strategy: str, vertices: int, edges: int, d: int, colors, trajectory,
     )
 
 
-def _f3_fallback(state: _Contacts, mode: str) -> None:
-    """Color the component in hand by the exact search, into state.colors only."""
+def _f3_fallback(state: _Contacts, mode: str) -> tuple[int, int]:
+    """Color the component in hand by the exact search, into state.colors
+    only, and return that coloring's (kappa1, kappa2) by certify. The rest of
+    the state still holds the stuck coloring, and no state.check runs on F3's:
+    in relaxed01 mode it need not be good, which the state cannot hold, and
+    exact._feasibility has checked it with certify_mode already."""
     comp, ids = _induced(state.g, state.part, state.edges)
     k = state.k
     budget = exact.Budget(max_nodes=F3_MAX_NODES)
@@ -633,6 +637,7 @@ def _f3_fallback(state: _Contacts, mode: str) -> None:
         )
     for e, c in zip(ids, res.coloring.colors):
         state.colors[e] = c
+    return certify(comp, res.coloring).kappa
 
 
 def _check_mode(mode: str) -> None:
@@ -729,8 +734,8 @@ def solve(g: Graph, mode: str, debug: bool = False) -> SolveResult:
     adjacency = g.adjacency
     # each component of maximum degree >= 3 is taken up on the state with its
     # own palette and potential
-    state = _Contacts(g, 0) if max_degree(g) >= 3 else None
-    colors = state.colors if state else [0] * g.edge_count
+    state = _Contacts(g, 0)
+    colors = state.colors
     traces: list[ComponentTrace] = []
     label, side, order, starts = _walk(g)
     for part, a, b in zip(_component_parts(label, len(starts) - 1), starts, starts[1:]):

@@ -24,7 +24,7 @@ from semistrong.solver import (
     greedy_good_coloring,
     solve,
 )
-from semistrong.verify import badness, is_good_coloring, verify_relaxed, verify_semistrong
+from semistrong.verify import badness, certify, is_good_coloring, verify_relaxed, verify_semistrong
 
 
 def random_good_coloring(g, k, rng):
@@ -267,7 +267,8 @@ def test_f3_fallback_produces_valid_certificate(monkeypatch):
 
 # A seeded good start below the bound (random_max_degree(13, 3, 5), 6 colors
 # where Delta^2 - 1 = 8). S1 and S2 lower the potential to (1, 4), then no
-# schema applies and the exact search finishes the repair.
+# schema applies and the exact search finishes the repair, with a coloring of
+# higher potential: (4, 8) in semistrong mode, (0, 7) in relaxed01 mode.
 BELOW_BOUND_EDGES = [
     (9, 12), (8, 12), (2, 9), (3, 8), (6, 8), (0, 2), (1, 6), (1, 11), (2, 5), (1, 5),
     (5, 10), (3, 7), (9, 11), (0, 3), (4, 7), (0, 6), (11, 12), (7, 10), (4, 10),
@@ -282,12 +283,14 @@ def test_below_bound_run_ends_in_a_verified_f3_coloring():
     assert is_good_coloring(g, stuck) and badness(g, stuck).potential == (1, 4)
     assert _Engine(_Contacts.of(g, stuck)).find_move() is None
     start = from_list(BELOW_BOUND_START, 6)
-    for mode in ("semistrong", "relaxed01"):
+    for mode, kappa in (("semistrong", (4, 8)), ("relaxed01", (0, 7))):
         state = _Contacts.of(g, start)
         trace = _repair_engine(state, debug=True, mode=mode)
         out = state.to_coloring()
         assert trace.moves_by_schema == {"S1": 5, "S2": 1}
-        assert trace.kappa_trajectory[-1] == (1, 4)
+        # the stuck potential, then that of the coloring F3 returns
+        assert trace.kappa_trajectory[-2] == (1, 4)
+        assert trace.kappa_trajectory[-1] == kappa == certify(g, out).kappa
         assert trace.fallback_f3 == 1
         certificate = verify_semistrong(g, out) if mode == "semistrong" else verify_relaxed(g, out, 0, 1)
         assert certificate.ok and out.distinct_colors() <= 6

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from _oracles import naive_verify, one_neighbors, two_neighbors
@@ -16,6 +17,7 @@ from semistrong.exact import (
     exact_index,
     feasibility,
 )
+from semistrong.formats import parse_edge_list
 from semistrong.graph import build_graph
 from semistrong.verify import verify_relaxed, verify_semistrong, verify_strong
 
@@ -121,7 +123,7 @@ _BOUND_PASSES = build_graph(
 def _class_nodes(g, mode, q, s=0, t=0):
     """The class search's verdict and node count on a fresh clock."""
     clock = _Clock(None)
-    found = _has_class(g, mode, q, clock, s, t, _layout(g, mode))
+    found = _has_class(g, mode, q, clock, s, t, _layout(g))
     return found, clock.nodes
 
 
@@ -183,7 +185,7 @@ def test_has_class_matches_brute_force(mode, s, t):
         valid = [naive_verify(g, [0 if T >> e & 1 else e + 1 for e in range(m)], mode, s, t) for T in range(1 << m)]
         expected = [any(valid[T] for T in range(1 << m) if T.bit_count() == q) for q in range(1, m + 2)]
         assert expected == sorted(expected, reverse=True) and not expected[-1]
-        layout = _layout(g, mode)
+        layout = _layout(g)
         assert [_has_class(g, mode, q, _Clock(None), s, t, layout) for q in range(1, m + 2)] == expected
         runs += 1
 
@@ -279,6 +281,16 @@ def test_prism5_refutation_follows_the_candidate_order():
     assert (res.status, res.nodes) == ("unsat", 61467)
 
 
+@pytest.mark.parametrize("mode,s,t,value,nodes", [("strong", 0, 0, 8, 486), ("relaxed", 1, 1, 4, 1018)])
+def test_prism5_node_counts_in_strong_and_relaxed11_mode(mode, s, t, value, nodes):
+    # the relaxed state's counts, pinned like the semistrong and relaxed(0,1)
+    # ones: a changed probe or candidate order moves them
+    g = parse_edge_list((Path(__file__).parent / "data" / "prism5.txt").read_text(encoding="utf-8"))
+    res = exact_index(g, mode, 15, s=s, t=t)
+    assert (res.value, res.proof, res.nodes) == (value, "exhausted", nodes)
+    assert verify_relaxed(g, res.certificate, s, t).ok
+
+
 def test_search_stays_linear_on_a_large_easy_instance():
     # at Delta^2 - 1 colors this graph colors greedily; a search that probed
     # every candidate at every position needed over a million nodes here
@@ -299,17 +311,18 @@ def _snapshot(state):
 
 
 @pytest.mark.parametrize("caps", [None, (0, 0), (0, 1), (1, 1)])
-def test_fits_matches_try_assign_then_undo(caps):
+def test_fits_matches_the_definitions_and_undo_reverses_assign(caps):
     # caps None is the semistrong state, else the relaxed (s, t) state; the
     # graphs include triangles (K4, the 3-prism, random graphs of density 1/2).
-    # In the first 25 rounds both must also match the definitions.
+    # fits changes nothing, assign then undo restores the state, and in the
+    # first 25 rounds fits must match the definitions.
     rng = random.Random(31 if caps is None else 37 + 2 * caps[0] + caps[1])
     graphs = [families.complete_bipartite(2, 2), build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
     graphs += [families.prism(3)] + [_random_graph(rng.randint(5, 9), 0.5, rng) for _ in range(6)]
     for g in graphs:
         m = g.edge_count
         k = 5
-        layout = _layout(g, "strong")
+        layout = _layout(g)
         n1, n2 = layout.n1, layout.n2
         assert [set(f) for f in n1] == [one_neighbors(g, e) for e in range(m)]
         assert [set(f) for f in n2] == [two_neighbors(g, e) for e in range(m)]
@@ -322,7 +335,8 @@ def test_fits_matches_try_assign_then_undo(caps):
             colors = [0] * m
             for e in rng.sample(range(m), rng.randint(0, m)):
                 c = rng.randint(1, k)
-                if state.try_assign(e, c) is not None:
+                if state.fits(e, c):
+                    state.assign(e, c)
                     colors[e] = c
             for e in range(m):
                 if colors[e]:
@@ -331,11 +345,9 @@ def test_fits_matches_try_assign_then_undo(caps):
                     before = _snapshot(state)
                     verdict = state.fits(e, c)
                     assert _snapshot(state) == before
-                    token = state.try_assign(e, c)
-                    assert verdict == (token is not None)
-                    if token is not None:
-                        state.undo(token)
-                    assert _snapshot(state) == before
+                    if verdict:
+                        state.undo(state.assign(e, c))
+                        assert _snapshot(state) == before
                     if trial_round < 25:
                         # the uncolored edges get colors of their own
                         trial = [colors[f] or -1 - f for f in range(m)]
@@ -370,9 +382,9 @@ def test_semistrong_counters_match_their_definitions():
             if tokens and rng.random() < 0.3:
                 state.undo(tokens.pop())
             else:
-                token = state.try_assign(rng.randrange(g.edge_count), rng.randint(1, k))
-                if token is not None:
-                    tokens.append(token)
+                e, c = rng.randrange(g.edge_count), rng.randint(1, k)
+                if state.fits(e, c):
+                    tokens.append(state.assign(e, c))
             for c in range(1, k + 1):
                 counters = (state.sees[c], state.poison[c])
                 assert counters == _recount(g, state.partner[c])
