@@ -14,7 +14,7 @@ import io
 import os
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from . import families
@@ -30,7 +30,7 @@ from .formats import (
     parse_edge_list,
     parse_graph6,
 )
-from .graph import Graph, GraphError, max_degree
+from .graph import Graph, GraphError
 from .solver import MODES as COLOR_MODES, solve
 from .verify import certify_mode
 
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--dir", required=True)
     p_batch.add_argument("--mode", choices=COLOR_MODES, required=True)
     p_batch.add_argument("--report", required=True)
-    p_batch.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes, at most one per CPU (default 1)")
+    p_batch.add_argument("--jobs", type=_at_least(1), default=1, help="processes: this one and up to N-1 forked children, at most one per CPU (default 1)")
     return parser
 
 
@@ -217,11 +217,8 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]], mode: str) -> dict:
-    """One report row: parse and color one graph, or record why that failed.
-
-    A module-level function, so a worker process can unpickle it under any
-    start method; --jobs 1 calls it in-process."""
+def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]], mode: str) -> list:
+    """One report row, in BATCH_FIELDS order: one graph colored, or why not."""
     name, (fmt, text) = item
     try:
         if isinstance(text, Exception):
@@ -230,24 +227,46 @@ def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]]
         start, cpu_start = time.monotonic(), time.process_time()
         result = solve(g, mode)
         elapsed, cpu = time.monotonic() - start, time.process_time() - cpu_start
-        return {
-            "graph": name,
-            "n": g.vertex_count,
-            "m": g.edge_count,
-            "delta": max_degree(g),
-            "strategy": "+".join(sorted({t.strategy for t in result.trace})),
-            "colors_used": result.colors_used,
-            "valid": result.certificates[mode],
-            "kappa1_trajectory_len": sum(len(t.kappa_trajectory) for t in result.trace),
-            "fallbacks": sum(t.fallback_f3 for t in result.trace),
-            "wall_time_s": f"{elapsed:.4f}",
-            "cpu_time_s": f"{cpu:.4f}",
-            "error": "",
-        }
+        traces = result.trace
+        return [
+            name, g.vertex_count, g.edge_count, max((t.delta for t in traces), default=0),
+            "+".join(sorted({t.strategy for t in traces})), result.colors_used, result.certificates[mode],
+            sum(len(t.kappa_trajectory) for t in traces), sum(t.fallback_f3 for t in traces),
+            f"{elapsed:.4f}", f"{cpu:.4f}", "",
+        ]
     except Exception as exc:  # per-graph failures land in the report
-        row = dict.fromkeys(BATCH_FIELDS, "")
-        row.update(graph=name, strategy=f"error:{type(exc).__name__}", valid=False, error=_one_line(exc))
-        return row
+        return [name, "", "", "", f"error:{type(exc).__name__}", "", False, "", "", "", "", _one_line(exc)]
+
+
+def _share_rows(share: list, mode: str) -> bytes:
+    """A share's CSV rows; a file name that is not UTF-8 keeps its bytes."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(_batch_work(item, mode) for item in share)
+    return buf.getvalue().encode("utf-8", "surrogateescape")
+
+
+def _fork_share(share: list, mode: str, inherited: list[int]) -> tuple[int, int]:
+    """(pid, read end) of a forked child that writes the share's rows to a
+    pipe, with the inherited read ends closed. It leaves only through
+    os._exit, whatever happens, so it runs none of the command's cleanup."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            for fd in (read_end, *inherited):
+                os.close(fd)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_share_rows(share, mode))
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(write_end)
+    return pid, read_end
 
 
 _BATCH_FORMATS = {".txt": "edgelist", ".edgelist": "edgelist", ".g6": "graph6", ".graph6": "graph6"}
@@ -274,37 +293,30 @@ def _batch_inputs(root: Path):
                 yield f"{path.name}:{i + 1}", (fmt, line)
 
 
-def _process_pool(workers: int):
-    # imported here: multiprocessing adds ~15 ms to every command's start
-    # (Python 3.11, -X importtime), and only a batch with workers uses it
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the platform's default start method (fork on Linux before Python 3.14,
-    # forkserver after); the command starts no threads that a fork could copy
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def _cmd_batch(args) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise FormatError("usage", f"--dir {args.dir} is not a directory")
     inputs = list(_batch_inputs(root))
-    work = partial(_batch_work, mode=args.mode)
-    # never more workers than CPUs or graphs: each one is a process
-    workers = min(args.jobs, os.cpu_count() or 1, len(inputs))
-    if workers > 1:
-        # a few chunks per worker: one round trip per chunk, not per graph,
-        # and still some balance when one chunk holds the slow graphs
-        chunksize = max(1, len(inputs) // (8 * workers))
-        with _process_pool(workers) as pool:
-            rows = list(pool.map(work, inputs, chunksize=chunksize))
-    else:
-        rows = [work(item) for item in inputs]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BATCH_FIELDS)
-    writer.writeheader()
-    writer.writerows(rows)
-    Path(args.report).write_text(buf.getvalue(), encoding="utf-8")
+    # contiguous shares whose sizes differ by at most one, never more than CPUs
+    # or graphs; this process colors the first, a forked child each other one
+    workers = max(1, min(args.jobs, os.cpu_count() or 1, len(inputs))) if hasattr(os, "fork") else 1
+    shares = [inputs[i * len(inputs) // workers : (i + 1) * len(inputs) // workers] for i in range(workers)]
+    children = []  # (pid, read end)
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(share, args.mode, [fd for _, fd in children]))
+        texts = [(",".join(BATCH_FIELDS) + "\r\n").encode(), _share_rows(shares[0], args.mode)]
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                texts.append(pipe.read())
+    finally:
+        for _, read_end in children:  # a child still writing gets EPIPE and exits
+            os.close(read_end)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    if any(codes):
+        raise RuntimeError(f"a batch worker exited with code {next(filter(None, codes))}")
+    Path(args.report).write_bytes(b"".join(texts))
     return EXIT_OK
 
 

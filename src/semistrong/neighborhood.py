@@ -159,21 +159,9 @@ def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[i
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:
     """Exact-rational upper bound on |f_set| in terms of the max degree and the
     sizes of c_delta, T1, T2, T6."""
-    t1 = t2 = t6 = 0
-    for t in nb.type_of.values():
-        if t is PairType.T1:
-            t1 += 1
-        elif t is PairType.T2:
-            t2 += 1
-        elif t is PairType.T6:
-            t6 += 1
-    return (
-        Fraction(delta * delta - 1)
-        - Fraction(len(nb.c_delta), 2)
-        - t1
-        - Fraction(t2, 2)
-        - Fraction(t6, 2)
-    )
+    count = Counter(nb.type_of.values())
+    half = Fraction(len(nb.c_delta) + count[PairType.T2] + count[PairType.T6], 2)
+    return delta * delta - 1 - count[PairType.T1] - half
 
 
 def m_set(g: Graph, path: list[int]) -> frozenset[int]:

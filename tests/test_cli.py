@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -426,37 +427,121 @@ def test_color_names_stdin_that_is_not_utf8(capsys, monkeypatch):
     assert err.startswith("error: <stdin> is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
-def test_batch_pool_is_capped(tmp_path, capsys, monkeypatch):
-    """Workers are min(--jobs, CPUs, graphs); one or fewer runs in-process.
-    The pool is a stub that maps serially, so no process is started."""
+def test_batch_worker_count_is_capped(tmp_path, capsys, monkeypatch):
+    """Workers are min(--jobs, CPUs, graphs): this process and one forked
+    child per further share, each share contiguous, sizes differing by at
+    most one. Without os.fork there is one process."""
     import semistrong.cli as cli_mod
 
-    pools = []
+    forks, forked_shares = [], []
+    real_fork, real_fork_share = os.fork, cli_mod._fork_share
 
-    class StubPool:
-        def __init__(self, workers):
-            pools.append(workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    def recording_fork_share(share, *rest):
+        forked_shares.append([name for name, _ in share])
+        return real_fork_share(share, *rest)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            assert chunksize >= 1
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_mod, "_process_pool", StubPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli_mod, "_fork_share", recording_fork_share)
     d = _batch_dir(tmp_path)  # five graphs
+    names = ["broken.txt", "c7.txt", "prism5.txt", "two.g6:1", "two.g6:2"]
     report = tmp_path / "report.csv"
     argv = ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report), "--jobs"]
-    for cpus, jobs, want in [(4, "5000", [4]), (8, "5000", [5]), (8, "3", [3]), (None, "5000", []), (4, "1", [])]:
-        pools.clear()
+    cases = [
+        (4, "5000", [["c7.txt"], ["prism5.txt"], ["two.g6:1", "two.g6:2"]]),
+        (8, "5000", [[name] for name in names[1:]]),
+        (8, "3", [["c7.txt", "prism5.txt"], ["two.g6:1", "two.g6:2"]]),
+        (None, "5000", []),
+        (4, "1", []),
+    ]
+    for cpus, jobs, want in cases:
+        forks.clear()
+        forked_shares.clear()
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
         assert run(capsys, argv + [jobs])[0] == 0
-        assert pools == want
-        assert len(_report_rows(report)) == 5
+        assert len(forks) == len(want) and forked_shares == want
+        assert [row["graph"] for row in _report_rows(report)] == names
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 8)
+    forked_shares.clear()
+    assert run(capsys, argv + ["5000"])[0] == 0
+    assert forked_shares == [] and [row["graph"] for row in _report_rows(report)] == names
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_leaves_no_child_process(tmp_path, capsys, monkeypatch):
+    """Every forked child is reaped on every path: a clean run, a child that
+    dies, this process failing on its own share while the children fail on
+    theirs, and this process failing while a child waits to write more than
+    a pipe holds."""
+    import semistrong.cli as cli_mod
+
+    d = _batch_dir(tmp_path)
+    report = tmp_path / "report.csv"
+    argv = ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report), "--jobs", "2"]
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 3)
+    assert run(capsys, argv)[0] == 0
+    _no_child_left()
+    report.unlink()
+    me, real_work = os.getpid(), cli_mod._batch_work
+
+    def child_dies(item, mode):
+        return real_work(item, mode) if os.getpid() == me else os._exit(7)
+
+    def all_fail(item, mode):
+        raise RuntimeError("boom")
+
+    def child_writes_a_lot(item, mode):
+        if os.getpid() == me:
+            raise RuntimeError("boom")
+        return ["x" * 200_000]
+
+    def hung(*_):
+        raise RuntimeError("hung")
+
+    # a reaping order that deadlocks fails the test instead of hanging it
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for work, jobs, message in [
+            (child_dies, "2", "internal error: RuntimeError: a batch worker exited with code 7\n"),
+            (all_fail, "3", "internal error: RuntimeError: boom\n"),
+            (child_writes_a_lot, "3", "internal error: RuntimeError: boom\n"),
+        ]:
+            monkeypatch.setattr(cli_mod, "_batch_work", work)
+            signal.alarm(30)
+            code, out, err = run(capsys, argv[:-1] + [jobs])
+            signal.alarm(0)
+            assert (code, out, err) == (3, "", message)
+            assert not report.exists()
+            _no_child_left()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_writes_a_name_that_is_not_utf8_as_its_bytes(tmp_path, capsys, monkeypatch, jobs):
+    import semistrong.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (Path(os.fsdecode(bytes(d) + b"/bad\xff.txt"))).write_text(emit_edge_list(families.path(2)))
+    (d / "good.txt").write_text(emit_edge_list(families.cycle(7)))
+    report = tmp_path / "report.csv"
+    argv = ["batch", "--dir", str(d), "--mode", "semistrong", "--report", str(report), "--jobs", jobs]
+    assert run(capsys, argv)[0] == 0
+    lines = report.read_bytes().split(b"\r\n")
+    assert lines[1].startswith(b"bad\xff.txt,2,1,1,trivial,1,True,")
+    assert lines[2].startswith(b"good.txt,7,7,2,delta2,4,True,")
+    assert lines[3:] == [b""]
 
 
 def test_batch_rejects_jobs_below_one(tmp_path, capsys):
