@@ -306,12 +306,10 @@ def _layout(g: Graph) -> _Layout:
     rank = [0] * len(order)
     for r, e in enumerate(order):
         rank[e] = r
-    n1: list[list[int]] = []
-    n2: list[list[int]] = []
-    for a, reach in (rings(g.edges, g.adjacency, e) for e in range(g.edge_count)):
-        n1.append(a)
-        n2.append(list(dict.fromkeys(reach)))
-    return _Layout(order, rank, [a + b for a, b in zip(n1, n2)], n1, n2)
+    walks = [rings(g, e) for e in range(g.edge_count)]
+    n1 = [a for a, _ in walks]
+    n2 = [b for _, b in walks]
+    return _Layout(order, rank, [a + b for a, b in walks], n1, n2)
 
 
 def _state(g: Graph, mode: str, k: int, s: int, t: int, layout: _Layout):

@@ -21,20 +21,19 @@ solver.py), and read forbidden sets, contacts and the path-shift schema's
 from ``rings``. The certificates and the badness audit count same-colored
 contacts straight from the adjacency (see verify.py).
 
-An EdgeNeighborhood holds n1, n2 and f_set as frozensets, built from one
-``rings`` walk. The per-endpoint 2-neighbor splits (n2_u, n2_v), the triangle
-1-neighbors c_delta, the pair types type_of and t6 are derived on first use.
-The repair engine builds one only for the few edges that its stage asserts
-look at; m_set and observation_bound take one too.
+An EdgeNeighborhood is a frozen value built from one ``rings`` walk: n1, n2,
+f_set, the pair types type_of and t6, the per-endpoint 2-neighbor splits
+(n2_u, n2_v) and the triangle 1-neighbors c_delta are all computed when it is
+built. The repair engine builds one only for the few edges that its stage
+asserts look at; m_set and observation_bound take one too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
 
 from .graph import Graph
 
@@ -50,8 +49,16 @@ class PairType(IntEnum):
 
 _T1, _T2, _T3, _T4, _T5, _T6 = PairType
 
+# The pair type of f = xy against e = uv by its cross edges, as bits ux = 1,
+# uy = 2, vx = 4, vy = 8; entry bits - 1.
+_TYPE_BY_CROSS = (
+    _T6, _T6, _T5,  # ux, uy, ux uy
+    _T6, _T3, _T4, _T2,  # vx, ux vx, uy vx, ux uy vx
+    _T6, _T4, _T3, _T2, _T5, _T2, _T2, _T1,  # vy, and vy with each of the above
+)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class EdgeNeighborhood:
     """Color-independent neighborhood data for one edge of a graph."""
 
@@ -61,99 +68,73 @@ class EdgeNeighborhood:
     n1: frozenset[int]
     n2: frozenset[int]
     f_set: frozenset[int]
-    _g: Graph = field(repr=False)
-
-    @cached_property
-    def t6(self) -> frozenset[int]:
-        return self.n2 - self.f_set
-
-    def _near(self, vertex: int) -> set[int]:
-        return {w for w, _ in self._g.adjacency[vertex]}
-
-    def _side(self, vertex: int) -> frozenset[int]:
-        near = self._near(vertex)
-        edges = self._g.edges
-        return frozenset(f for f in self.n2 if edges[f][0] in near or edges[f][1] in near)
-
-    @cached_property
-    def n2_u(self) -> frozenset[int]:
-        """2-neighbors with an endpoint adjacent to u."""
-        return self._side(self.u)
-
-    @cached_property
-    def n2_v(self) -> frozenset[int]:
-        """2-neighbors with an endpoint adjacent to v."""
-        return self._side(self.v)
-
-    @cached_property
-    def c_delta(self) -> frozenset[int]:
-        """1-neighbors that close a triangle with the edge."""
-        nu = self._near(self.u)
-        nv = self._near(self.v)
-        found = [idx for w, idx in self._g.adjacency[self.u] if w in nv]
-        found += [idx for w, idx in self._g.adjacency[self.v] if w in nu]
-        return frozenset(found)
-
-    @cached_property
-    def type_of(self) -> dict[int, PairType]:
-        nu = self._near(self.u)
-        nv = self._near(self.v)
-        edges = self._g.edges
-        type_of: dict[int, PairType] = {}
-        for f in self.n2:
-            x, y = edges[f]
-            ux = x in nu
-            uy = y in nu
-            vx = x in nv
-            vy = y in nv
-            count = ux + uy + vx + vy
-            if count == 1:
-                t = _T6
-            elif count == 4:
-                t = _T1
-            elif count == 3:
-                t = _T2
-            elif (ux and vx) or (uy and vy):
-                t = _T3
-            elif (ux and uy) or (vx and vy):
-                t = _T5
-            else:
-                t = _T4
-            type_of[f] = t
-        return type_of
+    t6: frozenset[int]
+    n2_u: frozenset[int]
+    """2-neighbors with an endpoint adjacent to u."""
+    n2_v: frozenset[int]
+    """2-neighbors with an endpoint adjacent to v."""
+    c_delta: frozenset[int]
+    """1-neighbors that close a triangle with the edge."""
+    type_of: dict[int, PairType]
 
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
     """Neighborhood of edge e alone."""
     if not 0 <= e < len(g.edges):
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
-    u, v = g.edges[e]
-    n1, reach = rings(g.edges, g.adjacency, e)
-    ring1, n2 = frozenset(n1), frozenset(reach)
-    # the 2-neighbors met more than once are T1..T5
-    close = [] if len(n2) == len(reach) else [f for f, times in Counter(reach).items() if times > 1]
-    return EdgeNeighborhood(edge=e, u=u, v=v, n1=ring1, n2=n2, f_set=ring1.union(close), _g=g)
-
-
-def rings(edges: tuple[tuple[int, int], ...], adjacency, e: int) -> tuple[list[int], list[int]]:
-    """Edge e's 1-neighbors, and its 2-neighbors with repeats, read off the
-    adjacency.
-
-    The second list has one entry per cross edge a-w (a an endpoint of e) for
-    each edge f = wz disjoint from e, so f occurs once per edge joining it to
-    e: once for T6, two to four times for T1..T5.
-    """
+    edges, adjacency = g.edges, g.adjacency
     u, v = edges[e]
+    n1, n2 = rings(g, e)
+    near_u = {w for w, _ in adjacency[u]}
+    near_v = {w for w, _ in adjacency[v]}
+    type_of: dict[int, PairType] = {}
+    side_u: list[int] = []
+    side_v: list[int] = []
+    for f in n2:
+        x, y = edges[f]
+        bits = (x in near_u) | (y in near_u) << 1 | (x in near_v) << 2 | (y in near_v) << 3
+        type_of[f] = _TYPE_BY_CROSS[bits - 1]
+        if bits & 3:
+            side_u.append(f)
+        if bits & 12:
+            side_v.append(f)
+    ring1, ring2 = frozenset(n1), frozenset(n2)
+    t6 = frozenset(f for f, t in type_of.items() if t is _T6)
+    triangles = [idx for w, idx in adjacency[u] if w in near_v] + [idx for w, idx in adjacency[v] if w in near_u]
+    return EdgeNeighborhood(
+        edge=e,
+        u=u,
+        v=v,
+        n1=ring1,
+        n2=ring2,
+        f_set=ring1 | (ring2 - t6),
+        t6=t6,
+        n2_u=frozenset(side_u),
+        n2_v=frozenset(side_v),
+        c_delta=frozenset(triangles),
+        type_of=type_of,
+    )
+
+
+def rings(g: Graph, e: int) -> tuple[list[int], list[int]]:
+    """Edge e's 1-neighbors, and its distinct 2-neighbors in the order the
+    walk meets them, read off the adjacency.
+
+    The walk meets a 2-neighbor f = wz once per cross edge a-w (a an endpoint
+    of e): once for T6, two to four times for T1..T5.
+    """
+    adjacency = g.adjacency
+    u, v = g.edges[e]
     n1 = [idx for _, idx in adjacency[u] if idx != e] + [idx for _, idx in adjacency[v] if idx != e]
-    reach = [
+    reach = (
         f
         for a, b in ((u, v), (v, u))
         for w, _ in adjacency[a]
         if w != b
         for z, f in adjacency[w]
         if z != a and z != b
-    ]
-    return n1, reach
+    )
+    return n1, list(dict.fromkeys(reach))
 
 
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:
@@ -190,4 +171,4 @@ def m_set(g: Graph, path: list[int]) -> frozenset[int]:
     # for k = 1, dropping e1 itself from N[e1] leaves N(e1)
     prev = edge_ids[-2] if len(edge_ids) >= 2 else last
     nb = compute_neighborhood(g, last)
-    return ((nb.n1 | {last}) - {prev}) | nb._side(path[-1])
+    return ((nb.n1 | {last}) - {prev}) | (nb.n2_u if path[-1] == nb.u else nb.n2_v)

@@ -4,7 +4,7 @@ bad-edge / bad-pair accounting that drives the repair engine.
 Every checker reads a color index (per vertex, its edges by color) and
 applies its rule edge by edge, in O(m·Δ); a witness is always the smallest
 offending (color, edge). All functions are pure and share no data with the
-neighborhoods that greedy and the repair engine build, so they are an
+state that greedy and the repair engine keep, so they are an
 independent check of the engine's own tables.
 
 ``certify`` is the one verification pass, which ``solve``, ``exact``'s κ and

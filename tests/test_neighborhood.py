@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,9 @@ from _oracles import (
     type_class,
 )
 from semistrong import families
-from semistrong.graph import build_graph, max_degree
+from semistrong.graph import Graph, build_graph, max_degree
 from semistrong.coloring import from_list
-from semistrong.neighborhood import PairType, compute_neighborhood, m_set, observation_bound
+from semistrong.neighborhood import PairType, compute_neighborhood, m_set, observation_bound, rings
 from semistrong.solver import _Contacts
 
 CORPUS = [
@@ -41,6 +43,8 @@ def test_rings_match_pairwise_enumeration():
             assert nb.n2 == frozenset(two_neighbors(g, e))
             assert not nb.n1 & nb.n2
             assert nb.n2 == nb.n2_u | nb.n2_v
+            n2 = rings(g, e)[1]
+            assert len(n2) == len(set(n2))
 
 
 def test_type_partition_and_f_set():
@@ -219,9 +223,19 @@ def _oracle_type(g, e, f) -> PairType:
     return PairType.T4
 
 
+def _cross_bits(g, e, f) -> int:
+    """f's cross edges to e as bits ux = 1, uy = 2, vx = 4, vy = 8."""
+    u, _ = g.edges[e]
+    x, _ = g.edges[f]
+    return sum(1 << (2 * (a != u) + (b != x)) for a, b in cross_edges(g, e, f))
+
+
 def test_derived_fields_match_eager_recomputation():
+    # every graph with at most 7 vertices as well, so that all 15 cross-edge
+    # patterns, and with them every row of the pair-type table, occur
     k4 = build_graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
-    for g in [families.prism(5), families.c7_blowup(), families.hypercube(3), families.prism(3), k4]:
+    patterns = set()
+    for g in [families.prism(5), families.c7_blowup(), families.hypercube(3), families.prism(3), k4, *_atlas_graphs()]:
         for e in range(g.edge_count):
             nb = compute_neighborhood(g, e)
             u, v = g.edges[e]
@@ -229,12 +243,23 @@ def test_derived_fields_match_eager_recomputation():
             near_v = set(g.neighbors(v))
             n2 = two_neighbors(g, e)
             assert nb.type_of == {f: _oracle_type(g, e, f) for f in n2}
+            patterns.update(_cross_bits(g, e, f) for f in n2)
             assert nb.t6 == {f for f in n2 if len(cross_edges(g, e, f)) == 1}
             assert nb.n2_u == {f for f in n2 if set(g.edges[f]) & near_u}
             assert nb.n2_v == {f for f in n2 if set(g.edges[f]) & near_v}
             assert nb.c_delta == {
                 f for f in one_neighbors(g, e) if (set(g.edges[f]) - {u, v}) <= near_u & near_v
             }
+    assert patterns == set(range(1, 16))
+
+
+def test_neighborhood_is_a_frozen_value():
+    g = families.prism(3)
+    nb = compute_neighborhood(g, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nb.f_set = frozenset()
+    # it keeps no reference to the graph it was built from
+    assert not any(isinstance(r, Graph) for r in [*gc.get_referents(nb), *vars(nb).values()])
 
 
 def _atlas_graphs():
