@@ -232,7 +232,7 @@ def _batch_work(item: tuple[str, tuple[str, str | OSError | UnicodeDecodeError]]
             name, g.vertex_count, g.edge_count, max((t.delta for t in traces), default=0),
             "+".join(sorted({t.strategy for t in traces})), result.colors_used, result.certificates[mode],
             sum(len(t.kappa_trajectory) for t in traces), sum(t.fallback_f3 for t in traces),
-            f"{elapsed:.4f}", f"{cpu:.4f}", "",
+            f"{elapsed:.6f}", f"{cpu:.6f}", "",
         ]
     except Exception as exc:  # per-graph failures land in the report
         return [name, "", "", "", f"error:{type(exc).__name__}", "", False, "", "", "", "", _one_line(exc)]

@@ -22,11 +22,13 @@ a token; ``undo(token)`` takes it out again, restoring the state exactly.
 
 Both checks only get stricter as edges are added, and a fresh color always
 fits an empty class, so an edge with no fitting color stays stuck in every
-extension: ending the branch there loses no coloring.
+extension: ending the branch there loses no coloring. Classes in different
+components never meet, so refutation is per component (see ``_search``).
 
 ``exact_index`` walks the color count top-down, from a count that a greedy
 strong coloring always meets, to one less than the colors each found
-coloring used, and stops at the first refutation. Before it searches at k it
+coloring used, and stops at the first refutation; every count and class
+search read one layout, built once per graph. Before it searches at k it
 tries a counting bound: some class of a k-coloring has q = ⌈m/k⌉ edges, and
 every mode is hereditary (a subset of a valid class is valid), so when no
 valid class of q edges exists, k is refuted without the search.
@@ -142,11 +144,9 @@ class _SemistrongState:
     in O(Δ).
     """
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph, k: int, layout: _Layout):
         self.edges = g.edges
-        nbrs = self.nbrs = [[w for w, _ in row] for row in g.adjacency]
-        sets = [set(row) for row in nbrs]
-        self.common = [[x for x in nbrs[u] if x in sets[v]] for u, v in g.edges]
+        self.nbrs, self.common = layout.nbrs, layout.common
         n = g.vertex_count
         self.partner = [[-1] * n for _ in range(k + 1)]
         self.sees = [[0] * n for _ in range(k + 1)]
@@ -290,15 +290,17 @@ class _RelaxedState:
 
 
 class _Layout(NamedTuple):
-    """What every search on one graph shares: the breadth-first edge order,
-    each edge's rank in it, and each edge's N1, N2 and N1 ∪ N2 lists: the
-    search reads N1 ∪ N2, the strong and relaxed state N1 and N2."""
+    """Built once per graph, one ``rings`` walk per edge, and read by every
+    count and ``_has_class``: the BFS edge order and ranks, N1 ∪ N2 (search),
+    N1 and N2 (relaxed state), neighbors and common neighbors (semistrong)."""
 
     order: list[int]
     rank: list[int]
     near: list[list[int]]
     n1: list[list[int]]
     n2: list[list[int]]
+    nbrs: list[list[int]]
+    common: list[list[int]]
 
 
 def _layout(g: Graph) -> _Layout:
@@ -307,15 +309,15 @@ def _layout(g: Graph) -> _Layout:
     for r, e in enumerate(order):
         rank[e] = r
     walks = [rings(g, e) for e in range(g.edge_count)]
-    n1 = [a for a, _ in walks]
-    n2 = [b for _, b in walks]
-    return _Layout(order, rank, [a + b for a, b in walks], n1, n2)
+    n1, n2, common = ([walk[i] for walk in walks] for i in range(3))
+    nbrs = [[w for w, _ in row] for row in g.adjacency]
+    return _Layout(order, rank, [a + b for a, b, _ in walks], n1, n2, nbrs, common)
 
 
 def _state(g: Graph, mode: str, k: int, s: int, t: int, layout: _Layout):
     """An empty k-class state for the mode; strong is relaxed(0,0)."""
     if mode == "semistrong":
-        return _SemistrongState(g, k)
+        return _SemistrongState(g, k, layout)
     if mode == "strong":
         s = t = 0
     return _RelaxedState(layout.n1, layout.n2, s, t)
@@ -336,14 +338,15 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     Each position colors the candidate with the most known blocked colors,
     ties going to the lower breadth-first rank; with no candidates (the
     start of a connected component) it colors the first uncolored edge in
-    that order. It tries the colors 1..min(k, max_used + 1) that are not
-    known blocked, in increasing order, so an edge with every color blocked
-    ends the branch at once (forward checking). The candidates wait in a
-    heap keyed by (blocked count, rank); a stale entry is skipped when it
-    comes out, and the heap is rebuilt from the candidates when it holds
-    more than 2m entries. A position so costs one probe per uncolored edge
-    near the placed one and one heap step per changed key, never a pass
-    over all candidates.
+    that order, and k is refuted when that edge runs out of colors (the
+    fresh-color rule only widens a component's first choices). It tries the
+    colors 1..min(k, max_used + 1) not known blocked, in increasing order,
+    so an edge with every color blocked ends the branch at once (forward
+    checking). The candidates wait in a heap keyed by (blocked count, rank);
+    a stale entry is skipped when it comes out, and the heap is rebuilt from
+    the candidates when it holds more than 2m entries. A position so costs
+    one probe per uncolored edge near the placed one and one heap step per
+    changed key, never a pass over all candidates.
 
     ``nodes`` counts one per probe and one per color tried, in a local
     variable; the clock is called only when the count reaches its next stop
@@ -434,12 +437,11 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
             pos += 1
             choosing = True
             continue
-        # no color left at pos: put its edge back among the candidates
-        if touched[e]:
-            heappush(heap, (k - nblocked[e]) * m + rank[e])
-        if pos == 0:
+        if not touched[e]:  # e opened a component: refuted
             clock.nodes = nodes
             return None
+        # no color left at pos: put its edge back among the candidates
+        heappush(heap, (k - nblocked[e]) * m + rank[e])
         pos -= 1
         e = chosen[pos]
         bit = 1 << colors[e]

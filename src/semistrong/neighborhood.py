@@ -18,8 +18,8 @@ Greedy and the repair engine keep no per-edge list: they share one state, a
 color bitmask per vertex and a same-colored 2-neighbor count per edge (see
 solver.py), and read forbidden sets, contacts and the path-shift schema's
 (S3) m_set colors off the masks. The exact oracle reads its N1 and N2 lists
-from ``rings``. The certificates and the badness audit count same-colored
-contacts straight from the adjacency (see verify.py).
+and its common neighbors from ``rings``. The certificates and the badness
+audit count same-colored contacts straight from the adjacency (see verify.py).
 
 An EdgeNeighborhood is a frozen value built from one ``rings`` walk: n1, n2,
 f_set, the pair types type_of and t6, the per-endpoint 2-neighbor splits
@@ -84,7 +84,7 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
         raise IndexError(f"edge index {e} out of range [0,{len(g.edges)})")
     edges, adjacency = g.edges, g.adjacency
     u, v = edges[e]
-    n1, n2 = rings(g, e)
+    n1, n2, common = rings(g, e)
     near_u = {w for w, _ in adjacency[u]}
     near_v = {w for w, _ in adjacency[v]}
     type_of: dict[int, PairType] = {}
@@ -100,7 +100,6 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
             side_v.append(f)
     ring1, ring2 = frozenset(n1), frozenset(n2)
     t6 = frozenset(f for f, t in type_of.items() if t is _T6)
-    triangles = [idx for w, idx in adjacency[u] if w in near_v] + [idx for w, idx in adjacency[v] if w in near_u]
     return EdgeNeighborhood(
         edge=e,
         u=u,
@@ -111,30 +110,34 @@ def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
         t6=t6,
         n2_u=frozenset(side_u),
         n2_v=frozenset(side_v),
-        c_delta=frozenset(triangles),
+        c_delta=frozenset(g.edge_between(a, w) for a in (u, v) for w in common),
         type_of=type_of,
     )
 
 
-def rings(g: Graph, e: int) -> tuple[list[int], list[int]]:
-    """Edge e's 1-neighbors, and its distinct 2-neighbors in the order the
-    walk meets them, read off the adjacency.
-
-    The walk meets a 2-neighbor f = wz once per cross edge a-w (a an endpoint
-    of e): once for T6, two to four times for T1..T5.
-    """
+def rings(g: Graph, e: int) -> tuple[list[int], list[int], list[int]]:
+    """Edge e = uv's 1-neighbors, its distinct 2-neighbors in first-met order
+    (the walk meets one once per cross edge: once for T6, two to four times
+    for T1..T5), and the common neighbors of u and v (the vertices of u's row
+    whose row reaches v), read off the adjacency."""
     adjacency = g.adjacency
     u, v = g.edges[e]
-    n1 = [idx for _, idx in adjacency[u] if idx != e] + [idx for _, idx in adjacency[v] if idx != e]
-    reach = (
-        f
-        for a, b in ((u, v), (v, u))
-        for w, _ in adjacency[a]
-        if w != b
-        for z, f in adjacency[w]
-        if z != a and z != b
-    )
-    return n1, list(dict.fromkeys(reach))
+    n1, common, reach = [], [], {}  # reach keeps first-met order as a dict
+    for w, f in adjacency[u]:
+        if w != v:
+            n1.append(f)
+            for z, h in adjacency[w]:
+                if z == v:
+                    common.append(w)
+                elif z != u:
+                    reach[h] = None
+    for w, f in adjacency[v]:
+        if w != u:
+            n1.append(f)
+            for z, h in adjacency[w]:
+                if z != u and z != v:
+                    reach[h] = None
+    return n1, list(reach), common
 
 
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:

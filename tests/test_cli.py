@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -309,7 +310,7 @@ def test_batch(tmp_path, capsys):
     for r in rows:
         if r["graph"] != "broken.txt":
             assert r["error"] == ""
-            assert float(r["cpu_time_s"]) >= 0 and float(r["wall_time_s"]) >= 0
+            assert re.fullmatch(r"\d+\.\d{6}", r["wall_time_s"]) and re.fullmatch(r"\d+\.\d{6}", r["cpu_time_s"])
 
 
 def test_batch_jobs_matches_serial(tmp_path, capsys):

@@ -215,9 +215,9 @@ def test_exact_index_starts_at_a_count_greedy_always_meets(monkeypatch):
     sizes = []
 
     class Recording(exact._SemistrongState):
-        def __init__(self, g, k):
+        def __init__(self, g, k, layout):
             sizes.append(k)
-            super().__init__(g, k)
+            super().__init__(g, k, layout)
 
     monkeypatch.setattr(exact, "_SemistrongState", Recording)
     res = exact_index(families.path(5), "semistrong", 10**6)
@@ -281,6 +281,16 @@ def test_prism5_refutation_follows_the_candidate_order():
     assert (res.status, res.nodes) == ("unsat", 61467)
 
 
+@pytest.mark.parametrize("mode,s,t", [("semistrong", 0, 0), ("relaxed", 0, 1)])
+def test_refutation_stops_at_the_component_that_fails(mode, s, t):
+    # 18 components: 3 colors fail on one of them, and a search that
+    # backtracked into the earlier, independent components ran past 3 million
+    # nodes without refuting 3
+    g = parse_edge_list((Path(__file__).parent / "data" / "paths_cycles.txt").read_text(encoding="utf-8"))
+    res = exact_index(g, mode, 8, Budget(max_nodes=10_000), s=s, t=t)
+    assert (res.value, res.proof) == (4, "exhausted")
+
+
 @pytest.mark.parametrize("mode,s,t,value,nodes", [("strong", 0, 0, 8, 486), ("relaxed", 1, 1, 4, 1018)])
 def test_prism5_node_counts_in_strong_and_relaxed11_mode(mode, s, t, value, nodes):
     # the relaxed state's counts, pinned like the semistrong and relaxed(0,1)
@@ -324,14 +334,9 @@ def test_fits_matches_the_definitions_and_undo_reverses_assign(caps):
         k = 5
         layout = _layout(g)
         n1, n2 = layout.n1, layout.n2
-        assert [set(f) for f in n1] == [one_neighbors(g, e) for e in range(m)]
-        assert [set(f) for f in n2] == [two_neighbors(g, e) for e in range(m)]
-        assert [sorted(a + b) for a, b in zip(n1, n2)] == [sorted(f) for f in layout.near]
-        assert sorted(layout.order) == list(range(m))
-        assert [layout.order[r] for r in layout.rank] == list(range(m))
         mode = ("semistrong",) if caps is None else ("relaxed", *caps)
         for trial_round in range(100):
-            state = _SemistrongState(g, k) if caps is None else _RelaxedState(n1, n2, *caps)
+            state = _SemistrongState(g, k, layout) if caps is None else _RelaxedState(n1, n2, *caps)
             colors = [0] * m
             for e in rng.sample(range(m), rng.randint(0, m)):
                 c = rng.randint(1, k)
@@ -355,6 +360,25 @@ def test_fits_matches_the_definitions_and_undo_reverses_assign(caps):
                         assert verdict == naive_verify(g, trial, *mode)
 
 
+def test_layout_matches_the_definitions_on_every_small_graph():
+    # every graph with at most 7 vertices: n1 and n2 are each edge's distance-1
+    # and distance-2 edges without repeats, near is n1 then n2, and common
+    # holds the common neighbors of the edge's ends
+    nx = pytest.importorskip("networkx")
+    for G in nx.graph_atlas_g():
+        g = build_graph(G.number_of_nodes(), [tuple(e) for e in G.edges()])
+        m = g.edge_count
+        layout = _layout(g)
+        assert sorted(layout.order) == list(range(m))
+        assert [layout.order[r] for r in layout.rank] == list(range(m))
+        assert layout.nbrs == [list(g.neighbors(x)) for x in range(g.vertex_count)]
+        for e, (u, v) in enumerate(g.edges):
+            assert sorted(layout.n1[e]) == sorted(one_neighbors(g, e))
+            assert sorted(layout.n2[e]) == sorted(two_neighbors(g, e))
+            assert layout.near[e] == layout.n1[e] + layout.n2[e]
+            assert sorted(layout.common[e]) == sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
+
+
 def _recount(g, partner):
     """sees and poison of one class, from the class matching alone."""
     n = g.vertex_count
@@ -376,7 +400,7 @@ def test_semistrong_counters_match_their_definitions():
     graphs += [_random_graph(rng.randint(5, 10), rng.choice((0.3, 0.5)), rng) for _ in range(8)]
     for g in graphs:
         k = 3
-        state = _SemistrongState(g, k)
+        state = _SemistrongState(g, k, _layout(g))
         tokens = []
         for _ in range(200):
             if tokens and rng.random() < 0.3:
