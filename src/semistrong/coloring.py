@@ -13,9 +13,9 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        for i, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"edge {i} has color {c} outside [1,{self.k}]")
+        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.k):
+            i = next(i for i, c in enumerate(self.colors) if not 1 <= c <= self.k)  # the first out of range
+            raise ValueError(f"edge {i} has color {self.colors[i]} outside [1,{self.k}]")
 
     def __len__(self) -> int:
         return len(self.colors)

@@ -23,7 +23,7 @@ a token; ``undo(token)`` takes it out again, restoring the state exactly.
 Both checks only get stricter as edges are added, and a fresh color always
 fits an empty class, so an edge with no fitting color stays stuck in every
 extension: ending the branch there loses no coloring. Classes in different
-components never meet, so refutation is per component (see ``_search``).
+components never meet, so refutation and symmetry are per component.
 
 ``exact_index`` walks the color count top-down, from a count that a greedy
 strong coloring always meets, to one less than the colors each found
@@ -338,9 +338,9 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     Each position colors the candidate with the most known blocked colors,
     ties going to the lower breadth-first rank; with no candidates (the
     start of a connected component) it colors the first uncolored edge in
-    that order, and k is refuted when that edge runs out of colors (the
-    fresh-color rule only widens a component's first choices). It tries the
-    colors 1..min(k, max_used + 1) not known blocked, in increasing order,
+    that order (color 1 only), and k is refuted when that edge fails. It
+    tries the colors 1..min(k, max_used + 1) not known blocked, max_used the
+    largest so far in the edge's component, in increasing order,
     so an edge with every color blocked ends the branch at once (forward
     checking). The candidates wait in a heap keyed by (blocked count, rank);
     a stale entry is skipped when it comes out, and the heap is rebuilt from
@@ -372,7 +372,7 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
     tried = [0] * m  # the last color tried at each position
     tokens: list = [None] * m
     flips: list = [()] * m  # the edges whose placement at each position blocked its color
-    max_used = [0] * (m + 1)  # largest color among the edges before each position
+    max_used = [0] * (m + 1)  # largest color in the component in hand before each position
     pos = 0
     choosing = True
     while True:
@@ -391,6 +391,7 @@ def _search(g: Graph, mode: str, k: int, clock: _Clock, s: int, t: int, layout: 
                 # with no candidates the colored edges are whole components, which
                 # come first in breadth-first order, so rank pos is the next edge
                 e = order[pos]
+                max_used[pos] = 0  # a component's colors rename on their own
             chosen[pos] = e
             tried[pos] = 0
             choosing = False

@@ -155,10 +155,10 @@ def emit_graph6(g: Graph) -> str:
 
 
 def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
-    return {
+    return {  # the edges and colors come validated, and skip _write's type scans
         "n": g.vertex_count,
-        "edges": g.edges,
-        "colors": list(colors) if colors is not None else None,
+        "edges": _Text(_pairs_text(g.edges, "\n  ")),
+        "colors": _Text(_ints_text(colors, "\n  ")) if colors is not None else None,
         "colors_used": len(set(colors)) if colors else (0 if colors is not None else None),
         "mode": mode,
         "valid": valid,
@@ -256,15 +256,12 @@ def _write(obj, newline: str, out: list[str]) -> None:
     inline = _INLINE.get(kind)
     if inline is not None:
         out.append(inline(obj))
-    elif (kind is list or kind is tuple) and obj and all(type(x) is int for x in obj):
-        inner = newline + "  "
-        out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
-    elif (kind is list or kind is tuple) and obj and all(
+    elif (kind is list or kind is tuple) and all(type(x) is int for x in obj):
+        out.append(_ints_text(obj, newline))
+    elif (kind is list or kind is tuple) and all(
         type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int for x in obj
     ):
-        inner = newline + "  "
-        row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-        out.append("[" + inner + ("," + inner).join([row % x for x in obj]) + newline + "]")
+        out.append(_pairs_text(obj, newline))
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -283,6 +280,18 @@ def _write(obj, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:  # floats, subclasses, other lists: the stdlib encoder, re-indented to this depth
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+
+
+# a list of ints, and one of int pairs, as json.dumps(indent=2) writes it after newline
+def _ints_text(values, newline: str) -> str:
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, values)) + newline + "]" if values else "[]"
+
+
+def _pairs_text(pairs, newline: str) -> str:
+    inner = newline + "  "
+    row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+    return "[" + inner + ("," + inner).join([row % x for x in pairs]) + newline + "]" if pairs else "[]"
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -12,10 +12,10 @@ when no color qualifies the smallest color outside the forbidden set. Its
 state, a _Contacts, keeps per vertex the bitmask of its colors and per edge
 its count of same-colored 2-neighbors: O(m) memory. Greedy builds it in
 O(Delta) per edge: the masks of the neighbors of the edge's ends, ORed
-together, give the colors met once and twice or more around the edge, so a
-few int operations find the color instead of one trial per color. When no
-count exceeds one, the start has no bad edge and is the component's
-coloring, and no engine is built.
+together in greedy's own loop, give the colors met once and twice or more
+around the edge, so a few int operations find the color instead of one trial
+per color. When no count exceeds one, the start has no bad edge and is the
+component's coloring, and no engine is built.
 
 Otherwise the repair engine removes the bad edges by searching move schemas
 in a fixed order:
@@ -36,12 +36,12 @@ the bad edges no schema could fix.
 
 The state also keeps the potential: the bad edges, a lazy min-heap over
 them and the count of same-colored pairs. Lifting or placing an edge changes
-only the counts of its same-colored 2-neighbors, found in O(Delta), and
-keeps all three, so the engine takes greedy's state over as it is. S1 and S2
-read an edge's free colors off the same ring masks greedy reads, S3 the
-colors of a path's forbidden set off the masks at its tip, and S2 and S4
-take the 1-neighbors from the adjacency. A candidate is scored by making it
-and undone when the potential does not fall.
+only the counts of its same-colored 2-neighbors, found in O(Delta); tally,
+which greedy and the engine share, and lift keep all three, so the engine takes
+greedy's state over as it is. S1 and S2 read an edge's free colors off ring
+masks as greedy does, S3 the colors of a path's forbidden set off the masks
+at its tip, and S2 and S4 take the 1-neighbors from the adjacency. A
+candidate is scored by making it and undone when the potential does not fall.
 
 The engine builds an EdgeNeighborhood for an edge only when a stage assert
 first asks for it, and keeps it. The heap gives the smallest bad edge. Each
@@ -144,16 +144,16 @@ class _Contacts:
     it is the one edge of e's color at exactly one w of e's ring, the
     neighbors of u and v other than u and v; a scan of w's row, at most Delta
     edges, finds it. ``contacts``, ``place`` and ``lift`` read one color over
-    the ring, in O(Delta); ``masks`` reads every color over it at once.
-    ``hot`` is greedy's own mask, which nothing else reads.
+    the ring, in O(Delta); greedy and _free_colors walk it for every color at
+    once. ``hot`` is greedy's own mask, which nothing else reads.
 
     One state serves a whole solve: ``part``, ``edges`` and ``k`` are the
     vertices, edge ids and palette of the component in hand (all of g until
     solve takes up a component), and greedy, the engine and check read only
     those. Its potential (kappa1, kappa2) is kept beside the counts: ``bad``,
     its edges of count two or more; ``heap``, every bad edge and maybe stale
-    entries; and ``pairs``, its count of same-colored pairs. ``place`` and
-    ``lift`` keep them.
+    entries; and ``pairs``, its count of same-colored pairs. ``tally`` alone
+    counts a placed edge's contacts in, and ``lift`` counts them out.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -187,10 +187,14 @@ class _Contacts:
         """Color the uncolored edge e with c, outside its forbidden set, given
         its colored 2-neighbors of color c as contacts found them."""
         u, v = self.g.edges[e]
-        held, count, bad, heap = self.held, self.count, self.bad, self.heap
         self.colors[e] = c
-        held[u] |= 1 << c
-        held[v] |= 1 << c
+        self.held[u] |= 1 << c
+        self.held[v] |= 1 << c
+        self.tally(e, contacts)
+
+    def tally(self, e: int, contacts) -> None:
+        """Count the contacts of e, just colored, into the potential."""
+        count, bad, heap = self.count, self.bad, self.heap
         count[e] = n = len(contacts)
         self.pairs += n
         if n >= 2:
@@ -221,22 +225,6 @@ class _Contacts:
                         return None
                     found.append(f)
         return found
-
-    def masks(self, e: int):
-        """Four color masks over e's ring, with e's ends on it: taken, the
-        colors at e's ends and bit 0; once and twice, the colors met once and
-        twice or more on the ring, a common neighbor of the ends twice; and
-        warm, the union of the ring's hot masks."""
-        u, v = self.g.edges[e]
-        held, hot = self.held, self.hot
-        once = twice = warm = 0
-        # u and v are on each other's rows; their colors are taken anyway
-        for w, _ in self.g.adjacency[u] + self.g.adjacency[v]:
-            mask = held[w]
-            twice |= once & mask
-            once |= mask
-            warm |= hot[w]
-        return held[u] | held[v] | 1, once, twice, warm
 
     def lift(self, e: int) -> list[int]:
         """Uncolor e; return the contacts that place puts it back with."""
@@ -303,27 +291,40 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
 
     ``hot[x]`` is the part of ``held[x]`` whose edge already has a
     same-colored 2-neighbor. A color at neither end of e met nowhere on e's
-    ring has no contact; met once, its one contact is the edge at the
-    neighbor holding it, and qualifies unless hot there. So the smallest
-    qualifying color is the lowest zero bit of one int, and placing an edge
-    costs O(Delta). Only when no color qualifies does greedy walk the colors
-    outside e's ends, where one met twice or more is two contacts or one edge
-    met twice, which only contacts tells apart."""
+    ring, which greedy walks itself, has no contact; met once, its one contact
+    is the edge at the neighbor holding it, and qualifies unless hot there. So
+    the smallest qualifying color is the lowest zero bit of one int, and
+    placing an edge costs O(Delta). Only when no color qualifies does greedy
+    walk the colors outside e's ends, where one met twice or more is two
+    contacts or one edge met twice, which only contacts tells apart. Greedy
+    writes e's color and held bits; tally counts its contacts, if any."""
     palette_size = state.k
     if palette_size < 1:
         raise ValueError(f"palette_size must be >= 1, got {palette_size}")
-    contacts, place, masks = state.contacts, state.place, state.masks
-    edges, hot = state.g.edges, state.hot
+    contacts, tally = state.contacts, state.tally
+    edges, adjacency, colors, held, hot = state.g.edges, state.g.adjacency, state.colors, state.held, state.hot
     top = 1 << palette_size
     for e in order:
-        taken, once, twice, warm = masks(e)
-        y = taken | twice | (once & warm)
+        u, v = edges[e]
+        once = twice = warm = 0
+        # u and v are on each other's rows; their colors are taken anyway
+        for w, _ in adjacency[u]:
+            mask = held[w]
+            twice |= once & mask
+            once |= mask
+            warm |= hot[w]
+        for w, _ in adjacency[v]:
+            mask = held[w]
+            twice |= once & mask
+            once |= mask
+            warm |= hot[w]
+        y = held[u] | held[v] | 1 | twice | (once & warm)
         bit = ~y & (y + 1)  # y's lowest zero bit: the smallest color that qualifies
         found = None
         if bit > top:
             # none does: the smallest color outside the forbidden set, met on
             # the ring once (a hot contact) or more (ask contacts)
-            y = taken
+            y = held[u] | held[v] | 1
             while found is None:
                 bit = ~y & (y + 1)
                 if bit > top:
@@ -336,9 +337,11 @@ def _greedy(state: _Contacts, order: list[int]) -> _Contacts:
         if found is None:
             # c met once on the ring is one contact, met nowhere none
             found = contacts(e, c) if once & bit else ()
-        place(e, c, found)
+        colors[e] = c
+        held[u] |= bit
+        held[v] |= bit
         if found:
-            u, v = edges[e]
+            tally(e, found)
             hot[u] |= bit
             hot[v] |= bit
             for f in found:
@@ -419,11 +422,16 @@ class _Engine:
 
     def _free_colors(self, e: int):
         """The colors outside e's forbidden set on at most one 2-neighbor of e,
-        all T6 contacts, in increasing order: the colors in [1, k] neither
-        taken nor met twice on e's ring, which is one contact each or none. A
-        color met twice is two contacts or an edge joined to e twice."""
-        taken, _, twice, _ = self.state.masks(e)
-        return self._colors_outside(taken | twice)
+        all T6 contacts, in increasing order: the colors in [1, k] neither at
+        e's ends nor met twice on e's ring, which is one contact each or none.
+        A color met twice is two contacts or an edge joined to e twice."""
+        g, held = self.g, self.state.held
+        u, v = g.edges[e]
+        once = twice = 0
+        for w, _ in g.adjacency[u] + g.adjacency[v]:
+            twice |= once & held[w]
+            once |= held[w]
+        return self._colors_outside(held[u] | held[v] | twice)
 
     def _n1(self, e: int) -> list[int]:
         """e's 1-neighbors, the edges at its ends, in increasing order."""

@@ -248,8 +248,10 @@ def certify(g: Graph, c: Coloring, s: int = 0, t: int = 1) -> Certificate:
         witness = min(((colors[e], e) for e in flagged), default=None)
         return VerifyResult(witness is None, witness)
 
-    failed = [e for e, k in touch.items() if k > s] + [e for e, k in near.items() if k > t]
-    kappa1 = len(near) - list(near.values()).count(1)  # every count in near is at least 1
+    # near's counts, each at least 1, sum to 2 * len(pairs): with that many entries all are 1
+    kappa1 = len(near) - list(near.values()).count(1) if len(near) < 2 * len(pairs) else 0
+    over = [e for e, k in near.items() if k > t] if kappa1 or t < 1 else []  # else none exceeds t
+    failed = [e for e, k in touch.items() if k > s] + over
     return Certificate(smallest(two_sided.union(touch)), smallest(failed), (kappa1, len(pairs)))
 
 

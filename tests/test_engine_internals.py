@@ -610,6 +610,8 @@ def test_greedy_fallback_matches_the_n2_oracle(monkeypatch):
             state = solver._greedy(_Contacts(g, k), bfs_edge_order(g))
             assert state.to_coloring() == oracle
             assert (state.held, state.count) == contact_state(g, state.colors)
+            report = badness(g, oracle)
+            assert (state.potential(), state.bad) == (report.potential, set(report.bad_edges))
             fallbacks += fell
     assert fallbacks > 0 and stuck > 0
     # contacts ruled a color met twice forbidden, and gave one as the fallback

@@ -285,10 +285,20 @@ def test_prism5_refutation_follows_the_candidate_order():
 def test_refutation_stops_at_the_component_that_fails(mode, s, t):
     # 18 components: 3 colors fail on one of them, and a search that
     # backtracked into the earlier, independent components ran past 3 million
-    # nodes without refuting 3
+    # nodes without refuting 3; every component opens at color 1
     g = parse_edge_list((Path(__file__).parent / "data" / "paths_cycles.txt").read_text(encoding="utf-8"))
     res = exact_index(g, mode, 8, Budget(max_nodes=10_000), s=s, t=t)
-    assert (res.value, res.proof) == (4, "exhausted")
+    assert (res.value, res.proof, res.nodes) == (4, "exhausted", {"semistrong": 383, "relaxed": 382}[mode])
+
+
+def test_every_component_keeps_its_own_symmetry_break():
+    # K_{4,4}, K_{5,5}, the 3-prism and two random graphs: K_{5,5} alone
+    # refutes 24, which a later component can only reach when it opens at
+    # color 1 instead of at any of the colors the components before it used
+    g = parse_edge_list((Path(__file__).parent / "data" / "special.txt").read_text(encoding="utf-8"))
+    res = exact_index(g, "semistrong", 25, Budget(max_nodes=300_000))
+    assert (res.value, res.proof) == (25, "exhausted")
+    assert verify_semistrong(g, res.certificate).ok
 
 
 @pytest.mark.parametrize("mode,s,t,value,nodes", [("strong", 0, 0, 8, 486), ("relaxed", 1, 1, 4, 1018)])

@@ -89,8 +89,8 @@ def test_greedy_start_is_good_and_counts_its_contacts(n, d, seed, tight):
 
 
 def _greedy_outcome(g, k, greedy):
-    """The coloring, color masks and counts greedy builds, or the edge it got
-    stuck on."""
+    """The coloring, color masks, counts, potential and bad set greedy builds,
+    or the edge it got stuck on."""
     try:
         return greedy(g, k)
     except PaletteExhaustedError as exc:
@@ -111,13 +111,16 @@ def test_greedy_tallies_match_the_n2_oracle_up_to_degree_8(g):
     assume(g.edge_count > 0)
     enough = 1 + max(len(compute_neighborhood(g, e).f_set) for e in range(g.edge_count))
 
+    # greedy counts contacts into the potential itself, so (kappa1, kappa2)
+    # and the bad set are held to badness too
     def ours(g, k):
         state = _greedy(_Contacts(g, k), bfs_edge_order(g))
-        return state.to_coloring(), state.held, state.count
+        return state.to_coloring(), state.held, state.count, state.potential(), state.bad
 
     def oracle(g, k):
         coloring = contact_greedy(g, k)[0]
-        return (coloring, *contact_state(g, coloring.colors))
+        report = badness(g, coloring)
+        return (coloring, *contact_state(g, coloring.colors), report.potential, set(report.bad_edges))
 
     # from 3/8 of one color more than the largest forbidden set, where greedy
     # mostly runs out of colors, through palettes where it falls back, up to

@@ -210,10 +210,14 @@ def test_length_mismatch_rejected():
 
 
 def test_bad_color_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge 0 has color 0 outside \[1,2\]$"):
         Coloring(colors=(0, 1), k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge 1 has color 3 outside \[1,2\]$"):
         Coloring(colors=(1, 3), k=2)
+    # the first edge out of range is named, not the one with the extreme color
+    with pytest.raises(ValueError, match=r"^edge 1 has color 5 outside \[1,4\]$"):
+        Coloring(colors=(2, 5, 0, 3), k=4)
+    assert Coloring(colors=(), k=0).k == 0
 
 
 def test_is_good_detects_forbidden_class_sharing():
