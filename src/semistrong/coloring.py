@@ -2,20 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .graph import _Frozen
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """colors[i] is the color of edge i; every color lies in [1, k]."""
+class Coloring(_Frozen):
+    """colors[i] is the color of edge i; every color lies in [1, k].
+    Immutable; colors is stored as a tuple, so a Coloring is hashable."""
 
+    __slots__ = ("colors", "k")
     colors: tuple[int, ...]
     k: int
 
-    def __post_init__(self):
-        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.k):
-            i = next(i for i, c in enumerate(self.colors) if not 1 <= c <= self.k)  # the first out of range
-            raise ValueError(f"edge {i} has color {self.colors[i]} outside [1,{self.k}]")
+    def __init__(self, colors, k: int):
+        colors = tuple(colors)  # no copy when colors is a tuple already
+        if colors and not (1 <= min(colors) and max(colors) <= k):
+            i = next(i for i, c in enumerate(colors) if not 1 <= c <= k)  # the first out of range
+            raise ValueError(f"edge {i} has color {colors[i]} outside [1,{k}]")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.colors == other.colors
+
+    def __hash__(self) -> int:
+        return hash((self.colors, self.k))
+
+    def __reduce__(self):
+        return Coloring, (self.colors, self.k)
+
+    def __repr__(self) -> str:
+        return f"Coloring(colors={self.colors!r}, k={self.k!r})"
 
     def __len__(self) -> int:
         return len(self.colors)

@@ -43,31 +43,44 @@ the deadline is read every 1,024 nodes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .coloring import Coloring
-from .graph import Graph, bfs_edge_order, max_degree
+from .graph import Graph, _Frozen, bfs_edge_order, max_degree
 from .neighborhood import rings
 from .verify import certify_mode
 
 MODES = ("semistrong", "strong", "relaxed")
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Frozen):
     """Caps on search nodes and wall-clock seconds; None is no cap, and a cap
-    below 0 (or NaN) is a ValueError."""
+    below 0 (or NaN) is a ValueError. Immutable."""
 
-    max_seconds: float | None = None
-    max_nodes: int | None = None
+    __slots__ = ("max_seconds", "max_nodes")
+    max_seconds: float | None
+    max_nodes: int | None
 
-    def __post_init__(self):
-        for name in ("max_seconds", "max_nodes"):
-            value = getattr(self, name)
+    def __init__(self, max_seconds: float | None = None, max_nodes: int | None = None):
+        for name, value in (("max_seconds", max_seconds), ("max_nodes", max_nodes)):
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0 or None, got {value}")
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_seconds, self.max_nodes) == (other.max_seconds, other.max_nodes)
+
+    def __hash__(self) -> int:
+        return hash((self.max_seconds, self.max_nodes))
+
+    def __reduce__(self):
+        return Budget, (self.max_seconds, self.max_nodes)
+
+    def __repr__(self) -> str:
+        return f"Budget(max_seconds={self.max_seconds!r}, max_nodes={self.max_nodes!r})"
 
 
 class _BudgetExceeded(Exception):
@@ -109,15 +122,13 @@ class _Clock:
         return self.stop(nodes)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     status: str  # 'sat' | 'unsat' | 'timeout'
     coloring: Coloring | None
     nodes: int
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     value: int | None  # None when infeasible within max_colors, or no coloring found before a timeout
     certificate: Coloring | None
     proof: str  # 'exhausted' | 'timeout'

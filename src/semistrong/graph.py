@@ -9,7 +9,7 @@ breadth-first walk gives the components, each vertex's depth parity (the
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -20,16 +20,41 @@ class GraphError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Graph:
-    """Simple undirected graph. Immutable.
+class _Frozen:
+    """Base of the package's immutable values: a subclass sets each field
+    once, in __init__, through object.__setattr__, and assigning or deleting
+    a field later raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
+    """Simple undirected graph. Immutable; equal only to itself.
 
     adjacency[v] lists (neighbor, incident edge index) sorted by neighbor.
     """
 
+    __slots__ = ("vertex_count", "edges", "adjacency")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __init__(self, vertex_count: int, edges, adjacency):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    def __reduce__(self):
+        return Graph, (self.vertex_count, self.edges, self.adjacency)
+
+    def __repr__(self) -> str:
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r}, adjacency={self.adjacency!r})"
 
     @property
     def edge_count(self) -> int:
@@ -84,8 +109,7 @@ def max_degree(g: Graph) -> int:
     return max(map(len, g.adjacency), default=0)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ComponentView:
+class ComponentView(NamedTuple):
     """One connected component, re-indexed from 0, with maps back to the parent."""
 
     graph: Graph

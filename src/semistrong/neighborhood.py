@@ -31,11 +31,13 @@ asserts look at; m_set and observation_bound take one too.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .graph import Graph
+from .graph import Graph, _Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PairType(IntEnum):
@@ -58,9 +60,9 @@ _TYPE_BY_CROSS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeNeighborhood:
-    """Color-independent neighborhood data for one edge of a graph."""
+class EdgeNeighborhood(_Frozen):
+    """Color-independent neighborhood data for one edge of a graph.
+    Immutable; equal only to itself."""
 
     edge: int
     u: int
@@ -69,13 +71,20 @@ class EdgeNeighborhood:
     n2: frozenset[int]
     f_set: frozenset[int]
     t6: frozenset[int]
-    n2_u: frozenset[int]
-    """2-neighbors with an endpoint adjacent to u."""
-    n2_v: frozenset[int]
-    """2-neighbors with an endpoint adjacent to v."""
-    c_delta: frozenset[int]
-    """1-neighbors that close a triangle with the edge."""
+    n2_u: frozenset[int]  # 2-neighbors with an endpoint adjacent to u
+    n2_v: frozenset[int]  # 2-neighbors with an endpoint adjacent to v
+    c_delta: frozenset[int]  # 1-neighbors that close a triangle with the edge
     type_of: dict[int, PairType]
+
+    def __init__(self, edge, u, v, n1, n2, f_set, t6, n2_u, n2_v, c_delta, type_of):
+        # written into the instance dict, which pickle and deepcopy restore
+        # the same way
+        vars(self).update(
+            edge=edge, u=u, v=v, n1=n1, n2=n2, f_set=f_set, t6=t6, n2_u=n2_u, n2_v=n2_v, c_delta=c_delta, type_of=type_of
+        )
+
+    def __repr__(self) -> str:
+        return f"EdgeNeighborhood({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:
@@ -143,6 +152,8 @@ def rings(g: Graph, e: int) -> tuple[list[int], list[int], list[int]]:
 def observation_bound(nb: EdgeNeighborhood, delta: int) -> Fraction:
     """Exact-rational upper bound on |f_set| in terms of the max degree and the
     sizes of c_delta, T1, T2, T6."""
+    from fractions import Fraction  # imported here: the package's only Fraction
+
     count = Counter(nb.type_of.values())
     half = Fraction(len(nb.c_delta) + count[PairType.T2] + count[PairType.T6], 2)
     return delta * delta - 1 - count[PairType.T1] - half

@@ -3,57 +3,35 @@ to zero under the lexicographic (kappa1, kappa2) potential.
 
 A *good* coloring keeps every edge's color off its forbidden set; its only
 same-colored distance-2 contacts are single-cross-edge (T6) pairs. A *bad*
-edge has two or more such contacts.
+edge has two or more such contacts; kappa1 counts the bad edges and kappa2
+the same-colored pairs.
 
-Greedy colors the edges in breadth-first order and avoids making bad edges:
-it takes the smallest color outside the forbidden set whose colored
-2-neighbors number 0, or 1 that has no same-colored 2-neighbor yet, and only
-when no color qualifies the smallest color outside the forbidden set. Its
-state, a _Contacts, keeps per vertex the bitmask of its colors and per edge
-its count of same-colored 2-neighbors: O(m) memory. Greedy builds it in
-O(Delta) per edge: the masks of the neighbors of the edge's ends, ORed
-together in greedy's own loop, give the colors met once and twice or more
-around the edge, so a few int operations find the color instead of one trial
-per color. When no count exceeds one, the start has no bad edge and is the
+Greedy colors the edges in breadth-first order with the smallest color
+outside the forbidden set whose colored 2-neighbors number 0, or 1 that has
+no same-colored 2-neighbor yet, and only when no color qualifies the
+smallest color outside the forbidden set. A start with no bad edge is the
 component's coloring, and no engine is built.
 
-Otherwise the repair engine removes the bad edges by searching move schemas
-in a fixed order:
+Otherwise the repair engine searches a ladder of move schemas, in order:
 
   S1  recolor the bad edge itself
   S2  recolor a 1-neighbor, then give the bad edge that neighbor's old color
   S4  swap the bad edge's color with a 1-neighbor's
   S3  shift colors along an induced path rooted at the bad edge
 
-These are recolorings of the paper's proof. Every candidate is
-exact-checked: it is accepted only if it preserves goodness and strictly
-lowers (kappa1, kappa2) lexicographically, so imperfect schema contexts
-degrade into skipped candidates, never into bad moves. When no schema yields
-a move, repair defers to the exact feasibility search (F3) and records the
-event; at the Delta^2 - 1 palette this is never expected to happen. F3 has a
-fixed node budget, and running out of it raises EngineInvariantError naming
-the bad edges no schema could fix.
-
-The state also keeps the potential: the bad edges, a lazy min-heap over
-them and the count of same-colored pairs. Lifting or placing an edge changes
-only the counts of its same-colored 2-neighbors, found in O(Delta); tally,
-which greedy and the engine share, and lift keep all three, so the engine takes
-greedy's state over as it is. S1 and S2 read an edge's free colors off ring
-masks as greedy does, S3 the colors of a path's forbidden set off the masks
-at its tip, and S2 and S4 take the 1-neighbors from the adjacency. A
-candidate is scored by making it and undone when the potential does not fall.
-
-The engine builds an EdgeNeighborhood for an edge only when a stage assert
-first asks for it, and keeps it. The heap gives the smallest bad edge. Each
-move first tries S1 on it, the first candidate the full search would try;
-the bad set is sorted only when that fails, and the sorted list then drives
-S1-S4 and the stage asserts.
+A candidate is accepted only if it keeps the coloring good and strictly
+lowers (kappa1, kappa2). The state, a _Contacts, owns the potential:
+``tally`` counts a just-colored edge's contacts in and ``lift`` counts an
+uncolored edge's out, and greedy and the engine share both. When no schema
+yields a move, repair runs the exact feasibility search (F3) within a fixed
+node budget and records it; at the Delta^2 - 1 palette this is never
+expected, and a spent budget raises EngineInvariantError.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import exact
 from .coloring import Coloring, from_list
@@ -94,33 +72,78 @@ class EngineInvariantError(RuntimeError):
     """A proven consequence of schema exhaustion failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class MoveProposal:
+class MoveProposal(NamedTuple):
     assignments: tuple[tuple[int, int], ...]  # (edge, new color), edge-sorted
     schema: str
 
 
-@dataclass
-class ComponentTrace:
-    strategy: str  # trivial | delta2 | kdd | g_family | greedy_repair
-    vertices: int
-    edges: int
-    delta: int
-    colors_used: int
-    exceeds_bound: bool
-    moves_by_schema: dict[str, int] = field(default_factory=dict)
-    fallback_f3: int = 0
-    kappa_trajectory: list[tuple[int, int]] = field(default_factory=list)
+class _Record:
+    """Base of solve's mutable results: equal by value, field by field in
+    __slots__ order, and so unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
-@dataclass
-class SolveResult:
-    coloring: Coloring
-    colors_used: int
-    mode: str
-    trace: list[ComponentTrace]
-    certificates: dict[str, bool]
-    kappa: tuple[int, int]  # (kappa1, kappa2) of the coloring
+class ComponentTrace(_Record):
+    """How one component was colored."""
+
+    __slots__ = (
+        "strategy", "vertices", "edges", "delta", "colors_used", "exceeds_bound",
+        "moves_by_schema", "fallback_f3", "kappa_trajectory",
+    )
+
+    def __init__(
+        self,
+        strategy: str,  # trivial | delta2 | kdd | g_family | greedy_repair
+        vertices: int,
+        edges: int,
+        delta: int,
+        colors_used: int,
+        exceeds_bound: bool,
+        moves_by_schema: dict[str, int] | None = None,
+        fallback_f3: int = 0,
+        kappa_trajectory: list[tuple[int, int]] | None = None,
+    ):
+        self.strategy = strategy
+        self.vertices = vertices
+        self.edges = edges
+        self.delta = delta
+        self.colors_used = colors_used
+        self.exceeds_bound = exceeds_bound
+        self.moves_by_schema = {} if moves_by_schema is None else moves_by_schema
+        self.fallback_f3 = fallback_f3
+        self.kappa_trajectory = [] if kappa_trajectory is None else kappa_trajectory
+
+
+class SolveResult(_Record):
+    """A solve's coloring, with its traces, certificates and potential."""
+
+    __slots__ = ("coloring", "colors_used", "mode", "trace", "certificates", "kappa")
+
+    def __init__(
+        self,
+        coloring: Coloring,
+        colors_used: int,
+        mode: str,
+        trace: list[ComponentTrace],
+        certificates: dict[str, bool],
+        kappa: tuple[int, int],  # (kappa1, kappa2) of the coloring
+    ):
+        self.coloring = coloring
+        self.colors_used = colors_used
+        self.mode = mode
+        self.trace = trace
+        self.certificates = certificates
+        self.kappa = kappa
 
 
 def greedy_good_coloring(g: Graph, palette_size: int) -> Coloring:

@@ -24,7 +24,6 @@ checkers, each with its own walk over the rows; tests and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .coloring import Coloring, from_list
@@ -262,8 +261,7 @@ def certify_mode(g: Graph, c: Coloring, mode: str, s: int, t: int) -> tuple[Veri
     return (cert.semistrong if mode == "semistrong" else cert.relaxed), cert
 
 
-@dataclass(frozen=True)
-class BadnessReport:
+class BadnessReport(NamedTuple):
     """Bad edges have >= 2 same-colored 2-neighbors; bad pairs are unordered
     same-colored distance-2 pairs. kappa1/kappa2 count them."""
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import dataclasses
 import pickle
 import random
 
@@ -12,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistrong import families
+from semistrong.coloring import from_list
+from semistrong.exact import Budget, exact_index, feasibility
 from semistrong.graph import (
     GraphError,
     _two_colors,
@@ -23,6 +24,9 @@ from semistrong.graph import (
     is_complete_bipartite_dd,
     max_degree,
 )
+from semistrong.neighborhood import EdgeNeighborhood, compute_neighborhood
+from semistrong.solver import solve
+from semistrong.verify import badness
 
 
 def test_build_c4():
@@ -147,8 +151,58 @@ def test_graph_and_component_view_survive_pickle_and_deepcopy():
         assert w.graph.edge_between(2, 0) == 0
     # slots and frozen: no per-instance dict, no assignment
     assert not hasattr(g, "__dict__") and not hasattr(view, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.vertex_count = 7
+
+
+def _records():
+    """One value of each public record type as the package builds it, by type
+    name, with whether it is immutable; an EdgeNeighborhood is equal only to
+    itself."""
+    g = families.prism(5)
+    solved = solve(g, "semistrong")
+    return {
+        "Coloring": (solved.coloring, True),
+        "Budget": (Budget(max_seconds=2.5, max_nodes=10), True),
+        "FeasibilityResult": (feasibility(families.cycle(7), "semistrong", 4), True),
+        "ExactResult": (exact_index(families.cycle(4), "semistrong", 4), True),
+        "BadnessReport": (badness(g, from_list([1] * g.edge_count)), True),
+        "EdgeNeighborhood": (compute_neighborhood(g, 0), True),
+        "SolveResult": (solved, False),
+    }
+
+
+def _fields(value) -> tuple[str, ...]:
+    if isinstance(value, tuple):  # a NamedTuple
+        return value._fields
+    return tuple(vars(value)) if hasattr(value, "__dict__") else value.__slots__
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["Coloring", "Budget", "FeasibilityResult", "ExactResult", "BadnessReport", "EdgeNeighborhood", "SolveResult"],
+)
+def test_records_survive_pickle_and_deepcopy_and_frozen_ones_refuse_assignment(name):
+    value, frozen = _records()[name]
+    assert type(value).__name__ == name
+    fields = _fields(value)
+    before = [getattr(value, f) for f in fields]
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        copied = clone(value)
+        assert type(copied) is type(value) and copied is not value
+        assert [getattr(copied, f) for f in fields] == [getattr(value, f) for f in fields]
+        if isinstance(value, EdgeNeighborhood):
+            assert copied != value
+        else:
+            assert copied == value
+            if frozen:
+                assert hash(copied) == hash(value)
+    for field in fields if frozen else ():
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert [getattr(value, f) for f in fields] == before
 
 
 def test_adjacency_consistency():

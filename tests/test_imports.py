@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +28,13 @@ def test_every_import_of_the_package_is_relative_or_from_the_standard_library():
     outside = {name: where for name, where in imported.items() if name not in sys.stdlib_module_names}
     assert outside == {}
     assert {"json", "heapq", "argparse"} <= set(imported)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_fractions():
+    # a fresh interpreter, as every command starts: the two modules and what
+    # they import (inspect, ast, decimal, ...) cost more than the package
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import semistrong.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "semistrong.cli" in loaded
+    assert {"dataclasses", "fractions"} & loaded == set()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 from fractions import Fraction
 
@@ -256,7 +255,7 @@ def test_derived_fields_match_eager_recomputation():
 def test_neighborhood_is_a_frozen_value():
     g = families.prism(3)
     nb = compute_neighborhood(g, 0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         nb.f_set = frozenset()
     # it keeps no reference to the graph it was built from
     assert not any(isinstance(r, Graph) for r in [*gc.get_referents(nb), *vars(nb).values()])

@@ -218,6 +218,14 @@ def test_bad_color_range_rejected():
     with pytest.raises(ValueError, match=r"^edge 1 has color 5 outside \[1,4\]$"):
         Coloring(colors=(2, 5, 0, 3), k=4)
     assert Coloring(colors=(), k=0).k == 0
+    # a list is stored as a tuple: the value is hashable, and the caller's
+    # list cannot carry a color past the range check
+    given = [1, 2, 1]
+    c = Coloring(given, 2)
+    given.append(99)
+    assert c.colors == (1, 2, 1) and hash(c) == hash(Coloring((1, 2, 1), 2)) and c == Coloring((1, 2, 1), 2)
+    with pytest.raises(AttributeError):
+        c.colors.append(99)
 
 
 def test_is_good_detects_forbidden_class_sharing():
