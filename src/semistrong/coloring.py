@@ -18,22 +18,7 @@ class Coloring(_Frozen):
         if colors and not (1 <= min(colors) and max(colors) <= k):
             i = next(i for i, c in enumerate(colors) if not 1 <= c <= k)  # the first out of range
             raise ValueError(f"edge {i} has color {colors[i]} outside [1,{k}]")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "k", k)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k and self.colors == other.colors
-
-    def __hash__(self) -> int:
-        return hash((self.colors, self.k))
-
-    def __reduce__(self):
-        return Coloring, (self.colors, self.k)
-
-    def __repr__(self) -> str:
-        return f"Coloring(colors={self.colors!r}, k={self.k!r})"
+        self._set(colors, k)
 
     def __len__(self) -> int:
         return len(self.colors)

@@ -66,21 +66,7 @@ class Budget(_Frozen):
         for name, value in (("max_seconds", max_seconds), ("max_nodes", max_nodes)):
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0 or None, got {value}")
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_seconds, self.max_nodes) == (other.max_seconds, other.max_nodes)
-
-    def __hash__(self) -> int:
-        return hash((self.max_seconds, self.max_nodes))
-
-    def __reduce__(self):
-        return Budget, (self.max_seconds, self.max_nodes)
-
-    def __repr__(self) -> str:
-        return f"Budget(max_seconds={self.max_seconds!r}, max_nodes={self.max_nodes!r})"
+        self._set(max_seconds, max_nodes)
 
 
 class _BudgetExceeded(Exception):

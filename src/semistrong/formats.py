@@ -155,7 +155,7 @@ def emit_graph6(g: Graph) -> str:
 
 
 def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
-    return {  # the edges and colors come validated, and skip _write's type scans
+    return {  # the edges and colors come validated: their templates need no type scan
         "n": g.vertex_count,
         "edges": _Text(_pairs_text(g.edges, "\n  ")),
         "colors": _Text(_ints_text(colors, "\n  ")) if colors is not None else None,
@@ -241,10 +241,9 @@ def _dumps(obj) -> str:
     whose dicts have str keys.
 
     With an indent CPython's json falls back to its pure-Python encoder; this
-    writer dispatches on exact type, writes a dict's scalar values in line,
-    joins an all-int list in one call and fills one row template per pair of
-    a list of int pairs (the edges). Any other list, a float or a subclass
-    goes to the stdlib encoder.
+    writer dispatches on exact type and writes a dict's scalar values and
+    emit_result's pre-rendered _Text in line. A list, a float or any other
+    type goes to the stdlib encoder.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -256,12 +255,6 @@ def _write(obj, newline: str, out: list[str]) -> None:
     inline = _INLINE.get(kind)
     if inline is not None:
         out.append(inline(obj))
-    elif (kind is list or kind is tuple) and all(type(x) is int for x in obj):
-        out.append(_ints_text(obj, newline))
-    elif (kind is list or kind is tuple) and all(
-        type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int for x in obj
-    ):
-        out.append(_pairs_text(obj, newline))
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -278,7 +271,7 @@ def _write(obj, newline: str, out: list[str]) -> None:
                 _write(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    else:  # floats, subclasses, other lists: the stdlib encoder, re-indented to this depth
+    else:  # lists, floats, subclasses: the stdlib encoder, re-indented to this depth
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 

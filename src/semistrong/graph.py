@@ -20,18 +20,46 @@ class GraphError(ValueError):
         self.reason = reason
 
 
-class _Frozen:
-    """Base of the package's immutable values: a subclass sets each field
-    once, in __init__, through object.__setattr__, and assigning or deleting
-    a field later raises AttributeError."""
+class _Record:
+    """Base of the package's records: the fields are the __slots__, and a
+    record is equal to one of its own type field by field, and lists them in
+    its repr, in __slots__ order. Mutable, and so unhashable."""
 
     __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
+class _Frozen(_Record):
+    """Base of the package's immutable records: __init__ takes the fields in
+    __slots__ order and sets each once, through _set; assigning or deleting
+    a field later raises AttributeError. Hashes by its fields, and pickles
+    and deep-copies by calling the class on them, in __slots__ order."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Graph(_Frozen):
@@ -44,17 +72,11 @@ class Graph(_Frozen):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, vertex_count: int, edges, adjacency):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adjacency", adjacency)
-
-    def __reduce__(self):
-        return Graph, (self.vertex_count, self.edges, self.adjacency)
-
-    def __repr__(self) -> str:
-        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r}, adjacency={self.adjacency!r})"
+        self._set(vertex_count, edges, adjacency)
 
     @property
     def edge_count(self) -> int:

@@ -64,6 +64,7 @@ class EdgeNeighborhood(_Frozen):
     """Color-independent neighborhood data for one edge of a graph.
     Immutable; equal only to itself."""
 
+    __slots__ = ("edge", "u", "v", "n1", "n2", "f_set", "t6", "n2_u", "n2_v", "c_delta", "type_of")
     edge: int
     u: int
     v: int
@@ -75,16 +76,11 @@ class EdgeNeighborhood(_Frozen):
     n2_v: frozenset[int]  # 2-neighbors with an endpoint adjacent to v
     c_delta: frozenset[int]  # 1-neighbors that close a triangle with the edge
     type_of: dict[int, PairType]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, edge, u, v, n1, n2, f_set, t6, n2_u, n2_v, c_delta, type_of):
-        # written into the instance dict, which pickle and deepcopy restore
-        # the same way
-        vars(self).update(
-            edge=edge, u=u, v=v, n1=n1, n2=n2, f_set=f_set, t6=t6, n2_u=n2_u, n2_v=n2_v, c_delta=c_delta, type_of=type_of
-        )
-
-    def __repr__(self) -> str:
-        return f"EdgeNeighborhood({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+        self._set(edge, u, v, n1, n2, f_set, t6, n2_u, n2_v, c_delta, type_of)
 
 
 def compute_neighborhood(g: Graph, e: int) -> EdgeNeighborhood:

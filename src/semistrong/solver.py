@@ -39,6 +39,7 @@ from .construct import cycle_pattern, g_family_colors, kdd_relaxed_colors, path_
 from .graph import (
     Graph,
     GraphError,
+    _Record,
     _component_parts,
     _covering_edge,
     _induced,
@@ -75,22 +76,6 @@ class EngineInvariantError(RuntimeError):
 class MoveProposal(NamedTuple):
     assignments: tuple[tuple[int, int], ...]  # (edge, new color), edge-sorted
     schema: str
-
-
-class _Record:
-    """Base of solve's mutable results: equal by value, field by field in
-    __slots__ order, and so unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
 class ComponentTrace(_Record):

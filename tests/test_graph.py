@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistrong import families
-from semistrong.coloring import from_list
+from semistrong.coloring import Coloring, from_list
 from semistrong.exact import Budget, exact_index, feasibility
 from semistrong.graph import (
+    Graph,
     GraphError,
     _two_colors,
     _walk,
@@ -157,30 +158,33 @@ def test_graph_and_component_view_survive_pickle_and_deepcopy():
 
 def _records():
     """One value of each public record type as the package builds it, by type
-    name, with whether it is immutable; an EdgeNeighborhood is equal only to
-    itself."""
+    name, with whether it is immutable; a Graph and an EdgeNeighborhood are
+    equal only to themselves."""
     g = families.prism(5)
     solved = solve(g, "semistrong")
     return {
+        "Graph": (g, True),
         "Coloring": (solved.coloring, True),
         "Budget": (Budget(max_seconds=2.5, max_nodes=10), True),
         "FeasibilityResult": (feasibility(families.cycle(7), "semistrong", 4), True),
         "ExactResult": (exact_index(families.cycle(4), "semistrong", 4), True),
         "BadnessReport": (badness(g, from_list([1] * g.edge_count)), True),
         "EdgeNeighborhood": (compute_neighborhood(g, 0), True),
+        "ComponentTrace": (solved.trace[0], False),
         "SolveResult": (solved, False),
     }
 
 
 def _fields(value) -> tuple[str, ...]:
-    if isinstance(value, tuple):  # a NamedTuple
-        return value._fields
-    return tuple(vars(value)) if hasattr(value, "__dict__") else value.__slots__
+    return value._fields if isinstance(value, tuple) else value.__slots__  # a NamedTuple, or a slots record
 
 
 @pytest.mark.parametrize(
     "name",
-    ["Coloring", "Budget", "FeasibilityResult", "ExactResult", "BadnessReport", "EdgeNeighborhood", "SolveResult"],
+    [
+        "Graph", "Coloring", "Budget", "FeasibilityResult", "ExactResult", "BadnessReport",
+        "EdgeNeighborhood", "ComponentTrace", "SolveResult",
+    ],
 )
 def test_records_survive_pickle_and_deepcopy_and_frozen_ones_refuse_assignment(name):
     value, frozen = _records()[name]
@@ -191,18 +195,44 @@ def test_records_survive_pickle_and_deepcopy_and_frozen_ones_refuse_assignment(n
         copied = clone(value)
         assert type(copied) is type(value) and copied is not value
         assert [getattr(copied, f) for f in fields] == [getattr(value, f) for f in fields]
-        if isinstance(value, EdgeNeighborhood):
-            assert copied != value
+        if isinstance(value, (Graph, EdgeNeighborhood)):
+            assert copied != value and hash(copied) != hash(value)
         else:
             assert copied == value
             if frozen:
                 assert hash(copied) == hash(value)
+    if not frozen:
+        with pytest.raises(TypeError):
+            hash(value)
     for field in fields if frozen else ():
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert [getattr(value, f) for f in fields] == before
+
+
+# each slots record's fields, in the order its class declares them
+_DECLARED = {
+    "Graph": ("vertex_count", "edges", "adjacency"),
+    "EdgeNeighborhood": ("edge", "u", "v", "n1", "n2", "f_set", "t6", "n2_u", "n2_v", "c_delta", "type_of"),
+    "ComponentTrace": (
+        "strategy", "vertices", "edges", "delta", "colors_used", "exceeds_bound",
+        "moves_by_schema", "fallback_f3", "kappa_trajectory",
+    ),
+    "SolveResult": ("coloring", "colors_used", "mode", "trace", "certificates", "kappa"),
+}
+
+
+@pytest.mark.parametrize("name", ["Budget", "Coloring", *_DECLARED])
+def test_record_repr_lists_its_fields_in_declaration_order(name):
+    value = _records()[name][0]
+    if name == "Budget":
+        assert repr(value) == "Budget(max_seconds=2.5, max_nodes=10)"
+    elif name == "Coloring":
+        assert eval(repr(value), {"Coloring": Coloring}) == value
+    else:
+        assert repr(value) == f"{name}({', '.join(f'{f}={getattr(value, f)!r}' for f in _DECLARED[name])})"
 
 
 def test_adjacency_consistency():

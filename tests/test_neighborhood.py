@@ -258,7 +258,8 @@ def test_neighborhood_is_a_frozen_value():
     with pytest.raises(AttributeError):
         nb.f_set = frozenset()
     # it keeps no reference to the graph it was built from
-    assert not any(isinstance(r, Graph) for r in [*gc.get_referents(nb), *vars(nb).values()])
+    fields = [getattr(nb, f) for f in nb.__slots__]
+    assert not any(isinstance(r, Graph) for r in [*gc.get_referents(nb), *fields])
 
 
 def _atlas_graphs():
