@@ -22,10 +22,10 @@ from .exact import MODES as EXACT_MODES, Budget, exact_index
 from .formats import (
     MAX_VERTICES,
     FormatError,
-    _dumps,
     emit_edge_list,
     emit_graph6,
     emit_result,
+    emit_verdict,
     parse_coloring,
     parse_edge_list,
     parse_graph6,
@@ -151,6 +151,10 @@ def _gen_params(args) -> dict:
     missing = [f"--{_GEN_OPTION[name]}" for name, value in params.items() if value is None]
     if missing:
         raise FormatError("usage", f"family {args.family} needs {' '.join(missing)}")
+    taken = {_GEN_OPTION[name] for name in params}
+    unread = [f"--{flag}" for flag in ("n", "d", "seed") if flag not in taken and getattr(args, flag) is not None]
+    if unread:
+        raise FormatError("usage", f"family {args.family} does not take {' '.join(unread)}")
     return params
 
 
@@ -164,17 +168,8 @@ def _cmd_color(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(_read_text(args.graph), args.format)
     coloring = parse_coloring(_read_text(args.coloring))
-    relaxed = args.mode == "relaxed"
     res, cert = certify_mode(g, coloring, args.mode, args.s, args.t)
-    kappa1, kappa2 = cert.kappa
-    doc = {
-        "mode": f"relaxed({args.s},{args.t})" if relaxed else args.mode,
-        "valid": res.ok,
-        "witness": None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]},
-        "kappa1": kappa1,
-        "kappa2": kappa2,
-    }
-    sys.stdout.write(_dumps(doc) + "\n")
+    sys.stdout.write(emit_verdict(res, cert.kappa, args.mode, args.s, args.t))
     return EXIT_OK if res.ok else EXIT_INVALID
 
 

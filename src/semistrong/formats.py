@@ -8,19 +8,19 @@ triangle column by column, six bits per character, offset 63).
 
 Results are emitted as JSON with a stable envelope: n, edges, colors,
 colors_used, mode, valid, trace, kappa1, kappa2, plus emission-specific
-extras. Colors are 1-based and follow input edge order.
+extras. Colors are 1-based and follow input edge order. A verify verdict is
+mode, valid, witness, kappa1 and kappa2.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .coloring import Coloring, from_list
 from .exact import ExactResult
 from .graph import Graph, build_graph
 from .solver import ComponentTrace, SolveResult
-from .verify import certify
+from .verify import VerifyResult, certify
 
 
 # graph6's 4-byte size prefix holds no more; parsers reject a larger header
@@ -154,56 +154,47 @@ def emit_graph6(g: Graph) -> str:
     return prefix + payload
 
 
-def _envelope(g: Graph, colors, mode, valid) -> dict[str, Any]:
-    return {  # the edges and colors come validated: their templates need no type scan
-        "n": g.vertex_count,
-        "edges": _Text(_pairs_text(g.edges, "\n  ")),
-        "colors": _Text(_ints_text(colors, "\n  ")) if colors is not None else None,
-        "colors_used": len(set(colors)) if colors else (0 if colors is not None else None),
-        "mode": mode,
-        "valid": valid,
-        "trace": None,
-        "kappa1": None,
-        "kappa2": None,
-    }
-
-
-def emit_result(g: Graph, result: SolveResult | ExactResult, **meta) -> str:
-    """Serialize a solve result or an exact-search result.
-
-    For exact results pass mode/s/t via meta.
-    """
+def emit_result(g: Graph, result: SolveResult | ExactResult, mode: str | None = None, s: int = 0, t: int = 0) -> str:
+    """Serialize a solve result, or an exact-search result with the mode it
+    searched in (and its s and t, written in relaxed mode)."""
     if isinstance(result, SolveResult):
-        doc = _envelope(g, result.coloring.colors, result.mode, result.certificates[result.mode])
-        doc["kappa1"], doc["kappa2"] = result.kappa
+        colors, kappa = result.coloring.colors, result.kappa
+        doc = {"mode": result.mode, "valid": result.certificates[result.mode], "certificates": result.certificates}
         doc["trace"] = _Text(_trace_text(result.trace))
-        doc["certificates"] = result.certificates
     elif isinstance(result, ExactResult):
-        colors = result.certificate.colors if result.certificate is not None else None
-        doc = _envelope(g, colors, meta.get("mode"), result.value is not None)
-        doc["value"] = result.value
-        doc["proof"] = result.proof
-        doc["nodes"] = result.nodes
-        if result.certificate is not None:
-            doc["kappa1"], doc["kappa2"] = certify(g, result.certificate).kappa
-        if meta.get("mode") == "relaxed":
-            doc["s"] = meta.get("s", 0)
-            doc["t"] = meta.get("t", 0)
+        cert = result.certificate
+        colors, kappa = (None, (None, None)) if cert is None else (cert.colors, certify(g, cert).kappa)
+        doc = {"mode": mode, "valid": result.value is not None, "value": result.value, "proof": result.proof, "nodes": result.nodes}
+        doc["trace"] = None
+        if mode == "relaxed":
+            doc["s"], doc["t"] = s, t
     else:
         raise TypeError(f"cannot emit {type(result).__name__}")
-    return _dumps(doc) + "\n"
+    doc["kappa1"], doc["kappa2"] = kappa
+    doc["n"] = g.vertex_count
+    # the edges and colors come validated: their templates need no type scan
+    doc["edges"] = _Text(_pairs_text(g.edges, "\n  "))
+    doc["colors"] = _Text(_ints_text(colors, "\n  ")) if colors is not None else None
+    doc["colors_used"] = len(set(colors)) if colors is not None else None
+    return _object(doc, "\n") + "\n"
+
+
+def emit_verdict(res: VerifyResult, kappa: tuple[int, int], mode: str, s: int, t: int) -> str:
+    """Serialize what verify found: the mode checked, the verdict with its
+    witness (a color and one of its edges) and the coloring's kappa."""
+    witness = None if res.witness is None else {"color": res.witness[0], "edge": res.witness[1]}
+    doc = {"mode": f"relaxed({s},{t})" if mode == "relaxed" else mode, "valid": res.ok, "witness": witness}
+    doc["kappa1"], doc["kappa2"] = kappa
+    return _object(doc, "\n") + "\n"
 
 
 class _Text(str):
-    """JSON text that emit_result rendered itself; _write copies it as it is."""
+    """JSON text that emit_result rendered itself; _object copies it as it is."""
 
 
 _quote = json.encoder.encode_basestring_ascii
-_BOOL = {True: "true", False: "false"}
-# the scalars json writes without recursion, keyed by exact type
-_INLINE = {int: str, str: _quote, bool: _BOOL.get, type(None): lambda _: "null", _Text: str}
 
-# one solve trace entry, as _write writes its dict (keys sorted) in the list
+# one solve trace entry, as _object writes its dict (keys sorted) in the list
 # under a top-level key; a non-empty moves_by_schema is written at _TRACE_KEY
 _TRACE_KEY = "\n      "
 _TRACE_ROW = """{
@@ -221,58 +212,35 @@ _TRACE_ROW = """{
 
 def _trace_text(traces: list[ComponentTrace]) -> str:
     """The value of a solve result's top-level "trace" key, one row template
-    per trace; only a non-empty moves_by_schema goes through _write."""
+    per trace; only a non-empty moves_by_schema goes through _object."""
     if not traces:
         return "[]"
     rows = []
     for t in traces:
-        moves = "{}"
-        if t.moves_by_schema:
-            out: list[str] = []
-            _write(t.moves_by_schema, _TRACE_KEY, out)
-            moves = "".join(out)
-        fields = (t.colors_used, t.delta, t.edges, _BOOL[t.exceeds_bound], t.fallback_f3, len(t.kappa_trajectory))
+        moves = _object(t.moves_by_schema, _TRACE_KEY) if t.moves_by_schema else "{}"
+        fields = (t.colors_used, t.delta, t.edges, "true" if t.exceeds_bound else "false", t.fallback_f3, len(t.kappa_trajectory))
         rows.append(_TRACE_ROW % (*fields, moves, _quote(t.strategy), t.vertices))
     return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for any value
-    whose dicts have str keys.
-
-    With an indent CPython's json falls back to its pure-Python encoder; this
-    writer dispatches on exact type and writes a dict's scalar values and
-    emit_result's pre-rendered _Text in line. A list, a float or any other
-    type goes to the stdlib encoder.
-    """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
-
-
-def _write(obj, newline: str, out: list[str]) -> None:
-    kind = type(obj)
-    inline = _INLINE.get(kind)
-    if inline is not None:
-        out.append(inline(obj))
-    elif kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            inline = _INLINE.get(type(value))
-            if inline is not None:
-                out.append(sep + _quote(key) + ": " + inline(value))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _write(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:  # lists, floats, subclasses: the stdlib encoder, re-indented to this depth
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+def _object(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) with each line break
+    written as newline, the break and indentation of the value's first line.
+    It takes only what the program writes: a JSON scalar, a _Text, or a dict
+    with str keys holding those. The stdlib's indenting encoder is pure Python
+    and leaves reference cycles; its one-line encoder is C, leaves none and
+    writes a scalar the same."""
+    if type(value) is _Text:
+        return value
+    if type(value) is not dict:
+        if isinstance(value, (list, tuple)):
+            raise TypeError(f"_object writes no {type(value).__name__}")
+        return json.dumps(value)
+    if not value:
+        return "{}"
+    inner = newline + "  "
+    items = [_quote(key) + ": " + _object(value[key], inner) for key in sorted(value)]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
 # a list of ints, and one of int pairs, as json.dumps(indent=2) writes it after newline

@@ -20,7 +20,7 @@ from semistrong import families
 from semistrong.cli import MAX_EDGES, cli
 from semistrong.coloring import from_list
 from semistrong.exact import Budget, exact_index
-from semistrong.formats import MAX_VERTICES, _dumps, emit_edge_list, emit_graph6, emit_result, parse_edge_list
+from semistrong.formats import MAX_VERTICES, emit_edge_list, emit_graph6, emit_result, parse_edge_list
 from semistrong.graph import bfs_edge_order, build_graph
 from semistrong.solver import _Contacts, _greedy, solve
 from semistrong.verify import badness
@@ -251,6 +251,11 @@ def test_gen_every_family(capsys, family):
         rest = [x for other in needed if other != flag for x in (other, values[other])]
         code, _, err = run(capsys, ["gen", "--family", family, *rest])
         assert code == 2 and err == f"error: family {family} needs {flag}\n"
+    # a flag the family does not read is refused by name, not dropped
+    unread = [flag for flag in values if flag not in needed]
+    if unread:
+        code, out, err = run(capsys, ["gen", "--family", family, *flags, *(x for flag in unread for x in (flag, values[flag]))])
+        assert (code, out) == (2, "") and err == f"error: family {family} does not take {' '.join(unread)}\n"
 
 
 def test_usage_errors(tmp_path, capsys, monkeypatch):
@@ -734,7 +739,7 @@ def _two_walk_verify_output(g, coloring, mode, s, t):
         "kappa1": report.kappa1,
         "kappa2": report.kappa2,
     }
-    return (0 if res.ok else 1), _dumps(doc) + "\n"
+    return (0 if res.ok else 1), json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("graph", ["mixed", "random_d4", "prism5", "special", "paths_cycles"])

@@ -17,7 +17,7 @@ from semistrong.coloring import from_list
 from semistrong.exact import exact_index
 from semistrong.formats import (
     FormatError,
-    _dumps,
+    _object,
     emit_edge_list,
     emit_graph6,
     emit_result,
@@ -260,26 +260,26 @@ def test_five_vertex_code_round_trip():
     assert emit_graph6(g) == "DQc"
 
 
-# a list of int pairs takes the writer's row template (a bool or a one-tuple
-# among them sends it down the general path), and a dict's scalar values are
-# written in line
-_INT_PAIRS = st.tuples(st.integers(), st.integers())
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(_INT_PAIRS, max_size=5),
-    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
-    max_leaves=25,
-)
+# what emit_result and emit_verdict hand the writer: str-keyed dicts of
+# scalars and nested dicts
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_OBJECTS = st.recursive(_JSON_SCALARS, lambda kids: st.dictionaries(st.text(), kids), max_leaves=25)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-@example([[], {}, [[]], {"": {}}, [[], [{}]]])
-@example([True, 1, False, 0, None, -7, [0, False], [1, 2, True]])
-@example({"\u00e9\u2028": "\"\\\x00\t\U0001f600", "b": [-1, 2**70], "a": {"z": None, "": -0.0}})
-@example({"edges": ((0, 1), (1, 2)), "n": 3, "s": "\u00e9", "ok": True, "no": None, "x": 0.5, "e": [], "d": {}})
-@example([[(1, 2), (3, True)], [(-1, 2**70)], ((4, 5),), [(6,)], [(7, 8), [9, 10]], {"k": [(11, 12)]}])
-def test_dumps_matches_the_stdlib_indent_encoder(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+@given(_JSON_OBJECTS)
+@example({})
+@example({"": {}, "a": {"": {}}})
+@example({"\u00e9\u2028": "\"\\\x00\t\U0001f600", "b": 2**70, "a": {"z": None, "": -0.0, "t": True, "f": False}})
+@example({"n": 3, "s": "\u00e9", "ok": True, "no": None, "x": 0.5, "big": -(2**70), "d": {"k": {"v": 1}}})
+def test_object_matches_the_stdlib_indent_encoder(value):
+    assert _object(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [[], [1, 2], (), {"k": [1]}, {"k": {"v": (1, 2)}}])
+def test_object_refuses_lists_and_tuples(value):
+    with pytest.raises(TypeError):
+        _object(value, "\n")
 
 
 def _canonical(text: str) -> bool:
@@ -362,6 +362,12 @@ def test_trace_row_template_writes_what_the_stdlib_writes_for_the_dict_form():
 
 
 _PARSERS = {"edge_list": parse_edge_list, "graph6": parse_graph6, "coloring": parse_coloring}
+_INT_PAIRS = st.tuples(st.integers(), st.integers())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(_INT_PAIRS, max_size=5),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=25,
+)
 # short inputs drawn mostly from each format's own alphabet, so that fuzzing
 # gets past the first check of each parser
 _HOSTILE_TEXT = (
